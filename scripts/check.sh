@@ -92,11 +92,6 @@ print(f"insight ok: {stats['entry_count']} statements, "
       f"{history['statement_count']} statement histories")
 PYEOF
 
-# Batch-width validation: sweep the vectorized runtime's batch_size knob
-# on a shrunk data set (--smoke) and round-trip the emitted grid through
-# a real JSON parser. The benchmark self-checks byte-identical output at
-# every width; a workload that fails the check emits no rows, which the
-# per-workload assertion below turns into a gate failure.
 # Prometheus exposition validation: render the demo server's metrics in
 # text exposition format and assert the shape scrapers rely on — every
 # sample line belongs to an aldsp_-prefixed family with a # TYPE header,
@@ -144,6 +139,11 @@ print(f"prometheus ok: {samples} samples, {len(typed)} families, "
       f"{len(hist)} histogram series")
 PYEOF
 
+# Batch-width validation: sweep the vectorized runtime's batch_size knob
+# on a shrunk data set (--smoke) and round-trip the emitted grid through
+# a real JSON parser. The benchmark self-checks byte-identical output at
+# every width; a workload that fails the check emits no rows, which the
+# per-workload assertion below turns into a gate failure.
 echo "== tier-1: batch width smoke sweep + JSON validation =="
 cmake --build "$repo/build" -j "$jobs" --target bench_batch_width
 (cd "$repo/build" && ./bench/bench_batch_width --smoke >/dev/null)
@@ -208,8 +208,9 @@ cmake --build "$repo/build-asan" -j "$jobs"
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 
 # The TSan gate covers the suites that exercise the worker pool, the
-# PP-k prefetcher, and the observability plane's lock-free audit ring
-# (the shared-state paths). query_trace_test is excluded: its timeout
+# PP-k prefetcher, the observability plane's lock-free audit ring, and
+# the server's shared plan and view-plan caches (the shared-state
+# paths). query_trace_test is excluded: its timeout
 # test deliberately abandons an evaluation past the end of the test
 # body, which is the documented fn-bea:timeout contract, not a data
 # race in the runtime.
@@ -221,8 +222,9 @@ cmake -B "$repo/build-tsan" -S "$repo" \
 cmake --build "$repo/build-tsan" -j "$jobs" \
   --target physical_parity_test parallel_exec_test worker_pool_test \
   join_methods_test observability_test insight_plane_test \
-  batch_runtime_test plan_history_test workload_replay_test admission_test
+  batch_runtime_test plan_history_test workload_replay_test admission_test \
+  server_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test)$'
+  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test)$'
 
 echo "== all checks passed =="

@@ -24,18 +24,25 @@ using xsd::XType;
 // ----- ViewPlanCache -------------------------------------------------------
 
 xquery::ExprPtr ViewPlanCache::Get(const std::string& function) {
-  auto it = entries_.find(function);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
+  ExprPtr cached;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(function);
+    if (it == entries_.end()) {
+      ++misses_;
+      return nullptr;
+    }
+    ++hits_;
+    lru_.remove(function);
+    lru_.push_front(function);
+    cached = it->second;
   }
-  ++hits_;
-  lru_.remove(function);
-  lru_.push_front(function);
-  return CloneExpr(it->second);
+  // Cached bodies are never mutated, so the clone runs outside the lock.
+  return CloneExpr(cached);
 }
 
 void ViewPlanCache::Put(const std::string& function, xquery::ExprPtr body) {
+  std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.count(function) == 0) {
     while (entries_.size() >= max_entries_ && !lru_.empty()) {
       entries_.erase(lru_.back());
@@ -47,8 +54,24 @@ void ViewPlanCache::Put(const std::string& function, xquery::ExprPtr body) {
 }
 
 void ViewPlanCache::Clear() {
+  std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
   lru_.clear();
+}
+
+size_t ViewPlanCache::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
+}
+
+int64_t ViewPlanCache::hits() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return hits_;
+}
+
+int64_t ViewPlanCache::misses() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return misses_;
 }
 
 // ----- Optimizer -----------------------------------------------------------

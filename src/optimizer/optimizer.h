@@ -4,6 +4,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 
@@ -58,7 +59,8 @@ struct OptimizerOptions {
 
 /// Cache of partially optimized view plans (paper §4.2): the
 /// query-independent part of view optimization runs once per function and
-/// is reused by every query that unfolds the view. LRU-bounded.
+/// is reused by every query that unfolds the view. LRU-bounded and safe to
+/// share across concurrently compiling threads.
 class ViewPlanCache {
  public:
   explicit ViewPlanCache(size_t max_entries = 256)
@@ -68,12 +70,13 @@ class ViewPlanCache {
   xquery::ExprPtr Get(const std::string& function);
   void Put(const std::string& function, xquery::ExprPtr body);
   void Clear();
-  size_t size() const { return entries_.size(); }
+  size_t size() const;
 
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
+  int64_t hits() const;
+  int64_t misses() const;
 
  private:
+  mutable std::mutex mutex_;
   size_t max_entries_;
   std::map<std::string, xquery::ExprPtr> entries_;
   std::list<std::string> lru_;

@@ -294,16 +294,14 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Prepare(
   metrics_.RecordWindowed("compile.total_micros",
                           plan->parse_micros + plan->analyze_micros +
                               plan->optimize_micros + plan->pushdown_micros);
-  if (options_.always_on_observability) {
-    // Plan lifecycle plane: record the (statement, plan-version) pair
-    // with the cost-model advice inputs the optimizer just consulted and
-    // an EXPLAIN snapshot, so a later regression report can show what
-    // changed and why the plan flipped.
-    plan_history_.RecordCompile(plan->statement_fingerprint,
-                                plan->fingerprint, plan->text.substr(0, 120),
-                                observed_.AdviceSnapshot(),
-                                RenderPlanSnapshotText(*plan));
-  }
+  // Plan lifecycle plane: record the (statement, plan-version) pair with
+  // the cost-model advice inputs the optimizer just consulted and an
+  // EXPLAIN snapshot, so a later regression report can show what changed
+  // and why the plan flipped.
+  plan_history_.RecordCompile(plan->statement_fingerprint, plan->fingerprint,
+                              plan->text.substr(0, 120),
+                              observed_.AdviceSnapshot(),
+                              RenderPlanSnapshotText(*plan));
   {
     std::lock_guard<std::mutex> lock(plan_cache_mutex_);
     while (plan_cache_.size() >= options_.plan_cache_size &&
@@ -321,17 +319,16 @@ Result<xml::Sequence> DataServicePlatform::Execute(const std::string& query) {
   bool cache_hit = false;
   ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
                          Prepare(query, &cache_hit));
-  return ExecuteObserved(*plan, cache_hit, nullptr);
+  return RunQuery(*plan, cache_hit, nullptr);
 }
 
 Result<xml::Sequence> DataServicePlatform::ExecutePlan(
     const CompiledPlan& plan) {
-  return ExecuteObserved(plan, /*plan_cache_hit=*/false, nullptr);
+  return RunQuery(plan, /*plan_cache_hit=*/false, nullptr);
 }
 
 std::shared_ptr<runtime::QueryTrace> DataServicePlatform::MakeObservedTrace(
     const CompiledPlan& plan) const {
-  if (!options_.always_on_observability) return nullptr;
   // A query an earlier slow run promoted re-executes under a timeline
   // trace so its rendered profile and an openable Chrome trace can be
   // captured; everything else pays only the counters-mode cost.
@@ -349,7 +346,7 @@ void DataServicePlatform::FinishObservation(
     const CompiledPlan& plan, bool plan_cache_hit,
     const runtime::QueryTrace& trace, const Status& outcome, int64_t rows,
     int64_t bytes, int64_t wall_micros, const std::string& principal,
-    int64_t security_denials, const observability::QueryControl* ctl) {
+    int64_t security_denials, int64_t peak_bytes) {
   using EventKind = runtime::QueryTrace::EventKind;
   metrics_.RecordWindowed("query.latency_micros", wall_micros);
   metrics_.AddWindowedCounter(outcome.ok() ? "query.ok" : "query.error");
@@ -383,8 +380,6 @@ void DataServicePlatform::FinishObservation(
   // Shed by admission control or stopped by a memory budget: tracked as
   // its own outcome everywhere — overload protection is not a bug.
   const bool shed = outcome.code() == StatusCode::kResourceExhausted;
-  const int64_t peak_bytes =
-      ctl == nullptr ? 0 : ctl->peak_bytes.load(std::memory_order_relaxed);
 
   // Per-fingerprint cumulative statistics (pg_stat_statements-style).
   observability::StatementSample sample;
@@ -538,7 +533,6 @@ void DataServicePlatform::FinishObservation(
 std::shared_ptr<observability::QueryControl>
 DataServicePlatform::RegisterExecution(const CompiledPlan& plan,
                                        const security::Principal* principal) {
-  if (!options_.always_on_observability) return nullptr;
   std::shared_ptr<observability::QueryControl> ctl = query_registry_.Register(
       plan.fingerprint, plan.statement_fingerprint,
       principal != nullptr && !principal->user.empty() ? principal->user
@@ -582,49 +576,35 @@ AdmissionController::Ticket DataServicePlatform::AdmitExecution(
   const QueryClass cls = ClassifyStatement(plan);
   // Queued queries are already registered: they show in LiveQueries* with
   // phase "queued" and a CancelQuery against them unblocks the wait.
-  if (ctl != nullptr) ctl->SetPhase(observability::QueryPhase::kQueued);
+  ctl->SetPhase(observability::QueryPhase::kQueued);
   ticket = admission_.Admit(tenant, cls, ctl);
-  if (ticket.status.ok() && ctl != nullptr) {
-    ctl->SetPhase(observability::QueryPhase::kExecuting);
-  }
+  if (ticket.status.ok()) ctl->SetPhase(observability::QueryPhase::kExecuting);
   return ticket;
 }
 
-void DataServicePlatform::RecordRefusal(const CompiledPlan& plan,
-                                        bool plan_cache_hit,
-                                        const Status& refusal,
-                                        const security::Principal* principal,
-                                        int64_t wait_micros) {
-  const std::string user = principal != nullptr ? principal->user : "";
-  audit_.Record("admission", user,
-                std::string(StatusCodeName(refusal.code())) + ": " +
-                    refusal.message());
-  if (!options_.always_on_observability) return;
-  // Mirror the function-ACL denial path: the refused execution still gets
-  // an audit record, a (shed-aware) statement sample and a journal entry,
-  // with zero rows and the queue wait as its wall time.
-  runtime::QueryTrace none(runtime::QueryTrace::Mode::kCounters);
-  FinishObservation(plan, plan_cache_hit, none, refusal, /*rows=*/0,
-                    /*bytes=*/0, wait_micros, user, /*security_denials=*/0);
-}
-
-Result<xml::Sequence> DataServicePlatform::ExecuteObserved(
+Result<xml::Sequence> DataServicePlatform::RunQuery(
     const CompiledPlan& plan, bool plan_cache_hit,
-    const security::Principal* principal) {
-  const int64_t arrival_micros = NowMicros();
-  std::shared_ptr<runtime::QueryTrace> trace = MakeObservedTrace(plan);
-  if (trace == nullptr) {
-    // Observability disabled: the bare execution path still passes the
-    // admission gate (without a registry control block, so queued waits
-    // are not cancellable and budgets are not enforced here).
-    AdmissionController::Ticket bare_ticket =
-        AdmitExecution(plan, principal, nullptr);
-    if (!bare_ticket.status.ok()) return bare_ticket.status;
-    Result<xml::Sequence> bare = runtime::Evaluate(*plan.plan, ctx_);
-    admission_.Release(bare_ticket.cls);
-    if (!bare.ok() || principal == nullptr) return bare;
-    return access_control_.FilterResult(*principal, *bare, &audit_);
+    const security::Principal* principal, const ItemSink* sink,
+    std::shared_ptr<runtime::QueryTrace> trace) {
+  const std::string user = principal != nullptr ? principal->user : "";
+  // Refused exit (function-ACL denial, shed, cancel while queued): the
+  // execution never ran, yet still gets an audit record, a (shed-aware)
+  // statement sample and a journal entry, with zero rows and the queue
+  // wait as its wall time.
+  auto refuse = [&](const Status& refusal, int64_t wait_micros,
+                    int64_t security_denials) {
+    runtime::QueryTrace none(runtime::QueryTrace::Mode::kCounters);
+    FinishObservation(plan, plan_cache_hit, none, refusal, /*rows=*/0,
+                      /*bytes=*/0, wait_micros, user, security_denials,
+                      /*peak_bytes=*/0);
+    return refusal;
+  };
+  if (principal != nullptr) {
+    Status acl = access_control_.CheckFunctionAccess(
+        *principal, plan.called_functions, &audit_);
+    if (!acl.ok()) return refuse(acl, 0, /*security_denials=*/1);
   }
+  const int64_t arrival_micros = NowMicros();
   std::shared_ptr<observability::QueryControl> ctl =
       RegisterExecution(plan, principal);
   // The concurrent serving plane's front door: classify against the
@@ -635,11 +615,14 @@ Result<xml::Sequence> DataServicePlatform::ExecuteObserved(
   AdmissionController::Ticket ticket =
       AdmitExecution(plan, principal, ctl.get());
   if (!ticket.status.ok()) {
-    RecordRefusal(plan, plan_cache_hit, ticket.status, principal,
-                  ticket.wait_micros);
-    if (ctl) query_registry_.Unregister(ctl->query_id);
+    audit_.Record("admission", user,
+                  std::string(StatusCodeName(ticket.status.code())) + ": " +
+                      ticket.status.message());
+    refuse(ticket.status, ticket.wait_micros, /*security_denials=*/0);
+    query_registry_.Unregister(ctl->query_id);
     return ticket.status;
   }
+  if (trace == nullptr) trace = MakeObservedTrace(plan);
   // A context copy carries the trace; trace_owner keeps it alive for any
   // evaluation a fn-bea:timeout abandons on a pool thread. The control
   // block rides along the same way (exec/exec_owner).
@@ -648,7 +631,8 @@ Result<xml::Sequence> DataServicePlatform::ExecuteObserved(
   ctx.trace_owner = trace;
   ctx.exec = ctl.get();
   ctx.exec_owner = ctl;
-  int64_t t0 = NowMicros();
+  const int root = trace->BeginSpan("query", plan.text);
+  const int64_t t0 = NowMicros();
   // Admission wait: arrival at the execution surface to evaluation start.
   // With admission control off this is registration/trace setup only
   // (near zero); with it on, time queued in the fair lanes lands here, so
@@ -656,29 +640,49 @@ Result<xml::Sequence> DataServicePlatform::ExecuteObserved(
   // appeared.
   metrics_.RecordWindowed("admission.wait_micros",
                           std::max<int64_t>(0, t0 - arrival_micros));
-  Result<xml::Sequence> result = runtime::Evaluate(*plan.plan, ctx);
+  Result<xml::Sequence> result = xml::Sequence{};
+  int64_t streamed = 0;
+  {
+    runtime::QueryTrace::Scope scope(trace.get(), root);
+    if (sink != nullptr) {
+      // FLWOR plans pipeline tuple by tuple: items reach the sink as they
+      // are produced, without materializing the whole result.
+      Status st = runtime::EvaluateStream(
+          *plan.plan, ctx, [&](const xml::Item& item) -> Status {
+            ++streamed;
+            return (*sink)(item);
+          });
+      if (!st.ok()) result = st;
+    } else {
+      result = runtime::Evaluate(*plan.plan, ctx);
+    }
+  }
   admission_.Release(ticket.cls);
   int64_t security_denials = 0;
   if (result.ok() && principal != nullptr) {
-    if (ctl) ctl->SetPhase(observability::QueryPhase::kSecurityFilter);
+    ctl->SetPhase(observability::QueryPhase::kSecurityFilter);
     // Fine-grained filtering happens last so cached plans and cached
     // function results remain user-agnostic (paper §7).
     xml::Sequence filtered = access_control_.FilterResult(
         *principal, *result, &audit_, &security_denials);
     result = std::move(filtered);
   }
-  int64_t wall = NowMicros() - t0;
-  int64_t rows = result.ok() ? static_cast<int64_t>(result->size()) : 0;
-  int64_t bytes = result.ok() ? xml::SequenceMemoryBytes(*result) : 0;
-  if (ctl) ctl->SetPhase(observability::QueryPhase::kFinishing);
-  if (trace->keeps_events()) {
-    trace->FeedObservedCost(&observed_);
-  }
+  const int64_t wall = NowMicros() - t0;
+  const int64_t rows = sink != nullptr ? streamed
+                       : result.ok()   ? static_cast<int64_t>(result->size())
+                                       : 0;
+  // Streamed items are not retained, so their bytes_returned stays 0.
+  const int64_t bytes = result.ok() ? xml::SequenceMemoryBytes(*result) : 0;
+  trace->AddSpanMetrics(root, rows, wall);
+  trace->EndSpan(root);
+  ctl->SetPhase(observability::QueryPhase::kFinishing);
+  // Even a failed run made real source observations worth keeping.
+  if (trace->keeps_events()) trace->FeedObservedCost(&observed_);
   FinishObservation(plan, plan_cache_hit, *trace,
                     result.ok() ? Status::OK() : result.status(), rows, bytes,
-                    wall, principal != nullptr ? principal->user : "",
-                    security_denials, ctl.get());
-  if (ctl) query_registry_.Unregister(ctl->query_id);
+                    wall, user, security_denials,
+                    ctl->peak_bytes.load(std::memory_order_relaxed));
+  query_registry_.Unregister(ctl->query_id);
   return result;
 }
 
@@ -719,19 +723,7 @@ Result<xml::Sequence> DataServicePlatform::ExecuteAs(
   bool cache_hit = false;
   ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
                          Prepare(query, &cache_hit));
-  Status acl = access_control_.CheckFunctionAccess(
-      principal, plan->called_functions, &audit_);
-  if (!acl.ok()) {
-    // A function-ACL denial is an execution outcome worth auditing too:
-    // the record shows who was refused which query, with zero rows.
-    if (options_.always_on_observability) {
-      runtime::QueryTrace none(runtime::QueryTrace::Mode::kCounters);
-      FinishObservation(*plan, cache_hit, none, acl, 0, 0, 0, principal.user,
-                        /*security_denials=*/1);
-    }
-    return acl;
-  }
-  return ExecuteObserved(*plan, cache_hit, &principal);
+  return RunQuery(*plan, cache_hit, &principal);
 }
 
 Status DataServicePlatform::ExecuteStream(
@@ -740,51 +732,9 @@ Status DataServicePlatform::ExecuteStream(
   bool cache_hit = false;
   ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
                          Prepare(query, &cache_hit));
-  // FLWOR plans pipeline tuple by tuple: items reach the sink as they
-  // are produced, without materializing the whole result (the paper's
-  // server-side streaming API; remote client APIs stay materialized to
-  // keep them stateless).
-  std::shared_ptr<runtime::QueryTrace> trace = MakeObservedTrace(*plan);
-  if (trace == nullptr) {
-    AdmissionController::Ticket bare_ticket =
-        AdmitExecution(*plan, nullptr, nullptr);
-    if (!bare_ticket.status.ok()) return bare_ticket.status;
-    Status bare = runtime::EvaluateStream(*plan->plan, ctx_, sink);
-    admission_.Release(bare_ticket.cls);
-    return bare;
-  }
-  std::shared_ptr<observability::QueryControl> ctl =
-      RegisterExecution(*plan, nullptr);
-  AdmissionController::Ticket ticket = AdmitExecution(*plan, nullptr, ctl.get());
-  if (!ticket.status.ok()) {
-    RecordRefusal(*plan, cache_hit, ticket.status, nullptr,
-                  ticket.wait_micros);
-    if (ctl) query_registry_.Unregister(ctl->query_id);
-    return ticket.status;
-  }
-  runtime::RuntimeContext ctx = ctx_;
-  ctx.trace = trace.get();
-  ctx.trace_owner = trace;
-  ctx.exec = ctl.get();
-  ctx.exec_owner = ctl;
-  int64_t rows = 0;
-  auto counting_sink = [&](const xml::Item& item) -> Status {
-    ++rows;
-    return sink(item);
-  };
-  int64_t t0 = NowMicros();
-  Status st = runtime::EvaluateStream(*plan->plan, ctx, counting_sink);
-  int64_t wall = NowMicros() - t0;
-  admission_.Release(ticket.cls);
-  if (ctl) ctl->SetPhase(observability::QueryPhase::kFinishing);
-  if (trace->keeps_events()) {
-    trace->FeedObservedCost(&observed_);
-  }
-  // Streamed items are not retained, so bytes_returned stays 0.
-  FinishObservation(*plan, cache_hit, *trace, st, rows, /*bytes=*/0, wall,
-                    /*principal=*/"", /*security_denials=*/0, ctl.get());
-  if (ctl) query_registry_.Unregister(ctl->query_id);
-  return st;
+  // The paper's server-side streaming API; remote client APIs stay
+  // materialized to keep them stateless.
+  return RunQuery(*plan, cache_hit, nullptr, &sink).status();
 }
 
 // EXPLAIN describes the plan the evaluator would actually run, so the
@@ -850,50 +800,8 @@ Result<ProfiledExecution> DataServicePlatform::ExecuteProfiled(
   out.plan = plan;
   out.trace = std::make_shared<runtime::QueryTrace>(
       runtime::QueryTrace::Mode::kTimeline);
-  // A context copy carries the trace so concurrent unprofiled executions
-  // through ctx_ stay untraced; trace_owner keeps the trace alive for
-  // any evaluation a fn-bea:timeout abandons on a pool thread.
-  std::shared_ptr<observability::QueryControl> ctl =
-      RegisterExecution(*plan, nullptr);
-  AdmissionController::Ticket ticket =
-      AdmitExecution(*plan, nullptr, ctl.get());
-  if (!ticket.status.ok()) {
-    RecordRefusal(*plan, cache_hit, ticket.status, nullptr,
-                  ticket.wait_micros);
-    if (ctl) query_registry_.Unregister(ctl->query_id);
-    return ticket.status;
-  }
-  runtime::RuntimeContext ctx = ctx_;
-  ctx.trace = out.trace.get();
-  ctx.trace_owner = out.trace;
-  ctx.exec = ctl.get();
-  ctx.exec_owner = ctl;
-  int root = out.trace->BeginSpan("query", plan->text);
-  auto t0 = std::chrono::steady_clock::now();
-  Result<xml::Sequence> result = [&]() {
-    runtime::QueryTrace::Scope scope(out.trace.get(), root);
-    return runtime::Evaluate(*plan->plan, ctx);
-  }();
-  int64_t micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  admission_.Release(ticket.cls);
-  int64_t rows = result.ok() ? static_cast<int64_t>(result->size()) : 0;
-  out.trace->AddSpanMetrics(root, rows, micros);
-  out.trace->EndSpan(root);
-  // Even a failed run made real source observations worth keeping.
-  out.trace->FeedObservedCost(&observed_);
-  if (options_.always_on_observability) {
-    if (ctl) ctl->SetPhase(observability::QueryPhase::kFinishing);
-    int64_t bytes = result.ok() ? xml::SequenceMemoryBytes(*result) : 0;
-    FinishObservation(*plan, cache_hit, *out.trace,
-                      result.ok() ? Status::OK() : result.status(), rows,
-                      bytes, micros, /*principal=*/"",
-                      /*security_denials=*/0, ctl.get());
-  }
-  if (ctl) query_registry_.Unregister(ctl->query_id);
-  if (!result.ok()) return result.status();
-  out.result = std::move(result).value();
+  ALDSP_ASSIGN_OR_RETURN(out.result,
+                         RunQuery(*plan, cache_hit, nullptr, nullptr, out.trace));
   return out;
 }
 
@@ -1109,8 +1017,8 @@ observability::ReplayReport DataServicePlatform::ReplayWorkload(
         principal.user = entry.principal;
         const bool as_principal =
             !entry.principal.empty() && entry.principal != "(anonymous)";
-        Result<xml::Sequence> result = ExecuteObserved(
-            **plan, cache_hit, as_principal ? &principal : nullptr);
+        Result<xml::Sequence> result =
+            RunQuery(**plan, cache_hit, as_principal ? &principal : nullptr);
         exec.ok = result.ok();
         exec.shed = !result.ok() &&
                     result.status().code() == StatusCode::kResourceExhausted;
@@ -1208,6 +1116,7 @@ std::string DataServicePlatform::Describe() const {
        << (svc.lineage_provider.empty() ? "<none>" : svc.lineage_provider)
        << "\n";
   }
+  std::lock_guard<std::mutex> lock(plan_cache_mutex_);
   os << "caches: plan " << plan_cache_.size() << " entries ("
      << plan_cache_hits_ << " hits / " << plan_cache_misses_
      << " misses), view plans " << view_cache_.size() << ", function cache "

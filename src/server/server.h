@@ -85,11 +85,6 @@ struct ServerOptions {
 
   // ----- Always-on observability plane ---------------------------------
 
-  /// Run every execution under a counters-mode QueryTrace that feeds the
-  /// execution audit log, rolling metrics and slow-query capture.
-  /// Disabling reverts to the bare pre-observability execution path
-  /// (profiling via ExecuteProfiled still works).
-  bool always_on_observability = true;
   /// Retained execution audit records (bounded ring).
   size_t audit_log_capacity = 1024;
   /// Retained slow-query captures (bounded ring).
@@ -306,7 +301,9 @@ class DataServicePlatform {
   /// instance gets a span (rows, micros, bytes) and every source
   /// interaction an event. The completed trace feeds the observed-cost
   /// model, closing the §9 observe -> optimize loop; ordinary Execute
-  /// runs with a null trace and pays no instrumentation cost.
+  /// runs under a counters-mode trace that keeps only per-kind tallies.
+  /// Admission, budgets, cancellation and observation are the same as
+  /// for every other entry point.
   Result<ProfiledExecution> ExecuteProfiled(const std::string& query);
 
   /// Runs `query` under a timeline trace and renders it as Chrome
@@ -451,8 +448,14 @@ class DataServicePlatform {
   runtime::ObservedCostModel& observed_cost() { return observed_; }
   ServerOptions& options() { return options_; }
 
-  int64_t plan_cache_hits() const { return plan_cache_hits_; }
-  int64_t plan_cache_misses() const { return plan_cache_misses_; }
+  int64_t plan_cache_hits() const {
+    std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+    return plan_cache_hits_;
+  }
+  int64_t plan_cache_misses() const {
+    std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+    return plan_cache_misses_;
+  }
   void ClearPlanCache();
 
   /// The administration console's view of the server (paper Fig. 2): a
@@ -465,24 +468,23 @@ class DataServicePlatform {
 
   /// Creates the per-execution trace for the always-on plane: cheap
   /// counters normally, a full trace when an earlier slow run promoted
-  /// this query's hash. Null when the plane is disabled.
+  /// this query's hash.
   std::shared_ptr<runtime::QueryTrace> MakeObservedTrace(
       const CompiledPlan& plan) const;
 
   /// Closes out one observed execution: rolling metrics, the audit
   /// record, per-fingerprint statement statistics, per-tenant resource
-  /// windows, and slow-query capture/promotion. `ctl` is the execution's
-  /// live-registry control block (null when the plane is disabled or the
-  /// execution was refused before it started).
+  /// windows, and slow-query capture/promotion. `peak_bytes` is the
+  /// execution's materialization high-water mark (0 when it was refused
+  /// before it started).
   void FinishObservation(const CompiledPlan& plan, bool plan_cache_hit,
                          const runtime::QueryTrace& trace,
                          const Status& outcome, int64_t rows, int64_t bytes,
                          int64_t wall_micros, const std::string& principal,
-                         int64_t security_denials,
-                         const observability::QueryControl* ctl = nullptr);
+                         int64_t security_denials, int64_t peak_bytes);
 
-  /// Registers an execution with the live query registry (null when the
-  /// observability plane is off) and stamps the initial phase.
+  /// Registers an execution with the live query registry, applies the
+  /// memory budget, and stamps the initial phase.
   std::shared_ptr<observability::QueryControl> RegisterExecution(
       const CompiledPlan& plan, const security::Principal* principal);
 
@@ -494,28 +496,27 @@ class DataServicePlatform {
 
   /// Front-door gate shared by every execution surface: classifies,
   /// admits (possibly queueing in the caller's lane, possibly shedding
-  /// with kResourceExhausted), stamps phases/budget on `ctl`, and records
-  /// the real admission wait into the admission.wait_micros window. An OK
-  /// ticket holds a slot the caller must Release via the returned ticket.
+  /// with kResourceExhausted) and stamps the queued/executing phases on
+  /// `ctl`. An OK ticket holds a slot the caller must Release via the
+  /// returned ticket.
   AdmissionController::Ticket AdmitExecution(
       const CompiledPlan& plan, const security::Principal* principal,
       observability::QueryControl* ctl);
 
-  /// Observability bookkeeping for a refused execution (admission shed or
-  /// cancel-while-queued): audit record, shed-aware statement sample,
-  /// journal capture — all with zero rows and a counters-mode dummy
-  /// trace, mirroring the function-ACL denial path.
-  void RecordRefusal(const CompiledPlan& plan, bool plan_cache_hit,
-                     const Status& refusal,
-                     const security::Principal* principal,
-                     int64_t wait_micros);
+  using ItemSink = std::function<Status(const xml::Item&)>;
 
-  /// The shared materialized execution path: attaches the observability
-  /// plane, evaluates, applies element-level security when `principal`
-  /// is non-null, and records the audit record.
-  Result<xml::Sequence> ExecuteObserved(const CompiledPlan& plan,
-                                        bool plan_cache_hit,
-                                        const security::Principal* principal);
+  /// The one execution path behind every Execute* entry point: function
+  /// ACLs (when `principal` is set), live registration, admission,
+  /// evaluation (streamed into `sink` when given, materialized
+  /// otherwise), element-level security last, and exactly one
+  /// FinishObservation whether the run was refused or ran. `trace` null
+  /// picks the counters-or-promoted trace. Streamed runs return an empty
+  /// sequence.
+  Result<xml::Sequence> RunQuery(const CompiledPlan& plan, bool plan_cache_hit,
+                                 const security::Principal* principal,
+                                 const ItemSink* sink = nullptr,
+                                 std::shared_ptr<runtime::QueryTrace> trace =
+                                     nullptr);
 
   ServerOptions options_;
   compiler::FunctionTable functions_;
@@ -541,7 +542,7 @@ class DataServicePlatform {
   service::ServiceCatalog services_;
   std::shared_ptr<adaptors::FileAdaptor> file_adaptor_;  // lazily created
 
-  std::mutex plan_cache_mutex_;
+  mutable std::mutex plan_cache_mutex_;
   std::map<std::string, std::shared_ptr<const CompiledPlan>> plan_cache_;
   std::list<std::string> plan_lru_;
   int64_t plan_cache_hits_ = 0;

@@ -658,15 +658,28 @@ TEST(AdmissionServerTest, ConcurrentMixedLoadDrainsCleanly) {
   AdmissionServer env(std::move(opts));
 
   // Eight client threads hammer lookups and joins through one two-slot
-  // gate; everything must succeed and the gate must drain to zero.
+  // gate, rotating over the materialized, streamed and profiled entry
+  // points; everything must succeed and the gate must drain to zero.
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (int i = 0; i < 8; ++i) {
     clients.emplace_back([&, i] {
       for (int op = 0; op < 6; ++op) {
-        auto r = env.platform.Execute((i + op) % 3 == 0 ? kCrossJoin
-                                                        : kLookup);
-        if (!r.ok()) failures.fetch_add(1);
+        const char* q = (i + op) % 3 == 0 ? kCrossJoin : kLookup;
+        Status st;
+        switch ((i + 2 * op) % 3) {
+          case 0:
+            st = env.platform.Execute(q).status();
+            break;
+          case 1:
+            st = env.platform.ExecuteStream(
+                q, [](const xml::Item&) { return Status::OK(); });
+            break;
+          default:
+            st = env.platform.ExecuteProfiled(q).status();
+            break;
+        }
+        if (!st.ok()) failures.fetch_add(1);
       }
     });
   }

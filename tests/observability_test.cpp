@@ -714,12 +714,5 @@ TEST_F(BreakerServerTest, OpenBreakerRejectsDirectInvocations) {
   EXPECT_EQ(ws_->invocation_count(), 2);  // still no round trip
 }
 
-TEST_F(BreakerServerTest, DisabledPlaneStillExecutes) {
-  platform_.options().always_on_observability = false;
-  auto r = platform_.Execute("fn:count(ns3:CUSTOMER())");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(platform_.execution_audit().total_appended(), 0);
-}
-
 }  // namespace
 }  // namespace aldsp

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 #include <atomic>
+#include <cstdio>
+#include <functional>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "server/server.h"
 #include "tests/test_fixtures.h"
@@ -9,6 +14,7 @@
 namespace aldsp::server {
 namespace {
 
+using aldsp::testing::MakeCreditCardDb;
 using aldsp::testing::MakeCustomerDb;
 
 class ServerTest : public ::testing::Test {
@@ -270,6 +276,189 @@ TEST_F(ServerTest, ViewPlanCachePopulatedByPrepares) {
   EXPECT_EQ(platform_.view_plan_cache().size(), 1u);
   ASSERT_TRUE(platform_.Execute("fn:count(tns:v()) + 1").ok());
   EXPECT_GT(platform_.view_plan_cache().hits(), 0);
+}
+
+// Concurrent plan-cache misses on view queries all compile through the one
+// shared view plan cache (run under TSan via scripts/check.sh).
+TEST_F(ServerTest, ConcurrentColdViewCompilesShareViewPlanCache) {
+  ASSERT_TRUE(platform_
+                  .LoadDataService(R"(
+declare function tns:getProfile() as element(PROFILE)* {
+  for $c in ns3:CUSTOMER()
+  return <PROFILE><CID>{fn:data($c/CID)}</CID>
+    <LAST_NAME>{fn:data($c/LAST_NAME)}</LAST_NAME></PROFILE>
+};
+declare function tns:getProfileByID($id as xs:string) as element(PROFILE)* {
+  tns:getProfile()[CID eq $id]
+};)")
+                  .ok());
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 6;
+  constexpr int kRounds = 4;
+  std::atomic<int> failures{0};
+  for (int round = 0; round < kRounds; ++round) {
+    // Every text misses the plan cache each round; every other round the
+    // view plans start cold too, so concurrent Puts race as well as Gets.
+    platform_.ClearPlanCache();
+    if (round % 2 == 0) platform_.view_plan_cache().Clear();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          char q[64];
+          std::snprintf(q, sizeof(q), "tns:getProfileByID(\"CUST%03d\")",
+                        t * kPerThread + i + 1);
+          if (!platform_.Prepare(q).ok()) failures.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(platform_.plan_cache_misses(), kRounds * kThreads * kPerThread);
+  EXPECT_GT(platform_.view_plan_cache().hits(), 0);
+  auto r = platform_.Execute("tns:getProfileByID(\"CUST002\")");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_EQ((*r)[0].node()->FirstChildNamed("LAST_NAME")->StringValue(), "Lee");
+}
+
+// ----- One execution path behind every entry point -----------------------
+
+constexpr const char* kCrossJoin =
+    "for $c in ns3:CUSTOMER(), $cc in ns2:CREDIT_CARD() "
+    "where $c/CID eq $cc/CID "
+    "return <R><C>{fn:data($c/CID)}</C><L>{fn:data($cc/LIMIT_AMT)}</L></R>";
+
+// Each public execution surface, reduced to "run the query, count rows".
+using EntryPoint =
+    std::function<Result<int64_t>(DataServicePlatform&, const std::string&)>;
+
+std::vector<std::pair<std::string, EntryPoint>> EntryPoints() {
+  auto size = [](const xml::Sequence& s) { return static_cast<int64_t>(s.size()); };
+  return {
+      {"Execute",
+       [=](DataServicePlatform& p, const std::string& q) -> Result<int64_t> {
+         ALDSP_ASSIGN_OR_RETURN(xml::Sequence r, p.Execute(q));
+         return size(r);
+       }},
+      {"ExecutePlan",
+       [=](DataServicePlatform& p, const std::string& q) -> Result<int64_t> {
+         ALDSP_ASSIGN_OR_RETURN(auto plan, p.Prepare(q));
+         ALDSP_ASSIGN_OR_RETURN(xml::Sequence r, p.ExecutePlan(*plan));
+         return size(r);
+       }},
+      {"ExecuteAs",
+       [=](DataServicePlatform& p, const std::string& q) -> Result<int64_t> {
+         security::Principal analyst{"analyst", {"support"}};
+         ALDSP_ASSIGN_OR_RETURN(xml::Sequence r, p.ExecuteAs(q, analyst));
+         return size(r);
+       }},
+      {"ExecuteStream",
+       [](DataServicePlatform& p, const std::string& q) -> Result<int64_t> {
+         int64_t n = 0;
+         ALDSP_RETURN_NOT_OK(p.ExecuteStream(q, [&](const xml::Item&) {
+           ++n;
+           return Status::OK();
+         }));
+         return n;
+       }},
+      {"ExecuteProfiled",
+       [=](DataServicePlatform& p, const std::string& q) -> Result<int64_t> {
+         ALDSP_ASSIGN_OR_RETURN(ProfiledExecution run, p.ExecuteProfiled(q));
+         return size(run.result);
+       }},
+  };
+}
+
+class EntryPointParityTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto cdb =
+        std::shared_ptr<relational::Database>(MakeCustomerDb(12, 3).release());
+    auto bdb =
+        std::shared_ptr<relational::Database>(MakeCreditCardDb(12).release());
+    ASSERT_TRUE(platform_.RegisterRelationalSource("ns3", cdb, "oracle").ok());
+    ASSERT_TRUE(platform_.RegisterRelationalSource("ns2", bdb, "db2").ok());
+  }
+
+  int64_t WaitWindowCount() {
+    auto snapshot = platform_.MetricsSnapshot();
+    auto it = snapshot.windows.find("admission.wait_micros");
+    return it == snapshot.windows.end() ? 0 : it->second.total.count;
+  }
+
+  observability::StatementStats Stats(uint64_t statement_fp) {
+    for (const auto& s : platform_.stat_statements().TopK(0)) {
+      if (s.statement_fingerprint == statement_fp) return s;
+    }
+    return {};
+  }
+
+  DataServicePlatform platform_;
+};
+
+TEST_F(EntryPointParityTest, EveryEntryPointRecordsOneCompletion) {
+  auto plan = platform_.Prepare(kCrossJoin);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const uint64_t stmt_fp = (*plan)->statement_fingerprint;
+  auto reference = platform_.Execute(kCrossJoin);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const int64_t expected_rows = static_cast<int64_t>(reference->size());
+  ASSERT_GT(expected_rows, 0);
+
+  for (const auto& [name, run] : EntryPoints()) {
+    SCOPED_TRACE(name);
+    const int64_t audits = platform_.execution_audit().total_appended();
+    const int64_t journal = platform_.workload_journal().total_appended();
+    const int64_t calls = Stats(stmt_fp).calls;
+    const int64_t waits = WaitWindowCount();
+
+    Result<int64_t> rows = run(platform_, kCrossJoin);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(*rows, expected_rows);
+
+    ASSERT_EQ(platform_.execution_audit().total_appended(), audits + 1);
+    const auto record = platform_.execution_audit().Records().back();
+    EXPECT_EQ(record.statement_fingerprint, stmt_fp);
+    EXPECT_EQ(record.outcome, "ok");
+    EXPECT_EQ(record.rows_returned, expected_rows);
+
+    const auto stats = Stats(stmt_fp);
+    EXPECT_EQ(stats.calls, calls + 1);
+    EXPECT_EQ(stats.rows_returned, (calls + 1) * expected_rows);
+
+    ASSERT_EQ(platform_.workload_journal().total_appended(), journal + 1);
+    const auto entry = platform_.workload_journal().Records().back();
+    EXPECT_EQ(entry.statement_fingerprint, stmt_fp);
+    EXPECT_EQ(entry.outcome, "ok");
+    EXPECT_EQ(entry.rows, expected_rows);
+
+    EXPECT_EQ(WaitWindowCount(), waits + 1);
+    EXPECT_EQ(platform_.query_registry().live_count(), 0);
+    EXPECT_EQ(platform_.admission().Snapshot().running, 0);
+  }
+}
+
+TEST_F(EntryPointParityTest, MemoryBudgetHoldsOnEveryEntryPoint) {
+  auto plan = platform_.Prepare(kCrossJoin);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const uint64_t stmt_fp = (*plan)->statement_fingerprint;
+  // Any join build side or PP-k block exceeds this.
+  platform_.options().query_memory_budget_bytes = 64;
+
+  int64_t entry_points = 0;
+  for (const auto& [name, run] : EntryPoints()) {
+    SCOPED_TRACE(name);
+    Result<int64_t> rows = run(platform_, kCrossJoin);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted)
+        << rows.status().ToString();
+    ++entry_points;
+    EXPECT_EQ(Stats(stmt_fp).sheds, entry_points);
+    EXPECT_EQ(Stats(stmt_fp).errors, 0);
+    EXPECT_EQ(platform_.query_registry().live_count(), 0);
+  }
 }
 
 }  // namespace

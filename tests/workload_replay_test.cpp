@@ -272,6 +272,36 @@ TEST(ReplayTest, DetectsTamperedStatementFingerprint) {
   EXPECT_EQ(report.fingerprint_mismatches, report.ops);
 }
 
+// Replay runs under the captured principal but without its roles, so a
+// function ACL the captured run would have passed refuses the replayed op.
+TEST(ReplayTest, ReplayEnforcesFunctionAcls) {
+  WorkloadServer env;
+  const std::string q = "fn:count(ns2:CREDIT_CARD())";
+  security::Principal analyst{"analyst", {"support"}};
+  ASSERT_TRUE(env.platform.ExecuteAs(q, analyst).ok());
+  auto entries = env.platform.workload_journal().Records();
+  ASSERT_EQ(entries.size(), 1u);
+  ASSERT_EQ(entries[0].principal, "analyst");
+
+  env.platform.access_control().AddFunctionAcl({"ns2:CREDIT_CARD", {"support"}});
+  // The role-carrying caller still passes the new ACL.
+  ASSERT_TRUE(env.platform.ExecuteAs(q, analyst).ok());
+
+  ReplayOptions opts;
+  opts.clients = 1;
+  ReplayReport report = env.platform.ReplayWorkload(entries, opts);
+  EXPECT_EQ(report.ops, 1);
+  EXPECT_EQ(report.errors, 1);
+  EXPECT_EQ(report.sheds, 0);
+  const auto record = env.platform.execution_audit().Records().back();
+  EXPECT_EQ(record.principal, "analyst");
+  EXPECT_EQ(record.outcome, StatusCodeName(StatusCode::kSecurityError));
+  EXPECT_EQ(record.rows_returned, 0);
+  auto denied = env.platform.audit_log().EventsInCategory("access-denied");
+  ASSERT_EQ(denied.size(), 1u);
+  EXPECT_EQ(denied[0].user, "analyst");
+}
+
 TEST(ReplayTest, FlagsRegressionAgainstCapturedBaseline) {
   // Synthetic driver: 8 captured calls at 10us mean; the executor takes
   // >= 200us, so the replayed mean breaches the 1.5x sentinel gate.
