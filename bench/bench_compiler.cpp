@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "server/server.h"
 #include "tests/test_fixtures.h"
@@ -62,6 +63,25 @@ void BM_CompileWithViewCache(benchmark::State& state) {
   }
 }
 
+// A text miss of a known statement shape: the verified plan template is
+// cloned and the new literal patched in, instead of analyze, optimize and
+// pushdown. Every iteration prepares a literal no earlier one used.
+void BM_RebindNewLiteral(benchmark::State& state) {
+  auto platform = MakePlatform();
+  // The first text becomes the shape's candidate, the second verifies it.
+  (void)platform->Prepare("tns:getProfileByID(\"CUST001\")");
+  (void)platform->Prepare("tns:getProfileByID(\"CUST002\")");
+  int64_t key = 0;
+  for (auto _ : state) {
+    const std::string query =
+        "tns:getProfileByID(\"K" + std::to_string(key++) + "\")";
+    auto plan = platform->Prepare(query);
+    if (!plan.ok()) state.SkipWithError(plan.status().ToString().c_str());
+    if (!(*plan)->rebound) state.SkipWithError("plan was not rebound");
+    benchmark::DoNotOptimize(plan->get());
+  }
+}
+
 void BM_PlanCacheHit(benchmark::State& state) {
   auto platform = MakePlatform();
   (void)platform->Prepare(kQuery);
@@ -73,6 +93,7 @@ void BM_PlanCacheHit(benchmark::State& state) {
 }
 
 BENCHMARK(BM_FullCompile)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RebindNewLiteral)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CompileWithViewCache)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PlanCacheHit)->Unit(benchmark::kMicrosecond);
 

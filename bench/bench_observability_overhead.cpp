@@ -180,7 +180,7 @@ double InsightBestOf(RunningExample& env, const xquery::Expr& plan,
     ctl->SetPhase(observability::QueryPhase::kExecuting);
     env.ctx.exec = ctl.get();
     history->RecordCompile(0x57a7, 0xa1d5, kJoinQuery, "bench-advice",
-                           "bench-explain");
+                           [] { return "bench-explain"; });
     double ms = TimedStream(env, plan, rows_out);
     registry->Unregister(ctl->query_id);
     observability::StatementSample sample;

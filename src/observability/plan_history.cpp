@@ -54,10 +54,10 @@ StatementHistory* PlanHistory::FindOrCreateLocked(
   return &statements_.emplace(statement_fp, std::move(fresh)).first->second;
 }
 
-void PlanHistory::RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
-                                const std::string& query_head,
-                                const std::string& advice_snapshot,
-                                const std::string& explain_text) {
+void PlanHistory::RecordCompile(
+    uint64_t statement_fp, uint64_t plan_fp, const std::string& query_head,
+    const std::string& advice_snapshot,
+    const std::function<std::string()>& render_explain) {
   const int64_t now = NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
   StatementHistory* s = FindOrCreateLocked(statement_fp, query_head);
@@ -76,7 +76,7 @@ void PlanHistory::RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
   v.first_seen_micros = now;
   v.last_seen_micros = now;
   v.advice_snapshot = advice_snapshot;
-  v.explain_text = explain_text;
+  v.explain_text = render_explain();
   if (s->versions.empty()) {
     v.trigger = CompileTrigger::kColdCompile;
   } else {

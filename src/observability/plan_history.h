@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -103,11 +104,13 @@ class PlanHistory {
   /// known statement with a new plan fingerprint -> cost-model-advice
   /// change when `advice_snapshot` differs from the previous version's,
   /// cache eviction otherwise. A recompile landing on the latest
-  /// version's fingerprint only touches that version.
+  /// version's fingerprint only touches that version. `render_explain`
+  /// is called (under the history's lock) only when a new version is
+  /// started, so a recompile onto the same plan renders nothing.
   void RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
                      const std::string& query_head,
                      const std::string& advice_snapshot,
-                     const std::string& explain_text);
+                     const std::function<std::string()>& render_explain);
 
   /// Records one finished execution against the statement's matching plan
   /// version. When the latest version and its predecessor both carry at

@@ -33,9 +33,8 @@ xquery::ExprPtr ViewPlanCache::Get(const std::string& function) {
       return nullptr;
     }
     ++hits_;
-    lru_.remove(function);
-    lru_.push_front(function);
-    cached = it->second;
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    cached = it->second.body;
   }
   // Cached bodies are never mutated, so the clone runs outside the lock.
   return CloneExpr(cached);
@@ -43,14 +42,16 @@ xquery::ExprPtr ViewPlanCache::Get(const std::string& function) {
 
 void ViewPlanCache::Put(const std::string& function, xquery::ExprPtr body) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (entries_.count(function) == 0) {
+  auto it = entries_.find(function);
+  if (it == entries_.end()) {
     while (entries_.size() >= max_entries_ && !lru_.empty()) {
       entries_.erase(lru_.back());
       lru_.pop_back();
     }
     lru_.push_front(function);
+    it = entries_.emplace(function, Entry{nullptr, lru_.begin()}).first;
   }
-  entries_[function] = std::move(body);
+  it->second.body = std::move(body);
 }
 
 void ViewPlanCache::Clear() {
@@ -81,13 +82,14 @@ class Optimizer::Impl {
   Impl(const compiler::FunctionTable* functions,
        const xsd::SchemaRegistry* schemas, ViewPlanCache* view_cache,
        OptimizerOptions options, std::set<std::string>* in_progress,
-       int* rename_serial)
+       int* rename_serial, bool* read_slotted_literal)
       : functions_(functions),
         schemas_(schemas),
         view_cache_(view_cache),
         options_(std::move(options)),
         in_progress_(in_progress),
-        rename_serial_(rename_serial) {}
+        rename_serial_(rename_serial),
+        read_slotted_literal_(read_slotted_literal) {}
 
   // Applies a function's declarative hints (paper §9: hints that survive
   // through layers of views) to the options used when optimizing that
@@ -173,8 +175,14 @@ class Optimizer::Impl {
     // survive into every query that unfolds the view.
     OptimizerOptions view_options = options_;
     ApplyHints(fn->hints, &view_options);
+    // The body numbers its fresh variables from 0 with its own counter:
+    // InlinePass renames every binder of an unfolded body from the
+    // caller's counter anyway, and a cold view cache must leave that
+    // counter where a warm one would, or the first compile of a query
+    // names its variables differently from every later one.
+    int view_serial = 0;
     Impl sub(functions_, schemas_, view_cache_, view_options, in_progress_,
-             rename_serial_);
+             &view_serial, read_slotted_literal_);
     Status st = sub.Optimize(body, env);
     in_progress_->erase(function);
     ALDSP_RETURN_NOT_OK(st);
@@ -246,6 +254,10 @@ class Optimizer::Impl {
   // not reference each other's variables: their source round trips can
   // overlap, so the planner fans them out to the worker pool as a group.
   void MarkParallelLets(Expr& flwor) {
+    // Groups marked while optimizing an unfolded view body are numbered
+    // from that body's own counter; clearing and re-marking every clause
+    // keeps each group id of the final plan unique.
+    for (auto& cl : flwor.clauses) cl.parallel_group = -1;
     size_t i = 0;
     while (i < flwor.clauses.size()) {
       if (flwor.clauses[i].kind != Clause::Kind::kLet ||
@@ -628,21 +640,31 @@ class Optimizer::Impl {
     return false;
   }
 
+  // The value of literal `c`, read to rewrite the tree. Reading a query
+  // literal's value ties the plan to it (Optimizer::read_slotted_literal);
+  // its type is part of the statement shape, so reading only the type
+  // does not.
+  const xml::AtomicValue& ReadValue(const Expr& c) {
+    if (c.literal_slot >= 0) *read_slotted_literal_ = true;
+    return c.literal;
+  }
+
   bool RuleFoldConstants(ExprPtr& e) {
     auto lit = [](const ExprPtr& c) {
       return c->kind == ExprKind::kLiteral;
     };
     if (e->kind == ExprKind::kIf && lit(e->children[0]) &&
         e->children[0]->literal.type() == xml::AtomicType::kBoolean) {
-      e = e->children[0]->literal.AsBoolean() ? e->children[1] : e->children[2];
+      e = ReadValue(*e->children[0]).AsBoolean() ? e->children[1]
+                                                 : e->children[2];
       return true;
     }
     if (e->kind == ExprKind::kArith && lit(e->children[0]) &&
         lit(e->children[1])) {
-      const auto& a = e->children[0]->literal;
-      const auto& b = e->children[1]->literal;
-      if (a.type() == xml::AtomicType::kInteger &&
-          b.type() == xml::AtomicType::kInteger) {
+      if (e->children[0]->literal.type() == xml::AtomicType::kInteger &&
+          e->children[1]->literal.type() == xml::AtomicType::kInteger) {
+        const auto& a = ReadValue(*e->children[0]);
+        const auto& b = ReadValue(*e->children[1]);
         int64_t x = a.AsInteger();
         int64_t y = b.AsInteger();
         int64_t v;
@@ -666,7 +688,7 @@ class Optimizer::Impl {
     }
     if (e->kind == ExprKind::kComparison && lit(e->children[0]) &&
         lit(e->children[1])) {
-      auto cmp = e->children[0]->literal.Compare(e->children[1]->literal);
+      auto cmp = ReadValue(*e->children[0]).Compare(ReadValue(*e->children[1]));
       if (!cmp.ok()) return false;
       int c = cmp.value();
       bool v;
@@ -690,7 +712,7 @@ class Optimizer::Impl {
     }
     if (e->kind == ExprKind::kLogical && lit(e->children[0]) &&
         e->children[0]->literal.type() == xml::AtomicType::kBoolean) {
-      bool l = e->children[0]->literal.AsBoolean();
+      bool l = ReadValue(*e->children[0]).AsBoolean();
       if (e->op == "and") {
         if (!l) {
           e = xquery::MakeLiteral(xml::AtomicValue::Boolean(false), e->loc);
@@ -1273,7 +1295,7 @@ class Optimizer::Impl {
       if (it->kind != Clause::Kind::kWhere) continue;
       if (it->expr->kind == ExprKind::kLiteral &&
           it->expr->literal.type() == xml::AtomicType::kBoolean) {
-        if (!it->expr->literal.AsBoolean()) {
+        if (!ReadValue(*it->expr).AsBoolean()) {
           e = xquery::MakeEmptySequence(e->loc);
           return true;
         }
@@ -1290,6 +1312,7 @@ class Optimizer::Impl {
   OptimizerOptions options_;
   std::set<std::string>* in_progress_;
   int* rename_serial_;
+  bool* read_slotted_literal_;
 };
 
 Optimizer::Optimizer(const compiler::FunctionTable* functions,
@@ -1303,8 +1326,9 @@ Optimizer::Optimizer(const compiler::FunctionTable* functions,
 Status Optimizer::Optimize(xquery::ExprPtr& root) {
   std::set<std::string> in_progress;
   int rename_serial = 0;
+  read_slotted_literal_ = false;
   Impl impl(functions_, schemas_, view_cache_, options_, &in_progress,
-            &rename_serial);
+            &rename_serial, &read_slotted_literal_);
   return impl.Optimize(root, {});
 }
 
@@ -1313,7 +1337,7 @@ Result<xquery::ExprPtr> Optimizer::OptimizedViewBody(
   std::set<std::string> in_progress;
   int rename_serial = 0;
   Impl impl(functions_, schemas_, view_cache_, options_, &in_progress,
-            &rename_serial);
+            &rename_serial, &read_slotted_literal_);
   return impl.OptimizedViewBody(function);
 }
 

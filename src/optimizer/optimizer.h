@@ -76,10 +76,15 @@ class ViewPlanCache {
   int64_t misses() const;
 
  private:
+  struct Entry {
+    xquery::ExprPtr body;
+    std::list<std::string>::iterator lru;  // position in lru_
+  };
+
   mutable std::mutex mutex_;
   size_t max_entries_;
-  std::map<std::string, xquery::ExprPtr> entries_;
-  std::list<std::string> lru_;
+  std::map<std::string, Entry> entries_;
+  std::list<std::string> lru_;  // most recently used first
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };
@@ -106,6 +111,11 @@ class Optimizer {
 
   const OptimizerOptions& options() const { return options_; }
 
+  /// True when the last Optimize rewrote the tree on the value of a query
+  /// literal (one with an Expr::literal_slot), e.g. folded a constant: the
+  /// plan then holds only for that literal value.
+  bool read_slotted_literal() const { return read_slotted_literal_; }
+
  private:
   class Impl;
 
@@ -113,6 +123,7 @@ class Optimizer {
   const xsd::SchemaRegistry* schemas_;
   ViewPlanCache* view_cache_;
   OptimizerOptions options_;
+  bool read_slotted_literal_ = false;
 };
 
 }  // namespace aldsp::optimizer

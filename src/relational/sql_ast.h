@@ -53,6 +53,9 @@ struct SqlExpr {
 
   // kLiteral
   Cell literal;
+  /// Slot of the query literal this value was translated from (see
+  /// xquery::Expr::literal_slot), or -1.
+  int literal_slot = -1;
 
   // kParam
   int param_index = -1;

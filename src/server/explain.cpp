@@ -148,7 +148,9 @@ void RenderCompileHeader(const CompiledPlan& plan, std::ostream& os) {
   os << "compile: parse=" << plan.parse_micros
      << "us analyze=" << plan.analyze_micros
      << "us optimize=" << plan.optimize_micros
-     << "us pushdown=" << plan.pushdown_micros << "us\n";
+     << "us pushdown=" << plan.pushdown_micros << "us";
+  if (plan.rebound) os << " bind=" << plan.bind_micros << "us rebound";
+  os << "\n";
   os << "pushdown: " << plan.pushdown.regions_pushed << " region(s), "
      << plan.pushdown.bare_scans_pushed << " bare scan(s), "
      << plan.pushdown.outer_joins_pushed << " outer join(s), "
@@ -165,6 +167,8 @@ void RenderCompileJson(const CompiledPlan& plan, std::ostream& os) {
      << ",\"analyze_micros\":" << plan.analyze_micros
      << ",\"optimize_micros\":" << plan.optimize_micros
      << ",\"pushdown_micros\":" << plan.pushdown_micros
+     << ",\"bind_micros\":" << plan.bind_micros
+     << ",\"rebound\":" << (plan.rebound ? "true" : "false")
      << "},\"pushdown\":{\"regions\":" << plan.pushdown.regions_pushed
      << ",\"bare_scans\":" << plan.pushdown.bare_scans_pushed
      << ",\"outer_joins\":" << plan.pushdown.outer_joins_pushed

@@ -237,6 +237,8 @@ void MixStmtFLWOR(uint64_t* h, const Expr& e) {
         break;
       case CK::kGroupBy:
         Mix(h, "group");
+        Mix(h, static_cast<int64_t>(c.group_vars.size()));
+        Mix(h, static_cast<int64_t>(c.group_keys.size()));
         for (const auto& gv : c.group_vars) {
           Mix(h, gv.in_var);
           Mix(h, gv.out_var);
@@ -248,6 +250,7 @@ void MixStmtFLWOR(uint64_t* h, const Expr& e) {
         break;
       case CK::kOrderBy:
         Mix(h, "order");
+        Mix(h, static_cast<int64_t>(c.order_keys.size()));
         for (const auto& ok : c.order_keys) {
           Mix(h, static_cast<int64_t>(ok.descending));
           if (ok.expr) MixStmtExpr(h, *ok.expr);
@@ -289,6 +292,7 @@ void MixStmtExpr(uint64_t* h, const Expr& e) {
     case ExprKind::kElementCtor:
     case ExprKind::kAttributeCtor:
       Mix(h, e.ctor_name);
+      Mix(h, static_cast<int64_t>(e.conditional));
       break;
     case ExprKind::kComparison:
     case ExprKind::kArith:
@@ -296,7 +300,13 @@ void MixStmtExpr(uint64_t* h, const Expr& e) {
       Mix(h, e.op);
       break;
     case ExprKind::kQuantified:
-      Mix(h, e.var_name);
+      Mix(h, e.var_name2);
+      Mix(h, static_cast<int64_t>(e.is_every));
+      break;
+    case ExprKind::kCastAs:
+    case ExprKind::kInstanceOf:
+    case ExprKind::kCastable:
+      Mix(h, e.type_ref.ToString());
       break;
     case ExprKind::kSqlQuery:
       if (e.sql) {
@@ -313,6 +323,9 @@ void MixStmtExpr(uint64_t* h, const Expr& e) {
     default:
       break;
   }
+  // The arity keeps the pre-order walk unambiguous: f(g($x), $y) and
+  // f(g($x, $y)) would otherwise hash the same node sequence.
+  Mix(h, static_cast<int64_t>(e.children.size()));
   for (const auto& c : e.children) {
     if (c) MixStmtExpr(h, *c);
   }

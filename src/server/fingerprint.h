@@ -11,9 +11,9 @@ namespace aldsp::server {
 /// crossed with a plan-change log):
 ///
 ///  - StatementFingerprint answers "which statement is this?". It hashes
-///    the normalized *pre-optimization* AST — clause structure, bound
-///    variables, path steps, function names, comparison/arith operators —
-///    with literal values stripped to "?". Two executions of the same
+///    the normalized *parsed* AST — clause structure, bound variables,
+///    path steps, function names, operators, cast targets, arities — with
+///    literal values stripped to "?". Two executions of the same
 ///    statement with different literals share it, and it stays stable
 ///    when the optimizer picks a different join method, pushdown shape,
 ///    or PP-k configuration for the same source text.
@@ -28,13 +28,15 @@ namespace aldsp::server {
 /// One statement fingerprint therefore maps to a history of plan
 /// fingerprints over time as the ObservedCostModel adapts; PlanHistory
 /// (src/observability/plan_history.h) records that mapping. Both hashes
-/// are computed once at Compile and stored in CompiledPlan, so a
-/// plan-cache round trip trivially preserves them.
+/// are computed once per compile and stored in CompiledPlan, so a
+/// plan-cache round trip trivially preserves them, and a plan rebound to
+/// new literals copies them from its template.
 uint64_t PlanFingerprint(const xquery::Expr& root);
 
-/// FNV-1a over the normalized pre-optimization AST (see above). Must be
-/// computed before the optimizer rewrites the tree (join-clause
-/// introduction, SQL pushdown), or plan decisions leak into identity.
+/// FNV-1a over the normalized parsed AST (see above). Must be computed
+/// before analysis and optimization rewrite the tree, or compiler
+/// decisions leak into identity. Together with the literals' atomic types
+/// it keys the plan templates Prepare rebinds.
 uint64_t StatementFingerprint(const xquery::Expr& root);
 
 }  // namespace aldsp::server

@@ -9,6 +9,7 @@
 #include "observability/critical_path.h"
 #include "server/explain.h"
 #include "server/fingerprint.h"
+#include "server/rebind.h"
 #include "xml/item.h"
 
 namespace aldsp::server {
@@ -222,23 +223,19 @@ Status DataServicePlatform::LoadDataServiceWithRecovery(
 }
 
 Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Compile(
-    const std::string& query) {
+    const std::string& query, xquery::ExprPtr expr, uint64_t statement_fp,
+    int64_t parse_micros, bool* read_slotted_literal) {
+  *read_slotted_literal = false;
   auto plan = std::make_shared<CompiledPlan>();
   plan->text = query;
+  plan->statement_fingerprint = statement_fp;
+  plan->parse_micros = parse_micros;
 
-  int64_t t0 = NowMicros();
-  ALDSP_ASSIGN_OR_RETURN(xquery::ExprPtr expr, xquery::ParseExpression(query));
   int64_t t1 = NowMicros();
-  plan->parse_micros = t1 - t0;
-
   DiagnosticBag bag;
   compiler::Analyzer analyzer(&functions_, &schemas_, &bag);
   ALDSP_RETURN_NOT_OK(analyzer.Analyze(expr, {}));
   CollectCalledFunctions(expr, functions_, &plan->called_functions);
-  // Statement identity hashes the analyzed, *pre-optimization* tree:
-  // computed here, before the optimizer's join-clause introduction and
-  // SQL pushdown can leak plan decisions into it.
-  plan->statement_fingerprint = StatementFingerprint(*expr);
   int64_t t2 = NowMicros();
   plan->analyze_micros = t2 - t1;
 
@@ -246,6 +243,7 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Compile(
     optimizer::Optimizer opt(&functions_, &schemas_, &view_cache_,
                              options_.optimizer);
     ALDSP_RETURN_NOT_OK(opt.Optimize(expr));
+    *read_slotted_literal = opt.read_slotted_literal();
   }
   int64_t t3 = NowMicros();
   plan->optimize_micros = t3 - t2;
@@ -253,6 +251,7 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Compile(
   if (options_.enable_pushdown) {
     ALDSP_RETURN_NOT_OK(
         sql::PushdownRewrite(expr, &functions_, &plan->pushdown));
+    *read_slotted_literal |= plan->pushdown.slotted_literals_read > 0;
     DiagnosticBag bag2;
     compiler::Analyzer reanalyzer(&functions_, &schemas_, &bag2);
     ALDSP_RETURN_NOT_OK(reanalyzer.Analyze(expr, {}));
@@ -266,6 +265,95 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Compile(
   return std::shared_ptr<const CompiledPlan>(plan);
 }
 
+void DataServicePlatform::MakeRoomLocked() {
+  while (!plan_lru_.empty() && plan_cache_.size() + plan_templates_.size() >=
+                                   options_.plan_cache_size) {
+    const LruSlot victim = plan_lru_.back();
+    plan_lru_.pop_back();
+    // Erase by iterator: the key string lives in the node being erased.
+    if (victim.is_template) {
+      plan_templates_.erase(plan_templates_.find(*victim.key));
+    } else {
+      plan_cache_.erase(plan_cache_.find(*victim.key));
+    }
+  }
+}
+
+std::shared_ptr<const CompiledPlan> DataServicePlatform::VerifiedTemplate(
+    const std::string& shape, const std::string& advice) {
+  std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+  auto it = plan_templates_.find(shape);
+  if (it == plan_templates_.end()) return nullptr;
+  TouchLocked(it->second.lru);
+  const PlanTemplate& t = it->second.tmpl;
+  if (t.state != PlanTemplate::State::kVerified || t.advice != advice) {
+    return nullptr;
+  }
+  ++plan_cache_rebinds_;
+  return t.plan;
+}
+
+void DataServicePlatform::LearnTemplate(
+    const std::string& shape, std::vector<xml::AtomicValue> literals,
+    const std::string& advice, const std::shared_ptr<const CompiledPlan>& plan,
+    bool read_slotted_literal) {
+  using State = PlanTemplate::State;
+  const bool slots_survive =
+      !read_slotted_literal && SlotsSurvive(*plan->plan, literals);
+  std::shared_ptr<const CompiledPlan> candidate;
+  {
+    std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+    auto it = plan_templates_.find(shape);
+    const bool first = it == plan_templates_.end();
+    if (first) {
+      MakeRoomLocked();
+      it = plan_templates_.emplace(shape, CachedTemplate{}).first;
+      plan_lru_.push_front({&it->first, /*is_template=*/true});
+      it->second.lru = plan_lru_.begin();
+    } else {
+      TouchLocked(it->second.lru);
+    }
+    PlanTemplate& t = it->second.tmpl;
+    if (t.state == State::kNotRebindable && !first) return;
+    if (first || t.advice != advice) {
+      // First text of the shape, or the cost model moved since the
+      // template was compiled: this plan is the new candidate.
+      t.state = slots_survive ? State::kCandidate : State::kNotRebindable;
+      t.plan = slots_survive ? plan : nullptr;
+      t.literals = std::move(literals);
+      t.advice = advice;
+      return;
+    }
+    if (t.state != State::kCandidate) return;
+    if (!slots_survive) {
+      t.state = State::kNotRebindable;
+      t.plan = nullptr;
+      return;
+    }
+    // A slot holding the same value in both texts could hide a literal
+    // the compiler derived from it; wait for a text that differs in
+    // every slot.
+    if (!AllSlotsDiffer(t.literals, literals)) return;
+    candidate = t.plan;
+  }
+  // Verify outside the lock: the candidate rebound to this text must
+  // render exactly the plan the full compile produced and hold the same
+  // literals everywhere, including the clause keys EXPLAIN does not show.
+  CompiledPlan rebound = *candidate;
+  rebound.text = plan->text;
+  rebound.plan = RebindLiterals(candidate->plan, literals);
+  const bool match =
+      RenderPlanSnapshotText(rebound) == RenderPlanSnapshotText(*plan) &&
+      LiteralDigest(*rebound.plan) == LiteralDigest(*plan->plan);
+  std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+  auto it = plan_templates_.find(shape);
+  // Evicted, cleared or replaced while verifying: nothing to update.
+  if (it == plan_templates_.end() || it->second.tmpl.plan != candidate) return;
+  PlanTemplate& t = it->second.tmpl;
+  t.state = match ? State::kVerified : State::kNotRebindable;
+  if (!match) t.plan = nullptr;
+}
+
 Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Prepare(
     const std::string& query, bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
@@ -274,43 +362,83 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Prepare(
     auto it = plan_cache_.find(query);
     if (it != plan_cache_.end()) {
       ++plan_cache_hits_;
-      plan_lru_.remove(query);
-      plan_lru_.push_front(query);
+      TouchLocked(it->second.lru);
       if (cache_hit != nullptr) *cache_hit = true;
       metrics_.AddWindowedCounter("plan_cache.hits");
-      return it->second;
+      return it->second.plan;
     }
     ++plan_cache_misses_;
   }
   metrics_.AddWindowedCounter("plan_cache.misses");
-  ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
-                         Compile(query));
-  // Compile-phase micros feed the rolling windows so a compile-time
-  // regression shows up in the metrics snapshot without a bench run.
-  metrics_.RecordWindowed("compile.parse_micros", plan->parse_micros);
-  metrics_.RecordWindowed("compile.analyze_micros", plan->analyze_micros);
-  metrics_.RecordWindowed("compile.optimize_micros", plan->optimize_micros);
-  metrics_.RecordWindowed("compile.pushdown_micros", plan->pushdown_micros);
-  metrics_.RecordWindowed("compile.total_micros",
-                          plan->parse_micros + plan->analyze_micros +
-                              plan->optimize_micros + plan->pushdown_micros);
-  // Plan lifecycle plane: record the (statement, plan-version) pair with
-  // the cost-model advice inputs the optimizer just consulted and an
-  // EXPLAIN snapshot, so a later regression report can show what changed
-  // and why the plan flipped.
-  plan_history_.RecordCompile(plan->statement_fingerprint, plan->fingerprint,
-                              plan->text.substr(0, 120),
-                              observed_.AdviceSnapshot(),
-                              RenderPlanSnapshotText(*plan));
-  {
-    std::lock_guard<std::mutex> lock(plan_cache_mutex_);
-    while (plan_cache_.size() >= options_.plan_cache_size &&
-           !plan_lru_.empty()) {
-      plan_cache_.erase(plan_lru_.back());
-      plan_lru_.pop_back();
+
+  const int64_t t0 = NowMicros();
+  ALDSP_ASSIGN_OR_RETURN(xquery::ExprPtr expr, xquery::ParseExpression(query));
+  const int64_t t1 = NowMicros();
+  // Statement identity hashes the parsed tree, before analysis and the
+  // optimizer can leak compiler decisions into it; with the literals'
+  // types it names the statement shape a template serves.
+  const uint64_t statement_fp = StatementFingerprint(*expr);
+  std::vector<xml::AtomicValue> literals = SlotLiterals(*expr);
+  const std::string shape =
+      literals.empty() ? std::string() : ShapeKey(statement_fp, literals);
+  // The cost-model inputs the optimizer consults: a template serves only
+  // texts arriving under the advice it was compiled under.
+  const std::string advice = observed_.AdviceSnapshot();
+
+  std::shared_ptr<const CompiledPlan> plan;
+  if (std::shared_ptr<const CompiledPlan> tmpl =
+          shape.empty() ? nullptr : VerifiedTemplate(shape, advice)) {
+    auto rebound = std::make_shared<CompiledPlan>(*tmpl);
+    rebound->text = query;
+    rebound->plan = RebindLiterals(tmpl->plan, literals);
+    rebound->rebound = true;
+    rebound->parse_micros = t1 - t0;
+    rebound->analyze_micros = 0;
+    rebound->optimize_micros = 0;
+    rebound->pushdown_micros = 0;
+    rebound->bind_micros = NowMicros() - t1;
+    metrics_.AddWindowedCounter("plan_cache.rebinds");
+    metrics_.RecordWindowed("compile.parse_micros", rebound->parse_micros);
+    metrics_.RecordWindowed("compile.bind_micros", rebound->bind_micros);
+    metrics_.RecordWindowed("compile.total_micros",
+                            rebound->parse_micros + rebound->bind_micros);
+    plan = std::move(rebound);
+  } else {
+    bool read_slotted_literal = false;
+    ALDSP_ASSIGN_OR_RETURN(plan, Compile(query, std::move(expr), statement_fp,
+                                         t1 - t0, &read_slotted_literal));
+    // Compile-phase micros feed the rolling windows so a compile-time
+    // regression shows up in the metrics snapshot without a bench run.
+    metrics_.RecordWindowed("compile.parse_micros", plan->parse_micros);
+    metrics_.RecordWindowed("compile.analyze_micros", plan->analyze_micros);
+    metrics_.RecordWindowed("compile.optimize_micros", plan->optimize_micros);
+    metrics_.RecordWindowed("compile.pushdown_micros", plan->pushdown_micros);
+    metrics_.RecordWindowed("compile.total_micros",
+                            plan->parse_micros + plan->analyze_micros +
+                                plan->optimize_micros + plan->pushdown_micros);
+    // Plan lifecycle plane: record the (statement, plan-version) pair with
+    // the cost-model advice inputs the optimizer consulted and, for a new
+    // version, an EXPLAIN snapshot, so a later regression report can show
+    // what changed and why the plan flipped.
+    plan_history_.RecordCompile(plan->statement_fingerprint, plan->fingerprint,
+                                plan->text.substr(0, 120), advice,
+                                [&] { return RenderPlanSnapshotText(*plan); });
+    if (!shape.empty()) {
+      LearnTemplate(shape, std::move(literals), advice, plan,
+                    read_slotted_literal);
     }
-    plan_cache_[query] = plan;
-    plan_lru_.push_front(query);
+  }
+  std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+  auto it = plan_cache_.find(query);
+  if (it == plan_cache_.end()) {
+    MakeRoomLocked();
+    it = plan_cache_.emplace(query, CachedPlan{plan, {}}).first;
+    plan_lru_.push_front({&it->first, /*is_template=*/false});
+    it->second.lru = plan_lru_.begin();
+  } else {
+    // Another thread compiled the same text meanwhile.
+    it->second.plan = plan;
+    TouchLocked(it->second.lru);
   }
   return plan;
 }
@@ -463,10 +591,13 @@ void DataServicePlatform::FinishObservation(
   record.rows_returned = rows;
   record.bytes_returned = bytes;
   record.wall_micros = wall_micros;
+  // A rebound plan's phase fields are parse + bind; the template's own
+  // compile cost is not this execution's.
   record.compile_micros =
       plan_cache_hit ? 0
                      : plan.parse_micros + plan.analyze_micros +
-                           plan.optimize_micros + plan.pushdown_micros;
+                           plan.optimize_micros + plan.pushdown_micros +
+                           plan.bind_micros;
   record.plan_cache_hit = plan_cache_hit;
   record.function_cache_hits = trace.CountEvents(EventKind::kCacheHit);
   record.function_cache_misses = trace.CountEvents(EventKind::kCacheMiss);
@@ -832,6 +963,7 @@ runtime::MetricsRegistry::Snapshot DataServicePlatform::MetricsSnapshot() {
     std::lock_guard<std::mutex> lock(plan_cache_mutex_);
     metrics_.SetCounter("plan_cache.hits", plan_cache_hits_);
     metrics_.SetCounter("plan_cache.misses", plan_cache_misses_);
+    metrics_.SetCounter("plan_cache.rebinds", plan_cache_rebinds_);
     metrics_.SetCounter("plan_cache.entries",
                         static_cast<int64_t>(plan_cache_.size()));
   }
@@ -1090,6 +1222,7 @@ std::string DataServicePlatform::MetricsPrometheusText() {
 void DataServicePlatform::ClearPlanCache() {
   std::lock_guard<std::mutex> lock(plan_cache_mutex_);
   plan_cache_.clear();
+  plan_templates_.clear();
   plan_lru_.clear();
 }
 
@@ -1119,7 +1252,9 @@ std::string DataServicePlatform::Describe() const {
   std::lock_guard<std::mutex> lock(plan_cache_mutex_);
   os << "caches: plan " << plan_cache_.size() << " entries ("
      << plan_cache_hits_ << " hits / " << plan_cache_misses_
-     << " misses), view plans " << view_cache_.size() << ", function cache "
+     << " misses, " << plan_cache_rebinds_ << " rebinds), plan templates "
+     << plan_templates_.size() << ", view plans " << view_cache_.size()
+     << ", function cache "
      << function_cache_.size() << " entries ("
      << function_cache_.stats().hits.load() << " hits)\n";
   os << "runtime: " << stats_.source_invocations.load()

@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "adaptors/file_adaptor.h"
 #include "adaptors/relational_adaptor.h"
@@ -59,6 +61,13 @@ struct CompiledPlan {
   int64_t analyze_micros = 0;
   int64_t optimize_micros = 0;
   int64_t pushdown_micros = 0;
+  /// True when Prepare built this plan by rebinding a verified template
+  /// of the same statement shape to this text's literals instead of
+  /// compiling it: parse_micros is the real parse, bind_micros the rest
+  /// (shape key, template lookup, rebinding the literals), and
+  /// analyze/optimize/pushdown are 0.
+  bool rebound = false;
+  int64_t bind_micros = 0;
 };
 
 struct ServerOptions {
@@ -239,8 +248,11 @@ class DataServicePlatform {
   // ----- Query API ------------------------------------------------------
 
   /// Compiles a query through every phase; plans are cached by query text
-  /// (the paper's query plan cache). `cache_hit`, when non-null, reports
-  /// whether the plan came from the cache.
+  /// (the paper's query plan cache). A text miss whose statement shape
+  /// (statement fingerprint plus literal types) already has a verified
+  /// plan template is rebound instead of compiled (see DESIGN.md).
+  /// `cache_hit`, when non-null, reports whether the plan came from the
+  /// text cache; a rebind counts as a miss.
   Result<std::shared_ptr<const CompiledPlan>> Prepare(const std::string& query,
                                                      bool* cache_hit = nullptr);
 
@@ -456,6 +468,12 @@ class DataServicePlatform {
     std::lock_guard<std::mutex> lock(plan_cache_mutex_);
     return plan_cache_misses_;
   }
+  /// Text misses served by rebinding a verified plan template.
+  int64_t plan_cache_rebinds() const {
+    std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+    return plan_cache_rebinds_;
+  }
+  /// Drops every cached plan and every plan template.
   void ClearPlanCache();
 
   /// The administration console's view of the server (paper Fig. 2): a
@@ -464,7 +482,51 @@ class DataServicePlatform {
   std::string Describe() const;
 
  private:
-  Result<std::shared_ptr<const CompiledPlan>> Compile(const std::string& query);
+  /// Runs analysis, optimization and pushdown over a parsed query.
+  /// `read_slotted_literal` reports whether a rewrite used the value of a
+  /// query literal (a folded constant, a LIKE pattern, a row range).
+  Result<std::shared_ptr<const CompiledPlan>> Compile(
+      const std::string& query, xquery::ExprPtr expr, uint64_t statement_fp,
+      int64_t parse_micros, bool* read_slotted_literal);
+
+  /// Plan template of one statement shape, keyed by ShapeKey. A shape
+  /// moves candidate -> verified (a second text's fresh plan equals the
+  /// candidate rebound to that text) or -> not rebindable (a rewrite
+  /// read a slot's value, a slot vanished, or the rebound plan differed,
+  /// which is final); a changed cost-model advice snapshot restarts a
+  /// candidate or verified shape.
+  struct PlanTemplate {
+    enum class State { kCandidate, kVerified, kNotRebindable };
+    State state = State::kCandidate;
+    std::shared_ptr<const CompiledPlan> plan;  // null when not rebindable
+    std::vector<xml::AtomicValue> literals;    // `plan`'s slot values
+    std::string advice;  // ObservedCostModel::AdviceSnapshot at compile
+  };
+
+  /// The shape's verified template when its advice snapshot is `advice`.
+  std::shared_ptr<const CompiledPlan> VerifiedTemplate(
+      const std::string& shape, const std::string& advice);
+
+  /// Advances the shape's template state with a plan just compiled in
+  /// full from a text whose slot values are `literals`.
+  void LearnTemplate(const std::string& shape,
+                     std::vector<xml::AtomicValue> literals,
+                     const std::string& advice,
+                     const std::shared_ptr<const CompiledPlan>& plan,
+                     bool read_slotted_literal);
+
+  // Plan-cache bookkeeping; both helpers require plan_cache_mutex_.
+  struct LruSlot {
+    const std::string* key;  // the map key, stable while the entry lives
+    bool is_template;
+  };
+  using LruList = std::list<LruSlot>;
+  /// Moves an entry to the most-recently-used end.
+  void TouchLocked(LruList::iterator it) {
+    plan_lru_.splice(plan_lru_.begin(), plan_lru_, it);
+  }
+  /// Evicts least-recently-used entries until one more fits.
+  void MakeRoomLocked();
 
   /// Creates the per-execution trace for the always-on plane: cheap
   /// counters normally, a full trace when an earlier slow run promoted
@@ -542,11 +604,23 @@ class DataServicePlatform {
   service::ServiceCatalog services_;
   std::shared_ptr<adaptors::FileAdaptor> file_adaptor_;  // lazily created
 
+  /// Two tiers under one capacity (options_.plan_cache_size) and one LRU
+  /// order: plans by exact text, and plan templates by statement shape.
   mutable std::mutex plan_cache_mutex_;
-  std::map<std::string, std::shared_ptr<const CompiledPlan>> plan_cache_;
-  std::list<std::string> plan_lru_;
+  struct CachedPlan {
+    std::shared_ptr<const CompiledPlan> plan;
+    LruList::iterator lru;
+  };
+  struct CachedTemplate {
+    PlanTemplate tmpl;
+    LruList::iterator lru;
+  };
+  std::unordered_map<std::string, CachedPlan> plan_cache_;
+  std::unordered_map<std::string, CachedTemplate> plan_templates_;
+  LruList plan_lru_;  // most recently used first
   int64_t plan_cache_hits_ = 0;
   int64_t plan_cache_misses_ = 0;
+  int64_t plan_cache_rebinds_ = 0;
 
   /// Declared last so it is destroyed first: the destructor joins any
   /// evaluation a fn-bea:timeout abandoned while the adaptors, function

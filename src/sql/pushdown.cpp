@@ -222,9 +222,11 @@ class PushdownPass {
   Result<TypedSql> Translate(const ExprPtr& raw, RegionContext& ctx) {
     const ExprPtr& e = UnwrapData(raw);
     switch (e->kind) {
-      case ExprKind::kLiteral:
-        return TypedSql{SqlExpr::Literal(Cell::Of(e->literal)),
-                        e->literal.type()};
+      case ExprKind::kLiteral: {
+        SqlExprPtr lit = SqlExpr::Literal(Cell::Of(e->literal));
+        lit->literal_slot = e->literal_slot;
+        return TypedSql{std::move(lit), e->literal.type()};
+      }
       case ExprKind::kVarRef: {
         auto it = ctx.var_sql.find(e->var_name);
         if (it != ctx.var_sql.end()) {
@@ -417,7 +419,7 @@ class PushdownPass {
         ALDSP_ASSIGN_OR_RETURN(TypedSql input, Translate(e->children[0], ctx));
         if (!input.ok()) return TryParam(raw, ctx);
         std::string escaped;
-        for (char c : needle->literal.AsString()) {
+        for (char c : ReadValue(*needle).AsString()) {
           if (c == '%' || c == '_' || c == '\\') escaped += '\\';
           escaped += c;
         }
@@ -1300,23 +1302,29 @@ class PushdownPass {
         e->children[1]->literal.type() != xml::AtomicType::kInteger) {
       return;
     }
-    int64_t start = e->children[1]->literal.AsInteger();
-    int64_t count = -1;
-    if (e->children.size() > 2) {
-      if (e->children[2]->kind != ExprKind::kLiteral ||
-          e->children[2]->literal.type() != xml::AtomicType::kInteger) {
-        return;
-      }
-      count = e->children[2]->literal.AsInteger();
+    if (e->children.size() > 2 &&
+        (e->children[2]->kind != ExprKind::kLiteral ||
+         e->children[2]->literal.type() != xml::AtomicType::kInteger)) {
+      return;
     }
     auto vendor_it = vendor_by_spec_.find(cl.expr->sql.get());
     std::string vendor =
         vendor_it == vendor_by_spec_.end() ? "" : vendor_it->second;
     if (!CapabilitiesOf(DialectForVendor(vendor)).pagination) return;
-    cl.expr->sql->select->range_start = start;
-    cl.expr->sql->select->range_count = count;
+    cl.expr->sql->select->range_start = ReadValue(*e->children[1]).AsInteger();
+    cl.expr->sql->select->range_count =
+        e->children.size() > 2 ? ReadValue(*e->children[2]).AsInteger() : -1;
     e = inner;
     if (stats_ != nullptr) ++stats_->ranges_pushed;
+  }
+
+  // The value of literal `lit`, consumed by a rewrite. Consuming a query
+  // literal's value ties the plan to it (see PushdownStats).
+  const xml::AtomicValue& ReadValue(const Expr& lit) {
+    if (lit.literal_slot >= 0 && stats_ != nullptr) {
+      ++stats_->slotted_literals_read;
+    }
+    return lit.literal;
   }
 
   // §9 extensible pushdown: filter chains over a custom queryable source

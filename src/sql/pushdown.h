@@ -17,6 +17,9 @@ struct PushdownStats {
   int exists_pushed = 0;       // pattern (h) quantified expressions
   int ranges_pushed = 0;       // pattern (i) subsequence pagination
   int custom_filters_pushed = 0;  // §9 extensible pushdown (LDAP-like)
+  /// Query literals (xquery::Expr::literal_slot >= 0) whose value became
+  /// a LIKE pattern or a row range: the plan holds only for those values.
+  int slotted_literals_read = 0;
 };
 
 /// The SQL pushdown phase (paper §4.3–§4.4). Walks an analyzed and

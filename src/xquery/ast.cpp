@@ -325,26 +325,6 @@ ExprPtr CloneExpr(const ExprPtr& e) {
   return copy;
 }
 
-void ForEachChildSlot(Expr& e, const std::function<void(ExprPtr&)>& fn) {
-  for (auto& cl : e.clauses) {
-    if (cl.expr) fn(cl.expr);
-    if (cl.condition) fn(cl.condition);
-    for (auto& [l, r] : cl.equi_keys) {
-      if (l) fn(l);
-      if (r) fn(r);
-    }
-    for (auto& gk : cl.group_keys) {
-      if (gk.expr) fn(gk.expr);
-    }
-    for (auto& ok : cl.order_keys) {
-      if (ok.expr) fn(ok.expr);
-    }
-  }
-  for (auto& c : e.children) {
-    if (c) fn(c);
-  }
-}
-
 namespace {
 
 void Write(const Expr& e, std::ostringstream& os) {

@@ -191,6 +191,11 @@ struct Expr {
 
   // kLiteral
   xml::AtomicValue literal;
+  /// Pre-order number of this literal among the literals of a query text
+  /// (assigned by ParseExpression; -1 for module literals and literals a
+  /// rewrite created). A plan compiled from one text is rebound to another
+  /// text of the same shape by patching the literals slot by slot.
+  int literal_slot = -1;
 
   // kVarRef
   std::string var_name;
@@ -290,8 +295,29 @@ ExprPtr CloneExpr(const ExprPtr& e);
 
 /// Visits every direct child expression, including those embedded in
 /// FLWOR clauses, invoking `fn` with a mutable slot so rewrites can
-/// replace children in place.
-void ForEachChildSlot(Expr& e, const std::function<void(ExprPtr&)>& fn);
+/// replace children in place. The order is fixed (each clause's fields,
+/// clause by clause, then the children): the parser numbers query
+/// literals in this order and the plan cache rebinds them in it.
+template <typename Fn>
+void ForEachChildSlot(Expr& e, Fn&& fn) {
+  for (auto& cl : e.clauses) {
+    if (cl.expr) fn(cl.expr);
+    if (cl.condition) fn(cl.condition);
+    for (auto& [l, r] : cl.equi_keys) {
+      if (l) fn(l);
+      if (r) fn(r);
+    }
+    for (auto& gk : cl.group_keys) {
+      if (gk.expr) fn(gk.expr);
+    }
+    for (auto& ok : cl.order_keys) {
+      if (ok.expr) fn(ok.expr);
+    }
+  }
+  for (auto& c : e.children) {
+    if (c) fn(c);
+  }
+}
 
 /// Compact single-line rendering for diagnostics and plan explainers.
 std::string DebugString(const Expr& e);

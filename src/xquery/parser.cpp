@@ -61,10 +61,23 @@ class Parser {
     ALDSP_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
     SkipWs();
     if (!Eof()) return Fail("trailing input after expression");
+    int next_slot = 0;
+    NumberLiterals(e, &next_slot);
     return e;
   }
 
  private:
+  // Numbers a query's literals in pre-order (clauses before the return
+  // expression, operands left to right: the order they appear in the
+  // text). Module bodies are not numbered.
+  static void NumberLiterals(const ExprPtr& e, int* next_slot) {
+    if (e->kind == ExprKind::kLiteral) {
+      e->literal_slot = (*next_slot)++;
+      return;
+    }
+    ForEachChildSlot(*e, [&](ExprPtr& c) { NumberLiterals(c, next_slot); });
+  }
+
   // ----- Character-level helpers --------------------------------------
 
   bool Eof() const { return pos_ >= text_.size(); }

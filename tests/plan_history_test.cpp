@@ -66,27 +66,27 @@ TEST(StatementFingerprintTest, DistinctFromPlanFingerprintSpace) {
 
 TEST(PlanHistoryTest, TriggerAttribution) {
   PlanHistory history;
-  history.RecordCompile(1, 100, "q", "advice-a", "plan A");
+  history.RecordCompile(1, 100, "q", "advice-a", [] { return "plan A"; });
   auto s = history.Statement(1);
   ASSERT_TRUE(s.has_value());
   ASSERT_EQ(s->versions.size(), 1u);
   EXPECT_EQ(s->versions[0].trigger, CompileTrigger::kColdCompile);
 
   // Same shape recompiled: touched, not a new version.
-  history.RecordCompile(1, 100, "q", "advice-a", "plan A");
+  history.RecordCompile(1, 100, "q", "advice-a", [] { return "plan A"; });
   s = history.Statement(1);
   ASSERT_EQ(s->versions.size(), 1u);
   EXPECT_EQ(s->versions[0].compiles, 2);
   EXPECT_EQ(s->plan_changes, 0);
 
   // New shape, same advice inputs: a cache eviction recompiled it.
-  history.RecordCompile(1, 200, "q", "advice-a", "plan B");
+  history.RecordCompile(1, 200, "q", "advice-a", [] { return "plan B"; });
   s = history.Statement(1);
   ASSERT_EQ(s->versions.size(), 2u);
   EXPECT_EQ(s->versions[1].trigger, CompileTrigger::kCacheEviction);
 
   // New shape after the advice inputs moved: the cost model did it.
-  history.RecordCompile(1, 300, "q", "advice-b", "plan C");
+  history.RecordCompile(1, 300, "q", "advice-b", [] { return "plan C"; });
   s = history.Statement(1);
   ASSERT_EQ(s->versions.size(), 3u);
   EXPECT_EQ(s->versions[2].trigger, CompileTrigger::kCostModelAdviceChange);
@@ -99,7 +99,8 @@ TEST(PlanHistoryTest, VersionRingBounded) {
   opts.max_versions_per_statement = 3;
   PlanHistory history(opts);
   for (uint64_t fp = 1; fp <= 5; ++fp) {
-    history.RecordCompile(7, fp, "q", "a" + std::to_string(fp), "p");
+    history.RecordCompile(7, fp, "q", "a" + std::to_string(fp),
+                          [] { return "p"; });
   }
   auto s = history.Statement(7);
   ASSERT_TRUE(s.has_value());
@@ -113,11 +114,11 @@ TEST(PlanHistoryTest, StatementEvictionIsLeastRecentlySeen) {
   PlanHistoryOptions opts;
   opts.max_statements = 2;
   PlanHistory history(opts);
-  history.RecordCompile(1, 10, "q1", "a", "p");
-  history.RecordCompile(2, 20, "q2", "a", "p");
+  history.RecordCompile(1, 10, "q1", "a", [] { return "p"; });
+  history.RecordCompile(2, 20, "q2", "a", [] { return "p"; });
   // Touch statement 1 so statement 2 is the stalest.
   history.RecordExecution(1, 10, 1000);
-  history.RecordCompile(3, 30, "q3", "a", "p");
+  history.RecordCompile(3, 30, "q3", "a", [] { return "p"; });
   EXPECT_EQ(history.statement_count(), 2);
   EXPECT_EQ(history.statement_evictions(), 1);
   EXPECT_TRUE(history.Statement(1).has_value());
@@ -130,11 +131,11 @@ TEST(PlanHistoryTest, SentinelFiresOnceAndCarriesExplains) {
   opts.sentinel_min_calls = 3;
   opts.sentinel_ratio = 1.5;
   PlanHistory history(opts);
-  history.RecordCompile(9, 100, "q", "a1", "plan v1");
+  history.RecordCompile(9, 100, "q", "a1", [] { return "plan v1"; });
   for (int i = 0; i < 4; ++i) {
     EXPECT_FALSE(history.RecordExecution(9, 100, 1000).has_value());
   }
-  history.RecordCompile(9, 200, "q", "a2", "plan v2");
+  history.RecordCompile(9, 200, "q", "a2", [] { return "plan v2"; });
   // Not enough calls on the new version yet.
   EXPECT_FALSE(history.RecordExecution(9, 200, 5000).has_value());
   EXPECT_FALSE(history.RecordExecution(9, 200, 5000).has_value());
@@ -158,10 +159,10 @@ TEST(PlanHistoryTest, SentinelSilentWhenNewPlanIsFine) {
   PlanHistoryOptions opts;
   opts.sentinel_min_calls = 2;
   PlanHistory history(opts);
-  history.RecordCompile(9, 100, "q", "a1", "p1");
+  history.RecordCompile(9, 100, "q", "a1", [] { return "p1"; });
   history.RecordExecution(9, 100, 4000);
   history.RecordExecution(9, 100, 4000);
-  history.RecordCompile(9, 200, "q", "a2", "p2");
+  history.RecordCompile(9, 200, "q", "a2", [] { return "p2"; });
   // The new version is faster: no event, ever.
   for (int i = 0; i < 10; ++i) {
     EXPECT_FALSE(history.RecordExecution(9, 200, 2000).has_value());
@@ -170,7 +171,8 @@ TEST(PlanHistoryTest, SentinelSilentWhenNewPlanIsFine) {
 
 TEST(PlanHistoryTest, RenderersEmitValidShapes) {
   PlanHistory history;
-  history.RecordCompile(5, 50, "some \"query\"", "a", "plan\ntext");
+  history.RecordCompile(5, 50, "some \"query\"", "a",
+                        [] { return "plan\ntext"; });
   history.RecordExecution(5, 50, 1234);
   std::string text = history.RenderHistoryText(0);
   EXPECT_NE(text.find("stmt_fp=5"), std::string::npos);

@@ -49,6 +49,36 @@ TEST_F(ServerTest, PlanCacheAvoidsRecompilation) {
   EXPECT_EQ(platform_.plan_cache_misses(), 2);
 }
 
+TEST(PlanCacheTest, EvictsLeastRecentlyUsedText) {
+  ServerOptions options;
+  options.plan_cache_size = 2;
+  DataServicePlatform platform(options);
+  auto db =
+      std::shared_ptr<relational::Database>(MakeCustomerDb(6, 3).release());
+  ASSERT_TRUE(platform.RegisterRelationalSource("ns3", db, "oracle").ok());
+  // Literal-free texts, so no plan template shares the two slots.
+  const char* a = "fn:count(ns3:CUSTOMER())";
+  const char* b = "fn:count(ns3:ORDER())";
+  const char* c = "for $c in ns3:CUSTOMER() return $c/CID";
+  auto prepare = [&](const char* q) {
+    bool hit = false;
+    EXPECT_TRUE(platform.Prepare(q, &hit).ok());
+    return hit;
+  };
+  EXPECT_FALSE(prepare(a));
+  EXPECT_FALSE(prepare(b));
+  EXPECT_TRUE(prepare(a));   // a is now the most recently used
+  EXPECT_FALSE(prepare(c));  // evicts b, the least recently used
+  EXPECT_TRUE(prepare(a));
+  EXPECT_TRUE(prepare(c));
+  EXPECT_FALSE(prepare(b));  // evicts a
+  EXPECT_TRUE(prepare(c));
+  EXPECT_FALSE(prepare(a));
+  EXPECT_EQ(platform.plan_cache_hits(), 4);
+  EXPECT_EQ(platform.plan_cache_misses(), 5);
+  EXPECT_EQ(platform.MetricsSnapshot().counters.at("plan_cache.entries"), 2);
+}
+
 TEST_F(ServerTest, LoadingServicesInvalidatesPlanCache) {
   const char* q = "fn:count(ns3:CUSTOMER())";
   ASSERT_TRUE(platform_.Execute(q).ok());
