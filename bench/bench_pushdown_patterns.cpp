@@ -60,6 +60,34 @@ const Pattern kPatterns[] = {
      "return subsequence($cs, 10, 20)"},
 };
 
+// Nested shapes that cannot push as one region: a key predicate on an
+// unfolded view whose body also reads a second database, and a
+// navigation call in `return` beside a literal `where`. Their predicates
+// still reach the CUSTOMER scan (through the let-bound constructor, then
+// the prefix fallback), so each read is reported with the statements and
+// rows it costs the relational sources.
+constexpr const char* kProfileView = R"(
+declare function tns:getProfile() as element(PROFILE)* {
+  for $c in ns3:CUSTOMER()
+  return <PROFILE>
+    <CID>{fn:data($c/CID)}</CID>
+    <LAST_NAME>{fn:data($c/LAST_NAME)}</LAST_NAME>
+    <ORDERS>{ns3:getORDER($c)}</ORDERS>
+    <CREDIT_CARDS>{ns2:CREDIT_CARD()[CID eq $c/CID]}</CREDIT_CARDS>
+  </PROFILE>
+};
+declare function tns:getProfileByID($id as xs:string) as element(PROFILE)* {
+  tns:getProfile()[CID eq $id]
+};
+)";
+
+const Pattern kNestedShapes[] = {
+    {"view-key-predicate", "tns:getProfileByID(\"CUST007\")"},
+    {"nav-call-in-return",
+     "for $c in ns3:CUSTOMER() where $c/CID eq \"CUST007\" "
+     "return <C>{fn:data($c/LAST_NAME)}{fn:count(ns3:getORDER($c))}</C>"},
+};
+
 constexpr int kCustomers = 500;
 
 std::unique_ptr<DataServicePlatform> MakePlatform(bool pushdown) {
@@ -72,6 +100,42 @@ std::unique_ptr<DataServicePlatform> MakePlatform(bool pushdown) {
   db->latency_model().sleep = true;
   (void)platform->RegisterRelationalSource("ns3", db, "oracle");
   return platform;
+}
+
+// Adds the CREDIT_CARD database and the PROFILE view the nested shapes
+// read.
+std::unique_ptr<DataServicePlatform> MakeNestedPlatform(bool pushdown) {
+  auto platform = MakePlatform(pushdown);
+  auto cards = std::shared_ptr<relational::Database>(
+      testing::MakeCreditCardDb(kCustomers).release());
+  cards->latency_model() = {300, 0, true};
+  (void)platform->RegisterRelationalSource("ns2", cards, "oracle");
+  (void)platform->LoadDataService(kProfileView);
+  return platform;
+}
+
+struct SourceCost {
+  int64_t statements = 0;
+  int64_t rows_shipped = 0;
+};
+
+// Statements and rows shipped by both databases for one execution.
+SourceCost MeasureOnce(DataServicePlatform& platform, const char* query) {
+  SourceCost cost;
+  std::vector<relational::Database*> dbs;
+  for (const char* id : {"customer_db", "billing_db"}) {
+    relational::Database* db = platform.adaptors().FindDatabase(id);
+    if (db == nullptr) continue;
+    dbs.push_back(db);
+    cost.statements -= db->stats().statements;
+    cost.rows_shipped -= db->stats().rows_shipped;
+  }
+  (void)platform.Execute(query);
+  for (relational::Database* db : dbs) {
+    cost.statements += db->stats().statements;
+    cost.rows_shipped += db->stats().rows_shipped;
+  }
+  return cost;
 }
 
 void CollectSql(const xquery::ExprPtr& e, std::string* out) {
@@ -103,6 +167,30 @@ void PrintGeneratedSql() {
     std::printf("[%s]\n    %s\n", p.id, sql.empty() ? "(no SQL pushed)" : sql.c_str());
   }
   std::printf("================================================\n\n");
+  std::printf("=== Nested shapes: generated SQL and source cost per read ===\n");
+  auto nested = MakeNestedPlatform(true);
+  auto midtier = MakeNestedPlatform(false);
+  for (const Pattern& p : kNestedShapes) {
+    auto plan = nested->Prepare(p.query);
+    if (!plan.ok()) {
+      std::printf("[%s] COMPILE ERROR: %s\n", p.id,
+                  plan.status().ToString().c_str());
+      continue;
+    }
+    std::string sql;
+    xquery::ExprPtr root = (*plan)->plan;
+    CollectSql(root, &sql);
+    SourceCost pushed = MeasureOnce(*nested, p.query);
+    SourceCost mid = MeasureOnce(*midtier, p.query);
+    std::printf("[%s]\n    %s\n    pushed: %lld round trips, %lld rows "
+                "shipped; mid-tier: %lld round trips, %lld rows shipped\n",
+                p.id, sql.empty() ? "(no SQL pushed)" : sql.c_str(),
+                static_cast<long long>(pushed.statements),
+                static_cast<long long>(pushed.rows_shipped),
+                static_cast<long long>(mid.statements),
+                static_cast<long long>(mid.rows_shipped));
+  }
+  std::printf("=============================================================\n\n");
 }
 
 void BM_Pattern(benchmark::State& state, const char* query, bool pushdown) {
@@ -122,6 +210,17 @@ void BM_Pattern(benchmark::State& state, const char* query, bool pushdown) {
                           (*plan)->pushdown.bare_scans_pushed);
 }
 
+void BM_Nested(benchmark::State& state, const char* query, bool pushdown) {
+  auto platform = MakeNestedPlatform(pushdown);
+  SourceCost cost;
+  for (auto _ : state) {
+    cost = MeasureOnce(*platform, query);
+    benchmark::DoNotOptimize(cost);
+  }
+  state.counters["roundtrips"] = static_cast<double>(cost.statements);
+  state.counters["rows_shipped"] = static_cast<double>(cost.rows_shipped);
+}
+
 void RegisterBenchmarks() {
   for (const Pattern& p : kPatterns) {
     benchmark::RegisterBenchmark(
@@ -134,6 +233,19 @@ void RegisterBenchmarks() {
         [&p](benchmark::State& s) { BM_Pattern(s, p.query, false); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
+  }
+  for (const Pattern& p : kNestedShapes) {
+    for (bool pushdown : {true, false}) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_Nested_") + p.id +
+           (pushdown ? "/pushed" : "/midtier"))
+              .c_str(),
+          [&p, pushdown](benchmark::State& s) {
+            BM_Nested(s, p.query, pushdown);
+          })
+          ->Unit(benchmark::kMillisecond)
+          ->Iterations(1);
+    }
   }
 }
 

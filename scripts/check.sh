@@ -13,6 +13,20 @@ cmake -B "$repo/build" -S "$repo" >/dev/null
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
+# Running-example pushdown: tns:getProfileByID's key predicate must reach
+# the CUSTOMER SQL through the unfolded PROFILE view (paper §4.2, Fig. 5),
+# not filter the constructed profiles after a full scan.
+echo "== tier-1: getProfileByID key predicate in the CUSTOMER SQL =="
+cmake --build "$repo/build" -j "$jobs" --target customer_profile
+"$repo/build/examples/customer_profile" > "$repo/build/customer_profile.txt"
+if ! grep -F '[SQL -> customer_db]' "$repo/build/customer_profile.txt" |
+    grep -qF "FROM \"CUSTOMER\" t1 WHERE (t1.\"CID\" = 'CUST003')"; then
+  echo "getProfileByID's CUSTOMER SQL lacks the CID predicate:" >&2
+  grep -F '[SQL -> ' "$repo/build/customer_profile.txt" >&2 || true
+  exit 1
+fi
+echo "pushdown ok: getProfileByID filters CUSTOMER on CID in SQL"
+
 # Trace validation: run the demo query under a timeline trace, round-trip
 # the Chrome trace_event export through a real JSON parser, and assert
 # the fields Perfetto/chrome://tracing rely on (ph/tid everywhere, ts on

@@ -381,6 +381,7 @@ class Optimizer::Impl {
     if (e->kind == ExprKind::kFLWOR) {
       if (options_.flatten_flwor) changed |= RuleFlattenForBinding(e);
       changed |= RuleSplitWhere(e);
+      if (options_.simplify_construction) changed |= RuleNavigateLetCtor(e);
       changed |= RulePlaceWhere(e);
       if (options_.introduce_joins) changed |= RuleIntroduceJoins(e);
       if (options_.convert_ppk) changed |= RuleConvertPPk(e);
@@ -568,6 +569,116 @@ class Optimizer::Impl {
     }
     e = content[0];
     return true;
+  }
+
+  // let $v := <E>{...}</E> ... $v/N ...  ->  the content of E's one <N>
+  // child in place of $v/N, where $v/N is atomized at once: an operand of
+  // a comparison or the argument of fn:data. RuleCtorNavigation and
+  // RuleDataOnCtor pick that content exactly as they do for
+  // <E>{...}</E>/N, and it must be cheap (no source call), since it now
+  // runs at the use as well. RuleSubstituteCtorLets copies only
+  // constructors that are cheap as a whole; this copies just the
+  // navigated child, so the where of tns:getProfile()[CID eq $id] reads
+  // the row variable alone and RulePlaceWhere hoists it above the let
+  // that calls getORDER, CREDIT_CARD and getRating.
+  bool RuleNavigateLetCtor(ExprPtr& e) {
+    bool changed = false;
+    for (size_t i = 0; i < e->clauses.size(); ++i) {
+      const Clause& cl = e->clauses[i];
+      if (cl.kind != Clause::Kind::kLet ||
+          cl.expr->kind != ExprKind::kElementCtor || cl.expr->conditional) {
+        continue;
+      }
+      // A use must see these names bound as they are at the let.
+      std::set<std::string> names = FreeVars(*cl.expr);
+      names.insert(cl.var);
+      const std::string var = cl.var;
+      const ExprPtr ctor = cl.expr;
+      auto rewrite = [&](ExprPtr& x) {
+        if (x) changed |= NavigateLetCtorUses(x, var, ctor, names);
+      };
+      size_t j = i + 1;
+      for (; j < e->clauses.size() && !Binds(e->clauses[j], names); ++j) {
+        Clause& later = e->clauses[j];
+        rewrite(later.expr);
+        rewrite(later.condition);
+        for (auto& [l, r] : later.equi_keys) {
+          rewrite(l);
+          rewrite(r);
+        }
+        for (auto& ok : later.order_keys) rewrite(ok.expr);
+      }
+      if (j == e->clauses.size()) rewrite(e->children[0]);
+    }
+    return changed;
+  }
+
+  bool NavigateLetCtorUses(ExprPtr& x, const std::string& var,
+                           const ExprPtr& ctor,
+                           const std::set<std::string>& names) {
+    bool changed = false;
+    auto navigate = [&](ExprPtr& operand) {
+      if (operand->kind != ExprKind::kPathStep || operand->is_attribute_step ||
+          operand->children[0]->kind != ExprKind::kVarRef ||
+          operand->children[0]->var_name != var) {
+        return;
+      }
+      ExprPtr content = NavigatedContent(ctor, operand->step_name);
+      if (content == nullptr) return;
+      operand = std::move(content);
+      changed = true;
+    };
+    if (x->kind == ExprKind::kComparison) {
+      navigate(x->children[0]);
+      navigate(x->children[1]);
+    } else if (x->kind == ExprKind::kFunctionCall &&
+               LookupBuiltin(x->fn_name) == Builtin::kData &&
+               x->children.size() == 1) {
+      navigate(x->children[0]);
+    }
+    // Do not descend into a scope that rebinds one of `names`.
+    if (x->kind == ExprKind::kFLWOR) {
+      for (const auto& cl : x->clauses) {
+        if (Binds(cl, names)) return changed;
+      }
+    }
+    if ((x->kind == ExprKind::kQuantified && names.count(x->var_name2) > 0) ||
+        (x->kind == ExprKind::kFilter && names.count(".") > 0)) {
+      return changed;
+    }
+    xquery::ForEachChildSlot(*x, [&](ExprPtr& c) {
+      if (c) changed |= NavigateLetCtorUses(c, var, ctor, names);
+    });
+    return changed;
+  }
+
+  // What fn:data(ctor/N) reduces to under RuleCtorNavigation and
+  // RuleDataOnCtor, or null when they do not reduce it to cheap content
+  // of exactly one item. Empty content still builds an <N/> whose
+  // atomized value is "", not (): `$v/N ne "x"` holds for it.
+  ExprPtr NavigatedContent(const ExprPtr& ctor, const std::string& name) {
+    ExprPtr nav = xquery::MakePathStep(ctor, name, false, ctor->loc);
+    if (!RuleCtorNavigation(nav)) return nullptr;
+    ExprPtr data = xquery::MakeFunctionCall("fn:data", {nav}, ctor->loc);
+    if (!RuleDataOnCtor(data) || !IsCheap(*data) ||
+        data->static_type.allows_empty()) {
+      return nullptr;
+    }
+    return CloneExpr(data);
+  }
+
+  // True if clause `cl` rebinds one of `names`; a group-by rebinds all.
+  static bool Binds(const Clause& cl, const std::set<std::string>& names) {
+    switch (cl.kind) {
+      case Clause::Kind::kFor:
+      case Clause::Kind::kJoin:
+      case Clause::Kind::kLet:
+        return names.count(cl.var) > 0 || names.count(cl.positional_var) > 0;
+      case Clause::Kind::kGroupBy:
+        return true;
+      default:
+        return false;
+    }
   }
 
   // g(f(x)) -> x and f(g(x)) -> x for registered inverse pairs (§4.5).

@@ -132,6 +132,7 @@ class PushdownPass {
         });
         return st;
       }
+      TryRewriteLeadingScan(*e);
     }
     // Filter chains over a table function must be recognized before their
     // children are individually converted (the predicate belongs in the
@@ -1411,14 +1412,48 @@ class PushdownPass {
     if (stats_ != nullptr) ++stats_->custom_filters_pushed;
   }
 
+  // Prefix pushdown: when a FLWOR cannot push as a whole region, its
+  // leading `for $x in T()` still becomes a scan, and the where
+  // conjuncts directly after it that read only $x (literals yes, outer
+  // or correlated variables no) filter that scan in SQL. A positional
+  // variable counts the unfiltered rows, so it blocks the fold.
+  void TryRewriteLeadingScan(Expr& flwor) {
+    if (flwor.clauses.empty()) return;
+    Clause& first = flwor.clauses[0];
+    if (first.kind != Clause::Kind::kFor || !first.positional_var.empty()) {
+      return;
+    }
+    std::vector<ExprPtr> wheres;
+    for (size_t i = 1; i < flwor.clauses.size(); ++i) {
+      const Clause& cl = flwor.clauses[i];
+      if (cl.kind != Clause::Kind::kWhere ||
+          FreeVars(*cl.expr) != std::set<std::string>{first.var}) {
+        break;
+      }
+      wheres.push_back(cl.expr);
+    }
+    if (wheres.empty()) return;
+    ExprPtr scan = first.expr;
+    size_t folded = TryRewriteBareScan(scan, first.var, wheres);
+    if (scan == first.expr) return;
+    first.expr = scan;
+    flwor.clauses.erase(flwor.clauses.begin() + 1,
+                        flwor.clauses.begin() + 1 +
+                            static_cast<ptrdiff_t>(folded));
+  }
+
   // Standalone table scans and filtered scans become SQL directly; the
   // row elements keep the original column names so surrounding
-  // (unrewritten) navigation still works.
-  void TryRewriteBareScan(ExprPtr& e) {
+  // (unrewritten) navigation still works. `wheres` are conjuncts over the
+  // scan's row variable `var` (see TryRewriteLeadingScan): the longest
+  // prefix of them that translates joins the SQL WHERE. Returns how many
+  // did; `e` is left unchanged when the scan itself cannot push.
+  size_t TryRewriteBareScan(ExprPtr& e, const std::string& var = "",
+                            const std::vector<ExprPtr>& wheres = {}) {
     std::vector<ExprPtr> filters;
     const ExprPtr& base = PeelFilters(e, &filters);
     const ExternalFunction* fn = AsTableFn(*base);
-    if (fn == nullptr) return;
+    if (fn == nullptr) return 0;
     RegionContext ctx;
     ctx.source = fn->Property("source");
     ctx.vendor = fn->Property("vendor");
@@ -1432,15 +1467,30 @@ class PushdownPass {
           {SqlExpr::Column(alias, field.name), field.name});
       spec->columns.push_back({field.name, xsd::AtomizedType(field.type)});
     }
+    auto and_where = [&](SqlExprPtr p) {
+      select->where = select->where
+                          ? SqlExpr::Binary("AND", select->where, std::move(p))
+                          : std::move(p);
+    };
     ctx.aliases.push_back({".", alias, fn->return_type.item});
     for (const auto& f : filters) {
       // Positional predicates cannot be pushed.
-      if (xsd::AtomizedType(f->static_type) != AtomicType::kBoolean) return;
+      if (xsd::AtomizedType(f->static_type) != AtomicType::kBoolean) return 0;
       Result<TypedSql> p = Translate(f, ctx);
-      if (!p.ok() || !p->ok()) return;
-      select->where = select->where
-                          ? SqlExpr::Binary("AND", select->where, p->sql)
-                          : p->sql;
+      if (!p.ok() || !p->ok()) return 0;
+      and_where(p->sql);
+    }
+    ctx.aliases.back().var = var;  // the wheres name the row by its variable
+    size_t folded = 0;
+    for (const auto& w : wheres) {
+      size_t params = ctx.params.size();
+      Result<TypedSql> p = Translate(w, ctx);
+      if (!p.ok() || !p->ok() || p->type != AtomicType::kBoolean) {
+        ctx.params.resize(params);  // parameters of the untranslated part
+        break;
+      }
+      and_where(p->sql);
+      ++folded;
     }
     spec->source = ctx.source;
     spec->select = select;
@@ -1448,6 +1498,7 @@ class PushdownPass {
     vendor_by_spec_[spec.get()] = ctx.vendor;
     e = xquery::MakeSqlQuery(spec, ctx.params, e->loc);
     if (stats_ != nullptr) ++stats_->bare_scans_pushed;
+    return folded;
   }
 
   const compiler::FunctionTable* functions_;

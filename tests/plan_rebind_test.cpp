@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "adaptors/directory_adaptor.h"
+#include "examples/example_env.h"
 #include "relational/engine.h"
 #include "server/explain.h"
 #include "server/server.h"
+#include "sql/dialect.h"
 #include "tests/test_fixtures.h"
 #include "xml/serializer.h"
 
@@ -427,6 +429,73 @@ TEST(PlanRebindTest, CallMethodCompilesTwiceThenRebinds) {
   EXPECT_NE(platform->MetricsPrometheusText().find("plan_cache_rebinds"),
             std::string::npos);
   EXPECT_NE(platform->Describe().find("48 rebinds"), std::string::npos);
+}
+
+// The Fig. 3 view also reads billing_db and a web service, so its key
+// predicate reaches the CUSTOMER SQL through the prefix fallback rather
+// than a whole-region push. Neither that nor the let-constructor
+// navigation reads the key's value: one shape still compiles twice and
+// rebinds every later text, and a rebound plan's SQL carries its own key.
+std::string CustomerSqlOf(const xquery::ExprPtr& e) {
+  std::string out;
+  if (e->kind == xquery::ExprKind::kSqlQuery && e->sql && e->sql->select &&
+      e->sql->select->from.table_name == "CUSTOMER") {
+    auto text = sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle);
+    if (text.ok()) out += *text;
+  }
+  xquery::ForEachChildSlot(*e, [&](xquery::ExprPtr& c) {
+    if (c) out += CustomerSqlOf(c);
+  });
+  return out;
+}
+
+std::unique_ptr<DataServicePlatform> MakeRunningExample(int customers) {
+  auto platform = std::make_unique<DataServicePlatform>();
+  examples::WireRunningExample(*platform, customers);
+  EXPECT_TRUE(platform->LoadDataService(examples::ProfileDataService()).ok());
+  return platform;
+}
+
+// Prepares `n` texts of one shape with keys CUST001.. and expects 2
+// compiles and n - 2 rebinds; the last plan must filter on its own key
+// and give the result of a fresh compile.
+void ExpectKeyedShapeRebinds(int n, std::string (*text)(const std::string&)) {
+  auto platform = MakeRunningExample(100);
+  auto reference = MakeRunningExample(100);
+  std::shared_ptr<const CompiledPlan> last;
+  std::string cid;
+  for (int i = 1; i <= n; ++i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "CUST%03d", i);
+    cid = buf;
+    last = MustPrepare(*platform, text(cid));
+    ASSERT_NE(last, nullptr);
+  }
+  EXPECT_EQ(platform->plan_cache_misses(), n);
+  EXPECT_EQ(platform->plan_cache_rebinds(), n - 2);
+  EXPECT_TRUE(last->rebound);
+  EXPECT_NE(CustomerSqlOf(last->plan).find("WHERE (t1.\"CID\" = '" + cid +
+                                           "')"),
+            std::string::npos)
+      << CustomerSqlOf(last->plan);
+  auto rebound = platform->ExecutePlan(*last);
+  ASSERT_TRUE(rebound.ok()) << rebound.status().ToString();
+  EXPECT_EQ(xml::SerializeSequence(*rebound),
+            Serialized(*reference, text(cid)));
+}
+
+TEST(PlanRebindTest, RunningExampleProfileByIdCompilesTwiceThenRebinds) {
+  ExpectKeyedShapeRebinds(100, [](const std::string& cid) {
+    return "tns:getProfileByID(\"" + cid + "\")";
+  });
+}
+
+TEST(PlanRebindTest, RunningExampleCustomerSummaryCompilesTwiceThenRebinds) {
+  ExpectKeyedShapeRebinds(50, [](const std::string& cid) {
+    return "for $c in ns3:CUSTOMER() where $c/CID eq \"" + cid +
+           "\" return <C>{fn:data($c/LAST_NAME)}"
+           "{fn:count(ns3:getORDER($c))}</C>";
+  });
 }
 
 TEST(PlanRebindTest, RebindIsVisibleInExplainAndAudit) {
