@@ -142,14 +142,13 @@ double JournalBestOf(RunningExample& env, const xquery::Expr& plan,
     env.ctx.trace = &trace;
     env.ctx.health = health;
     double ms = TimedStream(env, plan, rows_out);
-    observability::WorkloadJournalEntry entry;
-    entry.statement_fingerprint = 0x57a7;
-    entry.plan_fingerprint = 0xa1d5;
-    entry.text = kJoinQuery;
-    entry.outcome = "ok";
-    entry.wall_micros = static_cast<int64_t>(ms * 1000.0);
-    entry.rows = *rows_out;
-    journal->Append(std::move(entry));
+    observability::QueryCompletion completion;
+    completion.statement_fingerprint = 0x57a7;
+    completion.fingerprint = 0xa1d5;
+    completion.text = kJoinQuery;
+    completion.wall_micros = static_cast<int64_t>(ms * 1000.0);
+    completion.rows_returned = *rows_out;
+    journal->Append(completion);
     if (ms >= 0 && (best < 0 || ms < best)) best = ms;
   }
   env.ctx.trace = nullptr;
@@ -183,14 +182,14 @@ double InsightBestOf(RunningExample& env, const xquery::Expr& plan,
                            [] { return "bench-explain"; });
     double ms = TimedStream(env, plan, rows_out);
     registry->Unregister(ctl->query_id);
-    observability::StatementSample sample;
-    sample.fingerprint = 0xa1d5;
-    sample.statement_fingerprint = 0x57a7;
-    sample.query_head = kJoinQuery;
-    sample.wall_micros = static_cast<int64_t>(ms * 1000.0);
-    sample.rows_returned = *rows_out;
-    stats->Record(sample);
-    (void)history->RecordExecution(0x57a7, 0xa1d5, sample.wall_micros);
+    observability::QueryCompletion completion;
+    completion.fingerprint = 0xa1d5;
+    completion.statement_fingerprint = 0x57a7;
+    completion.text = kJoinQuery;
+    completion.wall_micros = static_cast<int64_t>(ms * 1000.0);
+    completion.rows_returned = *rows_out;
+    stats->Record(completion);
+    (void)history->RecordExecution(0x57a7, 0xa1d5, completion.wall_micros);
     if (ms >= 0 && (best < 0 || ms < best)) best = ms;
   }
   env.ctx.trace = nullptr;

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   auto audit = aldsp.execution_audit().Records();
   if (!audit.empty()) {
     std::fprintf(out, "\nlast execution outcome: %s\n",
-                 audit.back().outcome.c_str());
+                 audit.back().outcome_name());
   }
 
   // --- 5. Workload capture -> export -> import -> replay ----------------

@@ -6,35 +6,11 @@
 
 namespace aldsp::observability {
 
-int64_t ExecutionAuditLog::Append(AuditRecord record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  record.seq = next_seq_++;
-  int64_t seq = record.seq;
-  if (sink_ != nullptr) sink_->Append(record);
-  if (capacity_ == 0) return seq;
-  if (ring_.size() >= capacity_) ring_.pop_front();
-  ring_.push_back(std::move(record));
-  return seq;
-}
-
-std::vector<AuditRecord> ExecutionAuditLog::Records() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<AuditRecord>(ring_.begin(), ring_.end());
-}
-
-int64_t ExecutionAuditLog::total_appended() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_seq_;
-}
-
-void ExecutionAuditLog::SetSink(AuditSink* sink) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sink_ = sink;
-}
-
-void ExecutionAuditLog::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
+int64_t ExecutionAuditLog::Append(const QueryCompletion& completion) {
+  QueryCompletion record = completion;
+  record.query_hash = HashQuery(completion.text);
+  record.KeepTextHead();
+  return ring_.Append(std::move(record));
 }
 
 uint64_t ExecutionAuditLog::HashQuery(std::string_view text) {
@@ -47,7 +23,7 @@ uint64_t ExecutionAuditLog::HashQuery(std::string_view text) {
   return hash;
 }
 
-std::string ExecutionAuditLog::RecordJson(const AuditRecord& r) {
+std::string ExecutionAuditLog::RecordJson(const QueryCompletion& r) {
   std::string out;
   char buf[512];
   std::snprintf(buf, sizeof(buf),
@@ -60,11 +36,11 @@ std::string ExecutionAuditLog::RecordJson(const AuditRecord& r) {
                 static_cast<unsigned long long>(r.statement_fingerprint));
   out += buf;
   out += "\"query_head\":";
-  AppendJsonString(&out, r.query_head);
+  AppendJsonString(&out, std::string_view(r.text).substr(0, kRetainedTextChars));
   out += ",\"principal\":";
   AppendJsonString(&out, r.principal);
   out += ",\"outcome\":";
-  AppendJsonString(&out, r.outcome);
+  AppendJsonString(&out, r.outcome_name());
   out += ",\"sources\":[";
   for (size_t i = 0; i < r.sources.size(); ++i) {
     if (i != 0) out += ",";
@@ -94,9 +70,9 @@ std::string ExecutionAuditLog::RecordJson(const AuditRecord& r) {
 }
 
 std::string ExecutionAuditLog::RenderJsonl(
-    const std::vector<AuditRecord>& records) {
+    const std::vector<QueryCompletion>& records) {
   std::string out;
-  for (const AuditRecord& r : records) {
+  for (const QueryCompletion& r : records) {
     out += RecordJson(r);
     out += "\n";
   }

@@ -2,77 +2,41 @@
 #define ALDSP_OBSERVABILITY_AUDIT_LOG_H_
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "observability/bounded_ring.h"
+#include "observability/query_completion.h"
+
 namespace aldsp::observability {
 
-/// One record per query execution, mirroring the per-service invocation
-/// audits the ALDSP console surfaces. Kept JSONL-serializable and flat
-/// so a sink can ship records to external collectors unchanged.
-struct AuditRecord {
-  int64_t seq = 0;            // assigned by the log, monotonically increasing
-  uint64_t query_hash = 0;    // FNV-1a of the full query text
-  uint64_t fingerprint = 0;   // plan fingerprint (0 if compile failed)
-  uint64_t statement_fingerprint = 0;  // statement identity (0 if unknown)
-  std::string query_head;     // leading fragment of the text for readability
-  std::string principal;
-  std::string outcome;        // "ok" or the failing status code name
-  std::vector<std::string> sources;  // data services touched, sorted unique
-  int64_t sql_pushdowns = 0;
-  int64_t rows_returned = 0;
-  int64_t bytes_returned = 0;
-  int64_t wall_micros = 0;
-  int64_t compile_micros = 0;  // 0 on plan-cache hit
-  bool plan_cache_hit = false;
-  int64_t function_cache_hits = 0;
-  int64_t function_cache_misses = 0;
-  int64_t timeouts = 0;
-  int64_t failovers = 0;
-  int64_t security_denials = 0;  // elements redacted by access control
-};
-
-/// Receives every record as it is appended (under the log's lock; keep
-/// implementations cheap or hand off to a queue).
-class AuditSink {
- public:
-  virtual ~AuditSink() = default;
-  virtual void Append(const AuditRecord& record) = 0;
-};
-
-/// Bounded ring of the most recent execution audit records. Appends are
-/// O(1) and lock-scoped so the hot path stays cheap; the full history
-/// count survives eviction via `total_appended`.
+/// Bounded ring of the most recent execution completions, mirroring the
+/// per-service invocation audits the ALDSP console surfaces. Each record
+/// is the execution's QueryCompletion with its text cut to its retained
+/// head; the full history count survives eviction via `total_appended`.
 class ExecutionAuditLog {
  public:
-  explicit ExecutionAuditLog(size_t capacity = 1024) : capacity_(capacity) {}
+  explicit ExecutionAuditLog(size_t capacity = 1024) : ring_(capacity) {}
 
-  /// Assigns the record's sequence number and appends, evicting the
+  /// Retains a copy of `completion` (stamped with its sequence number and
+  /// the hash of its full text, text cut to the head), evicting the
   /// oldest record when full. Returns the assigned sequence number.
-  int64_t Append(AuditRecord record);
+  int64_t Append(const QueryCompletion& completion);
 
   /// Oldest-to-newest copy of the retained records.
-  std::vector<AuditRecord> Records() const;
-  int64_t total_appended() const;
-  size_t capacity() const { return capacity_; }
-
-  void SetSink(AuditSink* sink);
-  void Clear();
+  std::vector<QueryCompletion> Records() const { return ring_.Records(); }
+  int64_t total_appended() const { return ring_.total_appended(); }
+  size_t capacity() const { return ring_.capacity(); }
+  void Clear() { ring_.Clear(); }
 
   static uint64_t HashQuery(std::string_view text);
-  static std::string RecordJson(const AuditRecord& record);
+  static std::string RecordJson(const QueryCompletion& record);
   /// One JSON object per line, oldest first.
-  static std::string RenderJsonl(const std::vector<AuditRecord>& records);
+  static std::string RenderJsonl(const std::vector<QueryCompletion>& records);
 
  private:
-  size_t capacity_;
-  mutable std::mutex mutex_;
-  std::deque<AuditRecord> ring_;
-  int64_t next_seq_ = 0;
-  AuditSink* sink_ = nullptr;
+  BoundedRing<QueryCompletion> ring_;
 };
 
 }  // namespace aldsp::observability

@@ -159,14 +159,7 @@ std::optional<PlanRegressionEvent> PlanHistory::RecordExecution(
 }
 
 int64_t PlanHistory::PublishRegression(PlanRegressionEvent event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  event.seq = next_regression_seq_++;
-  int64_t seq = event.seq;
-  if (regressions_.size() >= options_.max_regressions) {
-    regressions_.pop_front();
-  }
-  regressions_.push_back(std::move(event));
-  return seq;
+  return regressions_.Append(std::move(event));
 }
 
 std::optional<StatementHistory> PlanHistory::Statement(
@@ -194,12 +187,6 @@ std::vector<StatementHistory> PlanHistory::Snapshot() const {
   return out;
 }
 
-std::vector<PlanRegressionEvent> PlanHistory::Regressions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<PlanRegressionEvent>(regressions_.begin(),
-                                          regressions_.end());
-}
-
 int64_t PlanHistory::statement_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int64_t>(statements_.size());
@@ -215,15 +202,10 @@ int64_t PlanHistory::plan_changes_total() const {
   return plan_changes_total_;
 }
 
-int64_t PlanHistory::regressions_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_regression_seq_;
-}
-
 void PlanHistory::Reset() {
+  regressions_.Clear();
   std::lock_guard<std::mutex> lock(mu_);
   statements_.clear();
-  regressions_.clear();
   statement_evictions_ = 0;
   plan_changes_total_ = 0;
 }

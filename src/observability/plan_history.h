@@ -2,7 +2,6 @@
 #define ALDSP_OBSERVABILITY_PLAN_HISTORY_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -10,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "observability/bounded_ring.h"
 #include "observability/histogram.h"
 
 namespace aldsp::observability {
@@ -97,7 +97,7 @@ struct PlanHistoryOptions {
 class PlanHistory {
  public:
   explicit PlanHistory(PlanHistoryOptions options = {})
-      : options_(options) {}
+      : options_(options), regressions_(options.max_regressions) {}
 
   /// Records a compile of `statement_fp` that produced `plan_fp`. The
   /// trigger is attributed internally: unknown statement -> cold compile;
@@ -130,12 +130,14 @@ class PlanHistory {
   /// All tracked statements, ordered by descending plan_changes then
   /// statement fingerprint (the statements that flip most float up).
   std::vector<StatementHistory> Snapshot() const;
-  std::vector<PlanRegressionEvent> Regressions() const;
+  std::vector<PlanRegressionEvent> Regressions() const {
+    return regressions_.Records();
+  }
 
   int64_t statement_count() const;
   int64_t statement_evictions() const;
   int64_t plan_changes_total() const;
-  int64_t regressions_total() const;
+  int64_t regressions_total() const { return regressions_.total_appended(); }
 
   void Reset();
 
@@ -152,10 +154,9 @@ class PlanHistory {
   const PlanHistoryOptions options_;
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, StatementHistory> statements_;
-  std::deque<PlanRegressionEvent> regressions_;
   int64_t statement_evictions_ = 0;
   int64_t plan_changes_total_ = 0;
-  int64_t next_regression_seq_ = 0;
+  BoundedRing<PlanRegressionEvent> regressions_;
 };
 
 }  // namespace aldsp::observability

@@ -29,10 +29,11 @@ const char* QueryPhaseName(QueryPhase phase);
 
 /// Shared control block for one in-flight query. The server hands a pointer
 /// to this block to the runtime via RuntimeContext::exec; physical operators
-/// poll `cancelled` at the top of Next() and pool workers poll it per tuple,
-/// so a CancelQuery() call propagates cooperatively within one scheduling
-/// quantum. All fields are atomics: writers are the evaluator / operator
-/// threads, readers are registry snapshots taken from other threads.
+/// poll `cancelled` at the top of NextBatch() and pool workers poll it per
+/// tuple, so a CancelQuery() call propagates cooperatively within one
+/// scheduling quantum. All fields are atomics: writers are the evaluator /
+/// operator threads, readers are registry snapshots taken from other
+/// threads.
 ///
 /// Lifetime: the registry and the executing query both hold shared_ptr
 /// references, so a snapshot or a cancel can never race with teardown.

@@ -1,66 +1,81 @@
 #include "observability/slow_query_log.h"
 
 #include <cstdio>
+#include <sstream>
+#include <string_view>
 
 #include "observability/json_util.h"
 
 namespace aldsp::observability {
 
-bool SlowQueryLog::IsPromoted(uint64_t hash) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return promoted_.count(hash) != 0;
+bool SlowQueryLog::IsPromoted(uint64_t statement_key) const {
+  std::lock_guard<std::mutex> lock(promoted_mu_);
+  return promoted_.count(statement_key) != 0;
 }
 
-void SlowQueryLog::Promote(uint64_t hash) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (promoted_.size() >= kMaxPromoted && promoted_.count(hash) == 0) return;
-  promoted_.insert(hash);
+void SlowQueryLog::Promote(uint64_t statement_key) {
+  std::lock_guard<std::mutex> lock(promoted_mu_);
+  if (promoted_.size() >= kMaxPromoted && promoted_.count(statement_key) == 0) {
+    return;
+  }
+  promoted_.insert(statement_key);
 }
 
-int64_t SlowQueryLog::Append(SlowQueryRecord record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  record.seq = next_seq_++;
-  int64_t seq = record.seq;
-  if (capacity_ == 0) return seq;
-  if (ring_.size() >= capacity_) ring_.pop_front();
-  ring_.push_back(std::move(record));
-  return seq;
-}
-
-std::vector<SlowQueryRecord> SlowQueryLog::Records() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<SlowQueryRecord>(ring_.begin(), ring_.end());
-}
-
-int64_t SlowQueryLog::total_appended() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_seq_;
+int64_t SlowQueryLog::Append(const QueryCompletion& completion,
+                             int64_t threshold_micros, std::string profile_text,
+                             std::string profile_json, std::string trace_json) {
+  SlowQueryRecord record;
+  record.completion = completion;
+  record.completion.KeepTextHead();
+  record.threshold_micros = threshold_micros;
+  record.full_trace = !profile_text.empty();
+  if (record.full_trace) {
+    record.profile_text = std::move(profile_text);
+    record.profile_json = std::move(profile_json);
+    record.trace_json = std::move(trace_json);
+  } else {
+    // First slow sighting: keep the cheap counter summary and promote the
+    // statement so its next run executes under a full trace.
+    std::ostringstream os;
+    os << "counters: rows=" << completion.rows_returned
+       << " sql_pushdowns=" << completion.sql_pushdowns
+       << " cache_hits=" << completion.function_cache_hits
+       << " cache_misses=" << completion.function_cache_misses
+       << " timeouts=" << completion.timeouts
+       << " failovers=" << completion.failovers << " sources=";
+    for (size_t i = 0; i < completion.sources.size(); ++i) {
+      if (i != 0) os << ",";
+      os << completion.sources[i];
+    }
+    record.profile_text = os.str();
+    Promote(completion.statement_key());
+  }
+  return ring_.Append(std::move(record));
 }
 
 void SlowQueryLog::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
+  ring_.Clear();
+  std::lock_guard<std::mutex> lock(promoted_mu_);
   promoted_.clear();
 }
 
 std::string SlowQueryLog::RecordJson(const SlowQueryRecord& r) {
+  const QueryCompletion& c = r.completion;
   std::string out;
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "{\"seq\":%lld,\"query_hash\":\"%016llx\","
-                "\"fingerprint\":\"%llu\","
+                "{\"seq\":%lld,\"fingerprint\":\"%llu\","
                 "\"statement_fingerprint\":\"%llu\",",
                 static_cast<long long>(r.seq),
-                static_cast<unsigned long long>(r.query_hash),
-                static_cast<unsigned long long>(r.fingerprint),
-                static_cast<unsigned long long>(r.statement_fingerprint));
+                static_cast<unsigned long long>(c.fingerprint),
+                static_cast<unsigned long long>(c.statement_fingerprint));
   out += buf;
   out += "\"query_head\":";
-  AppendJsonString(&out, r.query_head);
+  AppendJsonString(&out, std::string_view(c.text).substr(0, kRetainedTextChars));
   std::snprintf(buf, sizeof(buf),
                 ",\"wall_micros\":%lld,\"threshold_micros\":%lld,"
                 "\"full_trace\":%s,",
-                static_cast<long long>(r.wall_micros),
+                static_cast<long long>(c.wall_micros),
                 static_cast<long long>(r.threshold_micros),
                 r.full_trace ? "true" : "false");
   out += buf;

@@ -11,13 +11,8 @@ int64_t StatementStats::P95WallMicrosEstimate() const {
   return wall.P95UpperMicros();
 }
 
-void StatStatements::Record(const StatementSample& sample) {
-  // Key on statement identity so the cumulative history survives plan
-  // flips; samples predating the split (statement_fingerprint == 0) key
-  // on the plan fingerprint as before.
-  const uint64_t key = sample.statement_fingerprint != 0
-                           ? sample.statement_fingerprint
-                           : sample.fingerprint;
+void StatStatements::Record(const QueryCompletion& c) {
+  const uint64_t key = c.statement_key();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = stats_.find(key);
   if (it == stats_.end()) {
@@ -33,31 +28,31 @@ void StatStatements::Record(const StatementSample& sample) {
       ++evictions_;
     }
     StatementStats fresh;
-    fresh.fingerprint = sample.fingerprint;
-    fresh.statement_fingerprint = sample.statement_fingerprint;
-    fresh.query_head = sample.query_head;
+    fresh.fingerprint = c.fingerprint;
+    fresh.statement_fingerprint = c.statement_fingerprint;
+    fresh.query_head = c.text.substr(0, kQueryHeadChars);
     it = stats_.emplace(key, std::move(fresh)).first;
   }
   StatementStats& s = it->second;
-  s.fingerprint = sample.fingerprint;  // track the latest plan version
+  s.fingerprint = c.fingerprint;  // track the latest plan version
   ++s.calls;
-  if (sample.error) ++s.errors;
-  if (sample.cancelled) ++s.cancels;
-  if (sample.shed) ++s.sheds;
-  s.total_wall_micros += sample.wall_micros;
-  s.wall.Record(sample.wall_micros);
-  s.rows_returned += sample.rows_returned;
-  s.max_peak_bytes = std::max(s.max_peak_bytes, sample.peak_bytes);
-  s.source_wait_micros += sample.source_wait_micros;
-  s.compute_micros += sample.compute_micros;
-  s.queue_wait_micros += sample.queue_wait_micros;
-  if (sample.plan_cache_hit) {
+  if (c.error()) ++s.errors;
+  if (c.cancelled()) ++s.cancels;
+  if (c.shed()) ++s.sheds;
+  s.total_wall_micros += c.wall_micros;
+  s.wall.Record(c.wall_micros);
+  s.rows_returned += c.rows_returned;
+  s.max_peak_bytes = std::max(s.max_peak_bytes, c.peak_bytes);
+  s.source_wait_micros += c.source_wait_micros;
+  s.compute_micros += c.compute_micros;
+  s.queue_wait_micros += c.queue_wait_micros;
+  if (c.plan_cache_hit) {
     ++s.plan_cache_hits;
   } else {
     ++s.plan_cache_misses;
   }
-  s.function_cache_hits += sample.function_cache_hits;
-  s.function_cache_misses += sample.function_cache_misses;
+  s.function_cache_hits += c.function_cache_hits;
+  s.function_cache_misses += c.function_cache_misses;
 }
 
 int64_t StatStatements::MeanWallMicrosFor(uint64_t key) const {

@@ -8,45 +8,16 @@
 #include <vector>
 
 #include "observability/histogram.h"
+#include "observability/query_completion.h"
 
 namespace aldsp::observability {
-
-/// Resource deltas for one finished execution, fed into the per-fingerprint
-/// accumulator and the per-tenant rolling windows.
-struct StatementSample {
-  uint64_t fingerprint = 0;  // plan fingerprint (current plan version)
-  /// Statement identity (literal-stripped pre-optimization AST hash).
-  /// Cumulative stats key on this when set, so the history of a statement
-  /// no longer forks when the cost model flips its plan; 0 falls back to
-  /// keying on the plan fingerprint (legacy samples).
-  uint64_t statement_fingerprint = 0;
-  std::string query_head;  // stored on first sight of a fingerprint
-  bool error = false;
-  bool cancelled = false;
-  /// Refused by admission control or stopped by a memory-budget breach
-  /// (StatusCode::kResourceExhausted). Counted separately from errors so
-  /// shed load under overload does not read as a correctness problem.
-  bool shed = false;
-  int64_t wall_micros = 0;
-  int64_t rows_returned = 0;
-  int64_t peak_bytes = 0;
-  // Wall-time split. Exact when the execution ran with a timeline trace
-  // (critical-path attribution); estimated from the O(1) event tallies in
-  // counters mode (queue_wait is then 0 — kTaskWait spans need timelines).
-  int64_t source_wait_micros = 0;
-  int64_t compute_micros = 0;
-  int64_t queue_wait_micros = 0;
-  bool plan_cache_hit = false;
-  int64_t function_cache_hits = 0;
-  int64_t function_cache_misses = 0;
-};
 
 /// Cumulative per-statement statistics (pg_stat_statements-style).
 /// `fingerprint` tracks the most recently seen *plan* version for the
 /// statement; the map key is the statement fingerprint when available.
 struct StatementStats {
   uint64_t fingerprint = 0;            // latest plan fingerprint seen
-  uint64_t statement_fingerprint = 0;  // identity (0 for legacy samples)
+  uint64_t statement_fingerprint = 0;  // identity (0 when unknown)
   std::string query_head;
   int64_t calls = 0;
   int64_t errors = 0;
@@ -76,17 +47,20 @@ struct StatementStats {
 class StatStatements {
  public:
   static constexpr size_t kDefaultMaxEntries = 512;
+  static constexpr size_t kQueryHeadChars = 120;
 
   explicit StatStatements(size_t max_entries = kDefaultMaxEntries)
       : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
-  void Record(const StatementSample& sample);
+  /// Folds one execution into its statement's entry (keyed on
+  /// QueryCompletion::statement_key, so the history survives plan flips).
+  void Record(const QueryCompletion& completion);
   void Reset();
 
-  /// Mean wall micros of the entry keyed by `key` (statement fingerprint,
-  /// or plan fingerprint for legacy samples), or -1 when unknown. The
-  /// admission controller's cost-estimate lookup: one map find under the
-  /// mutex, cheap enough for the execute front door.
+  /// Mean wall micros of the entry keyed by `key` (a statement key), or
+  /// -1 when unknown. The admission controller's cost-estimate lookup:
+  /// one map find under the mutex, cheap enough for the execute front
+  /// door.
   int64_t MeanWallMicrosFor(uint64_t key) const;
 
   /// Entries ordered by descending total wall time; top_k <= 0 returns all.

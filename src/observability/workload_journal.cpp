@@ -9,39 +9,28 @@
 
 namespace aldsp::observability {
 
-int64_t WorkloadJournal::NowMicros() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int64_t WorkloadJournal::Append(WorkloadJournalEntry entry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t now = NowMicros();
-  if (epoch_micros_ < 0) epoch_micros_ = now;
-  entry.seq = next_seq_++;
-  entry.offset_micros = now - epoch_micros_;
-  int64_t seq = entry.seq;
-  if (capacity_ == 0) return seq;
-  if (ring_.size() >= capacity_) ring_.pop_front();
-  ring_.push_back(std::move(entry));
-  return seq;
-}
-
-std::vector<WorkloadJournalEntry> WorkloadJournal::Records() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<WorkloadJournalEntry>(ring_.begin(), ring_.end());
-}
-
-int64_t WorkloadJournal::total_appended() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_seq_;
+int64_t WorkloadJournal::Append(const QueryCompletion& completion) {
+  WorkloadJournalEntry entry;
+  entry.statement_fingerprint = completion.statement_fingerprint;
+  entry.plan_fingerprint = completion.fingerprint;
+  entry.text = completion.text;
+  entry.principal = completion.principal;
+  entry.outcome = completion.outcome_name();
+  entry.wall_micros = completion.wall_micros;
+  entry.rows = completion.rows_returned;
+  entry.peak_bytes = completion.peak_bytes;
+  return ring_.Append(std::move(entry), [this](WorkloadJournalEntry& e) {
+    const int64_t now =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    if (epoch_micros_ < 0) epoch_micros_ = now;
+    e.offset_micros = now - epoch_micros_;
+  });
 }
 
 void WorkloadJournal::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  epoch_micros_ = -1;
+  ring_.Clear([this] { epoch_micros_ = -1; });
 }
 
 std::string WorkloadJournal::EntryJson(const WorkloadJournalEntry& e) {

@@ -2,12 +2,12 @@
 #define ALDSP_OBSERVABILITY_WORKLOAD_JOURNAL_H_
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "observability/bounded_ring.h"
+#include "observability/query_completion.h"
 
 namespace aldsp::observability {
 
@@ -34,26 +34,28 @@ struct WorkloadJournalEntry {
   int64_t peak_bytes = 0;
 };
 
-/// Bounded ring of captured executions (the workload capture plane).
-/// Appends are a short mutex hold — one struct move, no rendering — so
-/// the capture cost on the Execute hot path stays within the counters
-/// overhead budget; all rendering happens against a snapshot copy.
+/// Bounded ring of captured executions (the workload capture plane): each
+/// completion is reduced to the compact entry above. Appends are a short
+/// mutex hold — one entry move, no rendering — so the capture cost on the
+/// Execute hot path stays within the counters overhead budget; all
+/// rendering happens against a snapshot copy.
 ///
 /// The epoch is the steady-clock instant of the first append after
 /// construction or Clear(), so offsets start near zero and survive a
 /// JSONL round trip unchanged.
 class WorkloadJournal {
  public:
-  explicit WorkloadJournal(size_t capacity = 4096) : capacity_(capacity) {}
+  explicit WorkloadJournal(size_t capacity = 4096) : ring_(capacity) {}
 
-  /// Stamps `entry.seq` and `entry.offset_micros` (now - epoch) and
-  /// appends, evicting the oldest entry when full. Returns the sequence.
-  int64_t Append(WorkloadJournalEntry entry);
+  /// Captures `completion` as an entry stamped with its sequence number
+  /// and arrival offset (now - epoch), evicting the oldest entry when
+  /// full. Returns the sequence.
+  int64_t Append(const QueryCompletion& completion);
 
   /// Oldest-to-newest copy of the retained entries.
-  std::vector<WorkloadJournalEntry> Records() const;
-  int64_t total_appended() const;
-  size_t capacity() const { return capacity_; }
+  std::vector<WorkloadJournalEntry> Records() const { return ring_.Records(); }
+  int64_t total_appended() const { return ring_.total_appended(); }
+  size_t capacity() const { return ring_.capacity(); }
 
   /// Drops all entries and re-arms the epoch for a fresh capture.
   void Clear();
@@ -73,13 +75,8 @@ class WorkloadJournal {
                                 int64_t total_appended, size_t capacity);
 
  private:
-  int64_t NowMicros() const;
-
-  size_t capacity_;
-  mutable std::mutex mutex_;
-  std::deque<WorkloadJournalEntry> ring_;
-  int64_t next_seq_ = 0;
-  int64_t epoch_micros_ = -1;  // armed on first append
+  BoundedRing<WorkloadJournalEntry> ring_;
+  int64_t epoch_micros_ = -1;  // armed on first append; guarded by ring_
 };
 
 }  // namespace aldsp::observability

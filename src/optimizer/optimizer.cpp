@@ -986,6 +986,12 @@ class Optimizer::Impl {
         }
         if (binds_needed) earliest = j + 1;
       }
+      // Never hoist past where clauses already at that slot: swapping two
+      // conjuncts back and forth would burn every remaining pass.
+      while (earliest < i &&
+             e->clauses[earliest].kind == Clause::Kind::kWhere) {
+        ++earliest;
+      }
       if (earliest < i) {
         Clause moved = std::move(e->clauses[i]);
         e->clauses.erase(e->clauses.begin() + static_cast<ptrdiff_t>(i));

@@ -134,8 +134,8 @@ struct RuntimeContext {
   std::shared_ptr<QueryTrace> trace_owner;
 
   /// Live-query control block (optional, server-owned). Physical operators
-  /// poll its cancel flag in Next(), pool workers poll it per tuple, and
-  /// the evaluator's FLWOR drive loops report progress (rows produced)
+  /// poll its cancel flag in NextBatch(), pool workers poll it per tuple,
+  /// and the evaluator's FLWOR drive loops report progress (rows produced)
   /// through it. Same keep-alive pattern as trace/trace_owner: abandoned
   /// timeout tasks hold a context copy, so exec_owner keeps the block
   /// valid until the last task finishes.

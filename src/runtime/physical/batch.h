@@ -60,7 +60,7 @@ struct BatchColumn {
 ///    storage directly (scan fills, filter kernels, the result column);
 ///  - row: MaterializeRow(i) binds the columns over the row's base and
 ///    yields the exact Tuple the row-at-a-time engine would have built,
-///    which is what the compatibility shim and unconverted operators use.
+///    which is what row-wise operators (joins, the parallel let) use.
 ///
 /// Invariants: every column holds exactly `physical_size()` rows; the
 /// selection vector lists physical indices in ascending order; columns

@@ -18,10 +18,8 @@ ExchangeOpBase::ExchangeOpBase(std::unique_ptr<PhysicalOperator> input,
       dop_(std::max(1, dop)),
       chunk_size_(chunk_size > 0 ? chunk_size : kDefaultChunkSize),
       ordered_(ordered) {
-  explain().batch = true;
   scatter_explain_.label = "exchange[scatter]";
   scatter_explain_.detail = "chunk=" + std::to_string(chunk_size_);
-  scatter_explain_.batch = true;
 }
 
 ExchangeOpBase::~ExchangeOpBase() {
@@ -38,7 +36,6 @@ void ExchangeOpBase::Describe(std::vector<ExplainNode>* out) const {
   gather.label = "exchange[gather]";
   gather.detail = "dop=" + std::to_string(dop_) +
                   (ordered_ ? " ordered" : " unordered");
-  gather.batch = true;
   out->push_back(std::move(gather));
 }
 

@@ -45,26 +45,24 @@ struct ExecEnv {
 struct ExplainNode {
   std::string label;   // e.g. "join[ppk-inl] $cc"
   std::string detail;  // e.g. "k=20 prefetch"
-  /// True when the operator executes batch-natively (overrides
-  /// NextBatchImpl); EXPLAIN renders it as a "[batch]" suffix. Excluded
-  /// from plan fingerprints (those hash labels only).
-  bool batch = false;
   const xquery::Expr* expr = nullptr;       // clause input expression
   const xquery::Expr* condition = nullptr;  // join residual condition
   const xquery::PPkFetchSpec* ppk = nullptr;
 };
 
-/// Volcano-style physical operator over Tuple (paper §5.2: compiled
-/// plans execute as streams of tuples flowing through an explicit
-/// operator repertoire). Lifecycle: Open once, Next until it returns
-/// false (or errors), Close once; Describe works without Open.
+/// Volcano-style physical operator over batches of Tuple (paper §5.2:
+/// compiled plans execute as streams of tuples flowing through an
+/// explicit operator repertoire). Lifecycle: Open once, NextBatch until
+/// it returns false (or errors), Close once; Describe works without
+/// Open. Every operator produces batches (NextBatchImpl); batch_size=1
+/// runs the same code a row at a time.
 ///
 /// Tracing is built into the base class: when the context has a
 /// QueryTrace, Open begins a span labeled with the operator's clause
 /// label (parented on the calling thread's innermost scope — the
-/// enclosing flwor span), every Next is timed inclusive of the input
-/// chain with the span as the thread's scope (so source events fired
-/// inside attach to it), and Close flushes row/time metrics. The
+/// enclosing flwor span), every NextBatch is timed inclusive of the
+/// input chain with the span as the thread's scope (so source events
+/// fired inside attach to it), and Close flushes row/time metrics. The
 /// destructor flushes an unclosed span so error paths still report
 /// partial counts.
 class PhysicalOperator {
@@ -74,16 +72,13 @@ class PhysicalOperator {
   PhysicalOperator& operator=(const PhysicalOperator&) = delete;
 
   Status Open(ExecEnv* env);
-  /// Fills `out` and returns true, or returns false at end of stream.
-  Result<bool> Next(Tuple* out);
-  /// Batch driver API: clears `out` and fills it with up to
-  /// ctx()->batch_size rows (`max_rows` caps lower when positive, e.g.
-  /// the exchange scattering chunk-sized batches). Returns true while
-  /// the stream continues — a true result with an EMPTY batch is legal
-  /// (a filter may select nothing); false means end of stream. Cancel is
-  /// polled once per batch, and row/time span metrics accumulate per row
-  /// (rows += batch size) so profiles stay comparable with the row
-  /// engine.
+  /// Clears `out` and fills it with up to ctx()->batch_size rows
+  /// (`max_rows` caps lower when positive, e.g. the exchange scattering
+  /// chunk-sized batches). Returns true while the stream continues — a
+  /// true result with an EMPTY batch is legal (a filter may select
+  /// nothing); false means end of stream. Cancel is polled once per
+  /// batch, and row/time span metrics accumulate per row (rows += batch
+  /// size) so profiles stay comparable at every batch size.
   Result<bool> NextBatch(TupleBatch* out, int max_rows = 0);
   void Close();
 
@@ -108,16 +103,9 @@ class PhysicalOperator {
                    std::string span_detail = "");
 
   virtual Status OpenImpl() { return Status::OK(); }
-  /// Row-at-a-time production. The default drains an internal buffer
-  /// filled by NextBatchImpl (the compatibility shim for batch-native
-  /// operators driven row-wise, e.g. under an unconverted consumer).
-  /// Every operator must override at least one of NextImpl /
-  /// NextBatchImpl — overriding neither recurses mutually.
-  virtual Result<bool> NextImpl(Tuple* out);
-  /// Batch-at-a-time production into a cleared `out`. The default loops
-  /// NextImpl up to batch_target() rows (the shim that lets unconverted
-  /// operators ride in a batch pipeline).
-  virtual Result<bool> NextBatchImpl(TupleBatch* out);
+  /// Batch production into a cleared `out`, up to batch_target() rows;
+  /// same true/false contract as NextBatch.
+  virtual Result<bool> NextBatchImpl(TupleBatch* out) = 0;
   virtual void CloseImpl() {}
 
   PhysicalOperator* input() { return input_.get(); }
@@ -147,22 +135,19 @@ class PhysicalOperator {
   std::string span_detail_;
   ExecEnv* env_ = nullptr;
   QueryTrace* trace_ = nullptr;  // cached at Open; outlives the tree
-  // Live-query control block, cached at Open like trace_. Next() polls its
-  // cancel flag (one relaxed load) so CancelQuery() stops every pipeline in
-  // the tree at the next tuple boundary.
+  // Live-query control block, cached at Open like trace_. NextBatch()
+  // polls its cancel flag (one relaxed load) so CancelQuery() stops every
+  // pipeline in the tree at the next batch boundary.
   observability::QueryControl* exec_ = nullptr;
   int span_ = -1;
   int64_t rows_ = 0;
   int64_t micros_ = 0;
   bool opened_ = false;
   bool flushed_ = false;
-  // Batch plumbing: the clamped context batch size, the active target
-  // for the batch in flight, and the row-shim buffer the default
-  // NextImpl drains when a batch-native operator is driven row-wise.
+  // Batch plumbing: the clamped context batch size and the active target
+  // for the batch in flight.
   int batch_size_ = 1;
   int batch_limit_ = 1;
-  TupleBatch shim_batch_;
-  size_t shim_pos_ = 0;
   // Timeline mode: origin-relative first/last row production marks,
   // flushed onto the span with the row/time metrics.
   bool timeline_ = false;

@@ -81,31 +81,6 @@ Status PhysicalOperator::Open(ExecEnv* env) {
   return OpenImpl();
 }
 
-Result<bool> PhysicalOperator::Next(Tuple* out) {
-  ALDSP_RETURN_NOT_OK(CheckCancelled(exec_));
-  if (span_ < 0) {
-    Result<bool> r = NextImpl(out);
-    if (r.ok() && r.value()) ++rows_;
-    return r;
-  }
-  // Timed inclusive of the input chain (EXPLAIN ANALYZE style); the span
-  // becomes the thread's scope so source events inside attach to it.
-  QueryTrace::Scope scope(trace_, span_);
-  auto t0 = std::chrono::steady_clock::now();
-  Result<bool> r = NextImpl(out);
-  auto t1 = std::chrono::steady_clock::now();
-  micros_ +=
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
-  if (r.ok() && r.value()) {
-    ++rows_;
-    if (timeline_) {
-      last_row_micros_ = trace_->RelMicros(t1);
-      if (first_row_micros_ < 0) first_row_micros_ = last_row_micros_;
-    }
-  }
-  return r;
-}
-
 Result<bool> PhysicalOperator::NextBatch(TupleBatch* out, int max_rows) {
   // One cancel poll per batch (not per row): the batch is the unit at
   // which every pipeline in the tree re-checks the live-query control
@@ -119,6 +94,8 @@ Result<bool> PhysicalOperator::NextBatch(TupleBatch* out, int max_rows) {
     if (r.ok() && r.value()) rows_ += static_cast<int64_t>(out->size());
     return r;
   }
+  // Timed inclusive of the input chain (EXPLAIN ANALYZE style); the span
+  // becomes the thread's scope so source events inside attach to it.
   QueryTrace::Scope scope(trace_, span_);
   auto t0 = std::chrono::steady_clock::now();
   Result<bool> r = NextBatchImpl(out);
@@ -136,36 +113,6 @@ Result<bool> PhysicalOperator::NextBatch(TupleBatch* out, int max_rows) {
     }
   }
   return r;
-}
-
-Result<bool> PhysicalOperator::NextImpl(Tuple* out) {
-  // Row-compat shim: drain a buffered batch produced by the subclass's
-  // NextBatchImpl, skipping empty batches so row consumers never see a
-  // phantom tuple.
-  while (true) {
-    if (shim_pos_ < shim_batch_.size()) {
-      *out = shim_batch_.MaterializeRow(shim_pos_++);
-      return true;
-    }
-    shim_batch_.Clear();
-    shim_pos_ = 0;
-    batch_limit_ = batch_size_;
-    ALDSP_ASSIGN_OR_RETURN(bool more, NextBatchImpl(&shim_batch_));
-    if (!more) return false;
-  }
-}
-
-Result<bool> PhysicalOperator::NextBatchImpl(TupleBatch* out) {
-  // Batch-compat shim: loop the subclass's row production up to the
-  // batch target, so unconverted operators ride in a batch pipeline.
-  Tuple t;
-  int target = batch_target();
-  while (static_cast<int>(out->size()) < target) {
-    ALDSP_ASSIGN_OR_RETURN(bool more, NextImpl(&t));
-    if (!more) break;
-    out->PushRow(std::move(t));
-  }
-  return !out->empty();
 }
 
 void PhysicalOperator::Close() {
@@ -210,10 +157,10 @@ class SingletonSourceOp final : public PhysicalOperator {
   SingletonSourceOp() : PhysicalOperator(nullptr, "") {}
 
  protected:
-  Result<bool> NextImpl(Tuple* out) override {
+  Result<bool> NextBatchImpl(TupleBatch* out) override {
     if (done_) return false;
     done_ = true;
-    *out = base_env();
+    out->PushRow(base_env());
     return true;
   }
 
@@ -231,9 +178,7 @@ class ForScanOp : public PhysicalOperator {
  public:
   ForScanOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
             std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Result<bool> NextBatchImpl(TupleBatch* out) override {
@@ -303,9 +248,7 @@ class LetBindOp final : public PhysicalOperator {
  public:
   LetBindOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
             std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Status OpenImpl() override {
@@ -350,9 +293,7 @@ class FilterOp final : public PhysicalOperator {
  public:
   FilterOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
            std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Status OpenImpl() override {
@@ -550,9 +491,7 @@ class JoinOpBase : public PhysicalOperator {
       : PhysicalOperator(std::move(input), std::move(label),
                          std::move(span_detail)),
         cl_(cl),
-        method_(method) {
-    explain().batch = true;
-  }
+        method_(method) {}
 
  protected:
   Status OpenImpl() override {
@@ -1161,7 +1100,10 @@ class ParallelForScanOp final : public ExchangeOpBase {
 /// expression dispatches as its own worker-pool task — they share the
 /// same input environment (the optimizer verified mutual independence),
 /// so k source calls overlap instead of paying their latencies in
-/// sequence. All tasks complete before NextImpl returns, so no task can
+/// sequence. Fan-out stays one input row at a time — the tasks in flight
+/// are the row's k lets, never a batch's — and cancel is polled before
+/// each row, so a cancel stops the operator within one row of fan-out.
+/// All of a row's tasks complete before the next starts, so no task can
 /// outlive the operator.
 class ParallelLetOp final : public PhysicalOperator {
  public:
@@ -1173,10 +1115,27 @@ class ParallelLetOp final : public PhysicalOperator {
         lets_(std::move(lets)) {}
 
  protected:
-  Result<bool> NextImpl(Tuple* out) override {
-    Tuple t;
-    ALDSP_ASSIGN_OR_RETURN(bool more, input()->Next(&t));
-    if (!more) return false;
+  Result<bool> NextBatchImpl(TupleBatch* out) override {
+    while (static_cast<int>(out->size()) < batch_target()) {
+      if (in_pos_ == in_.size()) {
+        if (input_done_) return !out->empty();
+        in_pos_ = 0;
+        ALDSP_ASSIGN_OR_RETURN(bool more, input()->NextBatch(&in_));
+        input_done_ = !more;
+        continue;  // an empty batch mid-stream is legal
+      }
+      ALDSP_RETURN_NOT_OK(CheckCancelled(ctx()->exec));
+      ALDSP_ASSIGN_OR_RETURN(Tuple row,
+                             FanOut(in_.MaterializeRow(in_pos_++)));
+      out->PushRow(std::move(row));
+    }
+    return true;
+  }
+
+ private:
+  // Evaluates every let of one input row on the worker pool and binds
+  // the results onto it.
+  Result<Tuple> FanOut(Tuple t) {
     if (ctx()->stats != nullptr) ctx()->stats->parallel_let_fanouts += 1;
     WorkerPool& pool = WorkerPool::For(ctx()->pool);
     QueryTrace* tr = trace();
@@ -1231,12 +1190,13 @@ class ParallelLetOp final : public PhysicalOperator {
       if (!slots[i]->ok()) return slots[i]->status();
       t = t.Bind(lets_[i]->var, std::move(*slots[i]).value());
     }
-    *out = std::move(t);
-    return true;
+    return t;
   }
 
- private:
   std::vector<const Clause*> lets_;
+  TupleBatch in_;  // the input batch being fanned out, row by row
+  size_t in_pos_ = 0;
+  bool input_done_ = false;
 };
 
 // ----- Grouping (paper §4.2) ---------------------------------------------
@@ -1252,9 +1212,7 @@ class StreamGroupByOp final : public PhysicalOperator {
  public:
   StreamGroupByOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
                   std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Status OpenImpl() override {
@@ -1522,9 +1480,7 @@ class OrderByOp final : public PhysicalOperator {
  public:
   OrderByOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
             std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Status OpenImpl() override {
@@ -1623,9 +1579,7 @@ class OrderByOp final : public PhysicalOperator {
 class ReturnOp final : public PhysicalOperator {
  public:
   ReturnOp(std::unique_ptr<PhysicalOperator> input, const Expr* ret)
-      : PhysicalOperator(std::move(input), "return"), ret_(ret) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), "return"), ret_(ret) {}
 
  protected:
   Status OpenImpl() override {

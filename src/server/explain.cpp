@@ -34,12 +34,7 @@ void AppendJsonString(std::ostream& os, const std::string& s) {
 /// through physical::BuildPlan (the lowering the evaluator runs) and the
 /// resulting descriptors are rendered in pipeline order.
 std::string PlanNodeLabel(const runtime::physical::ExplainNode& n) {
-  std::string label = n.detail.empty() ? n.label : n.label + " " + n.detail;
-  // Batch-native operators are marked so plans show which pipeline
-  // stages run vectorized (plan fingerprints hash labels only, so the
-  // suffix never perturbs them).
-  if (n.batch) label += " [batch]";
-  return label;
+  return n.detail.empty() ? n.label : n.label + " " + n.detail;
 }
 
 std::vector<runtime::physical::ExplainNode> DescribeFLWOR(

@@ -457,12 +457,12 @@ Result<xml::Sequence> DataServicePlatform::ExecutePlan(
 
 std::shared_ptr<runtime::QueryTrace> DataServicePlatform::MakeObservedTrace(
     const CompiledPlan& plan) const {
-  // A query an earlier slow run promoted re-executes under a timeline
+  // A statement an earlier slow run promoted re-executes under a timeline
   // trace so its rendered profile and an openable Chrome trace can be
   // captured; everything else pays only the counters-mode cost.
   if (options_.slow_query_threshold_micros > 0 &&
-      slow_queries_.IsPromoted(
-          observability::ExecutionAuditLog::HashQuery(plan.text))) {
+      slow_queries_.IsPromoted(observability::StatementKey(
+          plan.statement_fingerprint, plan.fingerprint))) {
     return std::make_shared<runtime::QueryTrace>(
         runtime::QueryTrace::Mode::kTimeline);
   }
@@ -471,62 +471,44 @@ std::shared_ptr<runtime::QueryTrace> DataServicePlatform::MakeObservedTrace(
 }
 
 void DataServicePlatform::FinishObservation(
-    const CompiledPlan& plan, bool plan_cache_hit,
-    const runtime::QueryTrace& trace, const Status& outcome, int64_t rows,
-    int64_t bytes, int64_t wall_micros, const std::string& principal,
-    int64_t security_denials, int64_t peak_bytes) {
+    const CompiledPlan& plan, const runtime::QueryTrace& trace,
+    observability::QueryCompletion* done) {
   using EventKind = runtime::QueryTrace::EventKind;
-  metrics_.RecordWindowed("query.latency_micros", wall_micros);
-  metrics_.AddWindowedCounter(outcome.ok() ? "query.ok" : "query.error");
-
-  const uint64_t hash =
-      observability::ExecutionAuditLog::HashQuery(plan.text);
-  const int64_t sql_pushdowns = trace.CountEvents(EventKind::kSql) +
-                                trace.CountEvents(EventKind::kPPkFetch) +
-                                trace.CountEvents(EventKind::kCustomPushdown);
-
+  observability::QueryCompletion& c = *done;
+  auto count = [&](EventKind kind) {
+    return static_cast<int32_t>(trace.CountEvents(kind));
+  };
+  c.sql_pushdowns = count(EventKind::kSql) + count(EventKind::kPPkFetch) +
+                    count(EventKind::kCustomPushdown);
+  c.source_invocations = count(EventKind::kSourceInvoke);
+  c.function_cache_hits = count(EventKind::kCacheHit);
+  c.function_cache_misses = count(EventKind::kCacheMiss);
+  c.timeouts = count(EventKind::kTimeout);
+  c.failovers = count(EventKind::kFailOver);
+  c.sources = trace.SourcesTouched();
   // Wall-time split. Timeline traces yield the exact critical-path
   // attribution; counters mode approximates from the O(1) event-micros
   // tallies (queue wait needs task spans, so it reads 0 there).
-  int64_t source_wait = 0, compute = 0, queue_wait = 0;
   if (trace.has_timeline()) {
     observability::CriticalPathReport cp =
         observability::AnalyzeCriticalPath(trace.BuildTimeline());
-    source_wait = cp.source_wait_micros;
-    compute = cp.compute_micros;
-    queue_wait = cp.queue_wait_micros;
+    c.source_wait_micros = cp.source_wait_micros;
+    c.compute_micros = cp.compute_micros;
+    c.queue_wait_micros = cp.queue_wait_micros;
   } else {
-    source_wait = trace.SumEventMicros(EventKind::kSql) +
-                  trace.SumEventMicros(EventKind::kPPkFetch) +
-                  trace.SumEventMicros(EventKind::kSourceInvoke) +
-                  trace.SumEventMicros(EventKind::kCustomPushdown);
-    queue_wait = trace.SumEventMicros(EventKind::kTaskWait);
-    compute = std::max<int64_t>(0, wall_micros - source_wait - queue_wait);
+    c.source_wait_micros = trace.SumEventMicros(EventKind::kSql) +
+                           trace.SumEventMicros(EventKind::kPPkFetch) +
+                           trace.SumEventMicros(EventKind::kSourceInvoke) +
+                           trace.SumEventMicros(EventKind::kCustomPushdown);
+    c.queue_wait_micros = trace.SumEventMicros(EventKind::kTaskWait);
+    c.compute_micros = std::max<int64_t>(
+        0, c.wall_micros - c.source_wait_micros - c.queue_wait_micros);
   }
 
-  const bool cancelled = outcome.code() == StatusCode::kCancelled;
-  // Shed by admission control or stopped by a memory budget: tracked as
-  // its own outcome everywhere — overload protection is not a bug.
-  const bool shed = outcome.code() == StatusCode::kResourceExhausted;
-
-  // Per-fingerprint cumulative statistics (pg_stat_statements-style).
-  observability::StatementSample sample;
-  sample.fingerprint = plan.fingerprint;
-  sample.statement_fingerprint = plan.statement_fingerprint;
-  sample.query_head = plan.text.substr(0, 120);
-  sample.error = !outcome.ok() && !cancelled && !shed;
-  sample.cancelled = cancelled;
-  sample.shed = shed;
-  sample.wall_micros = wall_micros;
-  sample.rows_returned = rows;
-  sample.peak_bytes = peak_bytes;
-  sample.source_wait_micros = source_wait;
-  sample.compute_micros = compute;
-  sample.queue_wait_micros = queue_wait;
-  sample.plan_cache_hit = plan_cache_hit;
-  sample.function_cache_hits = trace.CountEvents(EventKind::kCacheHit);
-  sample.function_cache_misses = trace.CountEvents(EventKind::kCacheMiss);
-  stat_statements_.Record(sample);
+  metrics_.RecordWindowed("query.latency_micros", c.wall_micros);
+  metrics_.AddWindowedCounter(c.outcome == StatusCode::kOk ? "query.ok"
+                                                           : "query.error");
+  stat_statements_.Record(c);
 
   // Plan lifecycle plane: feed the per-(statement, plan-version) latency
   // baseline. Only clean executions count — errors and cancels truncate
@@ -534,10 +516,10 @@ void DataServicePlatform::FinishObservation(
   // version's baseline breaches its predecessor's, the sentinel hands
   // back both EXPLAIN snapshots; the server renders the structural diff,
   // publishes the completed event, and audits it.
-  if (outcome.ok() && plan.statement_fingerprint != 0) {
+  if (c.outcome == StatusCode::kOk && c.statement_fingerprint != 0) {
     std::optional<observability::PlanRegressionEvent> regression =
-        plan_history_.RecordExecution(plan.statement_fingerprint,
-                                      plan.fingerprint, wall_micros);
+        plan_history_.RecordExecution(c.statement_fingerprint, c.fingerprint,
+                                      c.wall_micros);
     if (regression.has_value()) {
       regression->explain_diff = RenderExplainDiff(
           regression->baseline_explain, regression->regressed_explain);
@@ -557,108 +539,48 @@ void DataServicePlatform::FinishObservation(
                     regression->ratio);
       plan_history_.PublishRegression(std::move(*regression));
       metrics_.AddWindowedCounter("plan_regression.events");
-      audit_.Record("plan_regression", principal, detail);
+      audit_.Record("plan_regression", c.principal, detail);
     }
   }
 
   // Per-tenant resource attribution: the same deltas rolled into 1m/5m
   // windows keyed by principal, the admission-control substrate.
-  const std::string tenant = principal.empty() ? "(anonymous)" : principal;
+  const std::string tenant = c.principal.empty() ? "(anonymous)" : c.principal;
   metrics_.AddWindowedCounter("tenant." + tenant + ".queries");
-  if (sample.error) metrics_.AddWindowedCounter("tenant." + tenant + ".errors");
-  if (cancelled) metrics_.AddWindowedCounter("tenant." + tenant + ".cancels");
-  if (shed) metrics_.AddWindowedCounter("tenant." + tenant + ".sheds");
-  metrics_.RecordWindowed("tenant." + tenant + ".wall_micros", wall_micros);
+  if (c.error()) metrics_.AddWindowedCounter("tenant." + tenant + ".errors");
+  if (c.cancelled()) {
+    metrics_.AddWindowedCounter("tenant." + tenant + ".cancels");
+  }
+  if (c.shed()) metrics_.AddWindowedCounter("tenant." + tenant + ".sheds");
+  metrics_.RecordWindowed("tenant." + tenant + ".wall_micros", c.wall_micros);
   metrics_.RecordWindowed("tenant." + tenant + ".source_wait_micros",
-                          source_wait);
-  metrics_.RecordWindowed(
-      "tenant." + tenant + ".source_roundtrips",
-      sql_pushdowns + trace.CountEvents(EventKind::kSourceInvoke));
-  metrics_.RecordWindowed("tenant." + tenant + ".rows", rows);
-  if (peak_bytes > 0) {
-    metrics_.RecordWindowed("tenant." + tenant + ".peak_bytes", peak_bytes);
+                          c.source_wait_micros);
+  metrics_.RecordWindowed("tenant." + tenant + ".source_roundtrips",
+                          c.sql_pushdowns + c.source_invocations);
+  metrics_.RecordWindowed("tenant." + tenant + ".rows", c.rows_returned);
+  if (c.peak_bytes > 0) {
+    metrics_.RecordWindowed("tenant." + tenant + ".peak_bytes", c.peak_bytes);
   }
 
-  observability::AuditRecord record;
-  record.query_hash = hash;
-  record.fingerprint = plan.fingerprint;
-  record.statement_fingerprint = plan.statement_fingerprint;
-  record.query_head = plan.text.substr(0, 80);
-  record.principal = principal;
-  record.outcome = outcome.ok() ? "ok" : StatusCodeName(outcome.code());
-  record.sources = trace.SourcesTouched();
-  record.sql_pushdowns = sql_pushdowns;
-  record.rows_returned = rows;
-  record.bytes_returned = bytes;
-  record.wall_micros = wall_micros;
-  // A rebound plan's phase fields are parse + bind; the template's own
-  // compile cost is not this execution's.
-  record.compile_micros =
-      plan_cache_hit ? 0
-                     : plan.parse_micros + plan.analyze_micros +
-                           plan.optimize_micros + plan.pushdown_micros +
-                           plan.bind_micros;
-  record.plan_cache_hit = plan_cache_hit;
-  record.function_cache_hits = trace.CountEvents(EventKind::kCacheHit);
-  record.function_cache_misses = trace.CountEvents(EventKind::kCacheMiss);
-  record.timeouts = trace.CountEvents(EventKind::kTimeout);
-  record.failovers = trace.CountEvents(EventKind::kFailOver);
-  record.security_denials = security_denials;
-  exec_audit_.Append(std::move(record));
-
+  c.seq = exec_audit_.Append(c);  // later sinks can name the audit record
   // Workload capture: the replay driver needs the verbatim text plus the
   // identity fingerprints; everything else is the comparison baseline.
   if (workload_capture_.load(std::memory_order_relaxed)) {
-    observability::WorkloadJournalEntry capture;
-    capture.statement_fingerprint = plan.statement_fingerprint;
-    capture.plan_fingerprint = plan.fingerprint;
-    capture.text = plan.text;
-    capture.principal = principal;
-    capture.outcome = outcome.ok() ? "ok" : StatusCodeName(outcome.code());
-    capture.wall_micros = wall_micros;
-    capture.rows = rows;
-    capture.peak_bytes = peak_bytes;
-    workload_journal_.Append(std::move(capture));
+    workload_journal_.Append(c);
   }
 
-  if (options_.slow_query_threshold_micros <= 0 ||
-      wall_micros < options_.slow_query_threshold_micros) {
-    return;
-  }
-  observability::SlowQueryRecord slow;
-  slow.query_hash = hash;
-  slow.fingerprint = plan.fingerprint;
-  slow.statement_fingerprint = plan.statement_fingerprint;
-  slow.query_head = plan.text.substr(0, 80);
-  slow.wall_micros = wall_micros;
-  slow.threshold_micros = options_.slow_query_threshold_micros;
+  const int64_t threshold = options_.slow_query_threshold_micros;
+  if (threshold <= 0 || c.wall_micros < threshold) return;
   if (trace.keeps_events()) {
-    slow.full_trace = true;
-    slow.profile_text = RenderProfileText(plan, trace);
-    slow.profile_json = RenderProfileJson(plan, trace);
     // The timeline makes the slow run openable in Perfetto; the second
-    // slow run of a promoted query always has one.
-    if (trace.has_timeline()) slow.trace_json = RenderChromeTrace(trace);
+    // slow run of a promoted statement always has one.
+    slow_queries_.Append(
+        c, threshold, RenderProfileText(plan, trace),
+        RenderProfileJson(plan, trace),
+        trace.has_timeline() ? RenderChromeTrace(trace) : std::string());
   } else {
-    // First slow sighting: keep the cheap counter summary and promote
-    // the hash so the next run executes under a full trace.
-    std::ostringstream os;
-    os << "counters: rows=" << rows << " sql_pushdowns=" << sql_pushdowns
-       << " cache_hits=" << trace.CountEvents(EventKind::kCacheHit)
-       << " cache_misses=" << trace.CountEvents(EventKind::kCacheMiss)
-       << " timeouts=" << trace.CountEvents(EventKind::kTimeout)
-       << " failovers=" << trace.CountEvents(EventKind::kFailOver)
-       << " sources=";
-    bool first = true;
-    for (const auto& s : trace.SourcesTouched()) {
-      if (!first) os << ",";
-      first = false;
-      os << s;
-    }
-    slow.profile_text = os.str();
-    slow_queries_.Promote(hash);
+    slow_queries_.Append(c, threshold);  // counters summary; promotes
   }
-  slow_queries_.Append(std::move(slow));
 }
 
 std::shared_ptr<observability::QueryControl>
@@ -676,10 +598,9 @@ DataServicePlatform::RegisterExecution(const CompiledPlan& plan,
 
 QueryClass DataServicePlatform::ClassifyStatement(
     const CompiledPlan& plan) const {
-  const uint64_t key = plan.statement_fingerprint != 0
-                           ? plan.statement_fingerprint
-                           : plan.fingerprint;
-  int64_t mean = stat_statements_.MeanWallMicrosFor(key);
+  int64_t mean = stat_statements_.MeanWallMicrosFor(
+      observability::StatementKey(plan.statement_fingerprint,
+                                  plan.fingerprint));
   if (mean < 0 && plan.statement_fingerprint != 0) {
     // No cumulative stats yet (fresh server, or the entry was evicted):
     // fall back to the plan-history latency baseline of the active
@@ -717,23 +638,39 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
     const CompiledPlan& plan, bool plan_cache_hit,
     const security::Principal* principal, const ItemSink* sink,
     std::shared_ptr<runtime::QueryTrace> trace) {
-  const std::string user = principal != nullptr ? principal->user : "";
+  // One completion record per execution, refused or run: every
+  // observability sink reads it (FinishObservation).
+  observability::QueryCompletion done;
+  done.fingerprint = plan.fingerprint;
+  done.statement_fingerprint = plan.statement_fingerprint;
+  done.text = plan.text;
+  if (principal != nullptr) done.principal = principal->user;
+  done.plan_cache_hit = plan_cache_hit;
+  // A rebound plan's phase fields are parse + bind; the template's own
+  // compile cost is not this execution's.
+  done.compile_micros =
+      plan_cache_hit ? 0
+                     : plan.parse_micros + plan.analyze_micros +
+                           plan.optimize_micros + plan.pushdown_micros +
+                           plan.bind_micros;
   // Refused exit (function-ACL denial, shed, cancel while queued): the
-  // execution never ran, yet still gets an audit record, a (shed-aware)
-  // statement sample and a journal entry, with zero rows and the queue
-  // wait as its wall time.
-  auto refuse = [&](const Status& refusal, int64_t wait_micros,
-                    int64_t security_denials) {
-    runtime::QueryTrace none(runtime::QueryTrace::Mode::kCounters);
-    FinishObservation(plan, plan_cache_hit, none, refusal, /*rows=*/0,
-                      /*bytes=*/0, wait_micros, user, security_denials,
-                      /*peak_bytes=*/0);
+  // execution never ran, yet still completes with zero rows and the
+  // queue wait as its wall time.
+  auto refuse = [&](const Status& refusal, int64_t wait_micros) {
+    done.outcome = refusal.code();
+    done.wall_micros = wait_micros;
+    FinishObservation(plan,
+                      runtime::QueryTrace(runtime::QueryTrace::Mode::kCounters),
+                      &done);
     return refusal;
   };
   if (principal != nullptr) {
     Status acl = access_control_.CheckFunctionAccess(
         *principal, plan.called_functions, &audit_);
-    if (!acl.ok()) return refuse(acl, 0, /*security_denials=*/1);
+    if (!acl.ok()) {
+      done.security_denials = 1;
+      return refuse(acl, 0);
+    }
   }
   const int64_t arrival_micros = NowMicros();
   std::shared_ptr<observability::QueryControl> ctl =
@@ -746,10 +683,10 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
   AdmissionController::Ticket ticket =
       AdmitExecution(plan, principal, ctl.get());
   if (!ticket.status.ok()) {
-    audit_.Record("admission", user,
+    audit_.Record("admission", done.principal,
                   std::string(StatusCodeName(ticket.status.code())) + ": " +
                       ticket.status.message());
-    refuse(ticket.status, ticket.wait_micros, /*security_denials=*/0);
+    refuse(ticket.status, ticket.wait_micros);
     query_registry_.Unregister(ctl->query_id);
     return ticket.status;
   }
@@ -789,7 +726,7 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
     }
   }
   admission_.Release(ticket.cls);
-  int64_t security_denials = 0;
+  int64_t security_denials = 0;  // elements redacted
   if (result.ok() && principal != nullptr) {
     ctl->SetPhase(observability::QueryPhase::kSecurityFilter);
     // Fine-grained filtering happens last so cached plans and cached
@@ -798,21 +735,21 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
         *principal, *result, &audit_, &security_denials);
     result = std::move(filtered);
   }
-  const int64_t wall = NowMicros() - t0;
-  const int64_t rows = sink != nullptr ? streamed
+  done.outcome = result.ok() ? StatusCode::kOk : result.status().code();
+  done.wall_micros = NowMicros() - t0;
+  done.rows_returned = sink != nullptr ? streamed
                        : result.ok()   ? static_cast<int64_t>(result->size())
                                        : 0;
   // Streamed items are not retained, so their bytes_returned stays 0.
-  const int64_t bytes = result.ok() ? xml::SequenceMemoryBytes(*result) : 0;
-  trace->AddSpanMetrics(root, rows, wall);
+  done.bytes_returned = result.ok() ? xml::SequenceMemoryBytes(*result) : 0;
+  done.peak_bytes = ctl->peak_bytes.load(std::memory_order_relaxed);
+  done.security_denials = static_cast<int32_t>(security_denials);
+  trace->AddSpanMetrics(root, done.rows_returned, done.wall_micros);
   trace->EndSpan(root);
   ctl->SetPhase(observability::QueryPhase::kFinishing);
   // Even a failed run made real source observations worth keeping.
   if (trace->keeps_events()) trace->FeedObservedCost(&observed_);
-  FinishObservation(plan, plan_cache_hit, *trace,
-                    result.ok() ? Status::OK() : result.status(), rows, bytes,
-                    wall, user, security_denials,
-                    ctl->peak_bytes.load(std::memory_order_relaxed));
+  FinishObservation(plan, *trace, &done);
   query_registry_.Unregister(ctl->query_id);
   return result;
 }
@@ -1182,13 +1119,12 @@ std::string DataServicePlatform::RenderSlowQueryText(int64_t seq) {
   std::ostringstream os;
   for (const auto& r : slow_queries_.Records()) {
     if (seq >= 0 && r.seq != seq) continue;
-    char hash[24];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  static_cast<unsigned long long>(r.query_hash));
-    os << "-- slow query #" << r.seq << " hash=" << hash
-       << " wall=" << r.wall_micros << "us threshold=" << r.threshold_micros
-       << "us " << (r.full_trace ? "[full trace]" : "[counters]") << "\n";
-    os << r.query_head << "\n";
+    os << "-- slow query #" << r.seq
+       << " stmt_fp=" << r.completion.statement_fingerprint
+       << " wall=" << r.completion.wall_micros
+       << "us threshold=" << r.threshold_micros << "us "
+       << (r.full_trace ? "[full trace]" : "[counters]") << "\n";
+    os << r.completion.text << "\n";
     os << r.profile_text;
     if (!r.profile_text.empty() && r.profile_text.back() != '\n') os << "\n";
   }

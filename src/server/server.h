@@ -16,6 +16,7 @@
 #include "compiler/function_table.h"
 #include "observability/audit_log.h"
 #include "observability/plan_history.h"
+#include "observability/query_completion.h"
 #include "observability/query_registry.h"
 #include "observability/replay.h"
 #include "observability/slow_query_log.h"
@@ -529,21 +530,19 @@ class DataServicePlatform {
   void MakeRoomLocked();
 
   /// Creates the per-execution trace for the always-on plane: cheap
-  /// counters normally, a full trace when an earlier slow run promoted
-  /// this query's hash.
+  /// counters normally, a timeline when an earlier slow run promoted
+  /// this statement (any literal variant of it).
   std::shared_ptr<runtime::QueryTrace> MakeObservedTrace(
       const CompiledPlan& plan) const;
 
-  /// Closes out one observed execution: rolling metrics, the audit
-  /// record, per-fingerprint statement statistics, per-tenant resource
-  /// windows, and slow-query capture/promotion. `peak_bytes` is the
-  /// execution's materialization high-water mark (0 when it was refused
-  /// before it started).
-  void FinishObservation(const CompiledPlan& plan, bool plan_cache_hit,
+  /// Closes out one observed execution: completes `done` from the trace
+  /// (event tallies, sources touched, wall-time split), then feeds that
+  /// one record to every sink — rolling metrics, statement statistics,
+  /// the plan-lifecycle baseline, per-tenant windows, the execution
+  /// audit log, the workload journal and slow-query capture/promotion.
+  void FinishObservation(const CompiledPlan& plan,
                          const runtime::QueryTrace& trace,
-                         const Status& outcome, int64_t rows, int64_t bytes,
-                         int64_t wall_micros, const std::string& principal,
-                         int64_t security_denials, int64_t peak_bytes);
+                         observability::QueryCompletion* done);
 
   /// Registers an execution with the live query registry, applies the
   /// memory budget, and stamps the initial phase.

@@ -570,10 +570,10 @@ TEST(AdmissionServerTest, ExplainShowsClassAndBudget) {
   // analytics threshold and the gate reclassifies it.
   auto plan = env.platform.Prepare(kCrossJoin);
   ASSERT_TRUE(plan.ok());
-  observability::StatementSample slow;
+  observability::QueryCompletion slow;
   slow.fingerprint = (*plan)->fingerprint;
   slow.statement_fingerprint = (*plan)->statement_fingerprint;
-  slow.query_head = "join";
+  slow.text = "join";
   slow.wall_micros = 100'000;
   env.platform.stat_statements().Record(slow);
   auto join_explain = env.platform.Explain(kCrossJoin);

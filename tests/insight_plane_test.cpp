@@ -26,7 +26,7 @@ using aldsp::testing::RunningExample;
 using observability::QueryControl;
 using observability::QueryPhase;
 using observability::QueryRegistry;
-using observability::StatementSample;
+using observability::QueryCompletion;
 using observability::StatStatements;
 using server::DataServicePlatform;
 using server::ServerOptions;
@@ -46,10 +46,10 @@ bool Contains(const std::string& haystack, const std::string& needle) {
 
 // ----- StatStatements accumulator ----------------------------------------
 
-StatementSample Sample(uint64_t fp, int64_t wall, int64_t rows = 1) {
-  StatementSample s;
+QueryCompletion Sample(uint64_t fp, int64_t wall, int64_t rows = 1) {
+  QueryCompletion s;
   s.fingerprint = fp;
-  s.query_head = "q" + std::to_string(fp);
+  s.text = "q" + std::to_string(fp);
   s.wall_micros = wall;
   s.rows_returned = rows;
   return s;
@@ -59,11 +59,11 @@ TEST(StatStatementsTest, AggregatesAndOrdersByTotalWall) {
   StatStatements stats;
   stats.Record(Sample(1, 100));
   stats.Record(Sample(1, 300));
-  StatementSample err = Sample(2, 5000, 0);
-  err.error = true;
+  QueryCompletion err = Sample(2, 5000, 0);
+  err.outcome = StatusCode::kRuntimeError;
   stats.Record(err);
-  StatementSample can = Sample(2, 1000, 0);
-  can.cancelled = true;
+  QueryCompletion can = Sample(2, 1000, 0);
+  can.outcome = StatusCode::kCancelled;
   stats.Record(can);
 
   auto top = stats.TopK(0);
@@ -99,8 +99,8 @@ TEST(StatStatementsTest, BoundedMapEvictsCheapestEntry) {
 
 TEST(StatStatementsTest, RenderersIncludeCountsAndEscapes) {
   StatStatements stats;
-  StatementSample s = Sample(7, 1234);
-  s.query_head = "for $c in \"quoted\"";
+  QueryCompletion s = Sample(7, 1234);
+  s.text = "for $c in \"quoted\"";
   stats.Record(s);
   std::string text = stats.RenderText(10);
   EXPECT_TRUE(Contains(text, "fp=7")) << text;
@@ -537,7 +537,7 @@ TEST(InsightPlaneTest, CancelQueryThroughServerAuditsAndCounts) {
   // Distinct outcome in the execution audit log.
   auto records = env.platform.execution_audit().Records();
   ASSERT_FALSE(records.empty());
-  EXPECT_EQ(records.back().outcome, "Cancelled");
+  EXPECT_EQ(records.back().outcome, StatusCode::kCancelled);
   // The cancel request itself is a security-audit event.
   EXPECT_EQ(env.platform.audit_log().EventsInCategory("cancel").size(), 1u);
   // Counted as a cancel (not an error) in the statement stats.

@@ -262,18 +262,18 @@ TEST(MetricsRegistryTest, WindowRotationViaVirtualClock) {
 TEST(ExecutionAuditLogTest, BoundedRingAndJsonl) {
   ExecutionAuditLog log(/*capacity=*/3);
   for (int i = 0; i < 5; ++i) {
-    observability::AuditRecord r;
-    r.query_hash = ExecutionAuditLog::HashQuery("q" + std::to_string(i));
-    r.query_head = "q" + std::to_string(i);
-    r.outcome = "ok";
+    observability::QueryCompletion r;
+    r.text = "q" + std::to_string(i);
     r.rows_returned = i;
-    log.Append(std::move(r));
+    log.Append(r);
   }
   EXPECT_EQ(log.total_appended(), 5);
   auto records = log.Records();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records.front().seq, 2);
   EXPECT_EQ(records.back().seq, 4);
+  // The log stamps the hash of the full text.
+  EXPECT_EQ(records.back().query_hash, ExecutionAuditLog::HashQuery("q4"));
   std::string jsonl = ExecutionAuditLog::RenderJsonl(records);
   // One JSON object per line, schema-stable keys.
   int lines = 0;
@@ -291,10 +291,9 @@ TEST(ExecutionAuditLogTest, ControlCharactersStayOnOneJsonlLine) {
   // bytes must not break the one-record-per-line JSONL contract or leak
   // unescaped bytes into the JSON string literal.
   ExecutionAuditLog log(/*capacity=*/4);
-  observability::AuditRecord r;
-  r.query_head = "for $c in\nns3:CUSTOMER()\treturn\r$c \x01\x1f end";
-  r.outcome = "ok";
-  log.Append(std::move(r));
+  observability::QueryCompletion r;
+  r.text = "for $c in\nns3:CUSTOMER()\treturn\r$c \x01\x1f end";
+  log.Append(r);
   std::string jsonl = ExecutionAuditLog::RenderJsonl(log.Records());
   // Exactly one line (one trailing newline) despite the embedded \n.
   ASSERT_FALSE(jsonl.empty());
@@ -354,10 +353,9 @@ TEST(ExecutionAuditLogTest, ConcurrentAppendHammer) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        observability::AuditRecord r;
-        r.query_head = "thread " + std::to_string(t);
-        r.outcome = "ok";
-        log.Append(std::move(r));
+        observability::QueryCompletion r;
+        r.text = "thread " + std::to_string(t);
+        log.Append(r);
       }
     });
   }
@@ -378,15 +376,16 @@ TEST(SlowQueryLogTest, PromotionAndBoundedRing) {
   log.Promote(42);
   EXPECT_TRUE(log.IsPromoted(42));
   for (int i = 0; i < 3; ++i) {
-    observability::SlowQueryRecord r;
-    r.query_hash = 42;
-    r.wall_micros = 1000 + i;
-    log.Append(std::move(r));
+    observability::QueryCompletion c;
+    c.statement_fingerprint = 42;
+    c.wall_micros = 1000 + i;
+    log.Append(c, /*threshold_micros=*/1000, "=== profile ===");
   }
   EXPECT_EQ(log.total_appended(), 3);
   auto records = log.Records();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records.back().wall_micros, 1002);
+  EXPECT_TRUE(records.back().full_trace);
+  EXPECT_EQ(records.back().completion.wall_micros, 1002);
   std::string json = observability::SlowQueryLog::RenderJson(records);
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"wall_micros\":1002"), std::string::npos);
@@ -425,14 +424,14 @@ class ObservabilityServerTest : public ::testing::Test {
   std::shared_ptr<adaptors::SimulatedWebService> ws_;
 };
 
-TEST_F(ObservabilityServerTest, AuditRecordsPopulatedPerExecution) {
+TEST_F(ObservabilityServerTest, CompletionsAuditedPerExecution) {
   const char* q = "ns3:CUSTOMER()";
   ASSERT_TRUE(platform_.Execute(q).ok());
   ASSERT_TRUE(platform_.Execute(q).ok());
   auto records = platform_.execution_audit().Records();
   ASSERT_EQ(records.size(), 2u);
   const auto& first = records[0];
-  EXPECT_EQ(first.outcome, "ok");
+  EXPECT_EQ(first.outcome, StatusCode::kOk);
   EXPECT_EQ(first.rows_returned, 6);
   EXPECT_GT(first.bytes_returned, 0);
   EXPECT_GE(first.sql_pushdowns, 1);
@@ -459,7 +458,7 @@ TEST_F(ObservabilityServerTest, FailedExecutionAuditedWithStatusCode) {
   EXPECT_FALSE(platform_.Execute("tns:rate(1)").ok());
   auto records = platform_.execution_audit().Records();
   ASSERT_FALSE(records.empty());
-  EXPECT_NE(records.back().outcome, "ok");
+  EXPECT_NE(records.back().outcome, StatusCode::kOk);
 }
 
 TEST_F(ObservabilityServerTest, RollingMetricsFedByExecutions) {
@@ -488,7 +487,7 @@ TEST_F(ObservabilityServerTest, AclDenialIsAudited) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].principal, "alex");
   EXPECT_EQ(records[0].security_denials, 1);
-  EXPECT_NE(records[0].outcome, "ok");
+  EXPECT_NE(records[0].outcome, StatusCode::kOk);
   EXPECT_EQ(records[0].rows_returned, 0);
 }
 
@@ -502,7 +501,7 @@ TEST_F(ObservabilityServerTest, RedactionsCountedAsSecurityDenials) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].principal, "alex");
   EXPECT_EQ(records[0].security_denials, 6);  // one SSN per customer
-  EXPECT_EQ(records[0].outcome, "ok");
+  EXPECT_EQ(records[0].outcome, StatusCode::kOk);
 }
 
 TEST_F(ObservabilityServerTest, StreamedExecutionsAreAudited) {
@@ -518,7 +517,7 @@ TEST_F(ObservabilityServerTest, StreamedExecutionsAreAudited) {
   auto records = platform_.execution_audit().Records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].rows_returned, 6);
-  EXPECT_EQ(records[0].outcome, "ok");
+  EXPECT_EQ(records[0].outcome, StatusCode::kOk);
 }
 
 TEST_F(ObservabilityServerTest, ExplainRendersSourceHealth) {
@@ -600,7 +599,8 @@ TEST_F(SlowQueryServerTest, FirstSlowRunPromotesSecondCapturesFullTrace) {
   // First sighting ran under counters; it promoted the hash.
   EXPECT_FALSE(records[0].full_trace);
   EXPECT_NE(records[0].profile_text.find("counters:"), std::string::npos);
-  EXPECT_TRUE(platform_.slow_query_log().IsPromoted(records[0].query_hash));
+  EXPECT_TRUE(platform_.slow_query_log().IsPromoted(
+      records[0].completion.statement_fingerprint));
   // Second run executed under a full trace and kept the rendered profile.
   EXPECT_TRUE(records[1].full_trace);
   EXPECT_NE(records[1].profile_text.find("=== profile ==="),
@@ -616,6 +616,26 @@ TEST_F(SlowQueryServerTest, FirstSlowRunPromotesSecondCapturesFullTrace) {
   std::string one = platform_.RenderSlowQueryText(records[0].seq);
   EXPECT_NE(one.find("[counters]"), std::string::npos);
   EXPECT_EQ(one.find("[full trace]"), std::string::npos);
+
+  // Promotion keys on the statement, not the text: once one literal of a
+  // statement ran slow, a different literal runs under a timeline the
+  // first time it executes.
+  ASSERT_TRUE(platform_
+                  .Execute("for $c in ns3:CUSTOMER() where $c/CID eq "
+                           "\"CUST001\" return $c/FIRST_NAME")
+                  .ok());
+  ASSERT_TRUE(platform_
+                  .Execute("for $c in ns3:CUSTOMER() where $c/CID eq "
+                           "\"CUST002\" return $c/FIRST_NAME")
+                  .ok());
+  records = platform_.slow_query_log().Records();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_FALSE(records[2].full_trace);
+  EXPECT_EQ(records[3].completion.statement_fingerprint,
+            records[2].completion.statement_fingerprint);
+  EXPECT_NE(records[3].completion.text, records[2].completion.text);
+  EXPECT_TRUE(records[3].full_trace);
+  EXPECT_FALSE(records[3].trace_json.empty());
 }
 
 TEST_F(SlowQueryServerTest, ProfiledExecutionsFeedTheSlowLogToo) {

@@ -252,6 +252,43 @@ TEST(OptimizerTest, ClusteringDetectionOnPrimaryKey) {
   }
 }
 
+TEST(OptimizerTest, WhereConjunctsSettleInSourceOrder) {
+  // Split conjuncts must reach a fixpoint: if placing one where clause
+  // hoisted it past another at the same slot, the pair would swap on
+  // every pass and the plan would depend on the pass budget's parity.
+  RunningExample env(3);
+  const std::vector<std::vector<std::string>> cases = {
+      {"$c/CID eq \"CUST001\"", "$c/LAST_NAME eq \"Smith\""},
+      {"$c/CID eq \"CUST001\"", "$c/LAST_NAME eq \"Smith\"",
+       "$c/FIRST_NAME eq \"John\""},
+  };
+  for (const auto& conjuncts : cases) {
+    std::string query = "for $c in ns3:CUSTOMER() where ";
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      query += (i == 0 ? "" : " and ") + conjuncts[i];
+    }
+    query += " return $c/FIRST_NAME";
+    SCOPED_TRACE(query);
+    std::vector<std::string> plans;
+    for (int passes : {11, 12, 13}) {
+      OptimizerOptions options;
+      options.max_passes = passes;
+      plans.push_back(xquery::DebugString(*OptimizedExpr(env, query, options)));
+    }
+    EXPECT_EQ(plans[0], plans[1]);
+    EXPECT_EQ(plans[1], plans[2]);
+    // Source order: each conjunct's column appears after the previous.
+    size_t last = 0;
+    for (const std::string column : {"CID", "LAST_NAME", "FIRST_NAME"}) {
+      if (query.find(column + " eq") == std::string::npos) continue;
+      size_t at = plans[0].find(column + " eq");
+      ASSERT_NE(at, std::string::npos) << plans[0];
+      EXPECT_GE(at, last) << plans[0];
+      last = at;
+    }
+  }
+}
+
 TEST(OptimizerTest, ViewPlanCacheReusesPartialPlans) {
   RunningExample env(3);
   ASSERT_TRUE(env

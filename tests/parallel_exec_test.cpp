@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "observability/query_registry.h"
 #include "optimizer/optimizer.h"
 #include "runtime/observed_cost.h"
 #include "runtime/query_trace.h"
@@ -150,8 +152,10 @@ TEST(ExchangeTest, SerialContextNeverInsertsExchange) {
 
 // ----- Parallel let fan-out ----------------------------------------------
 
-TEST(ParallelLetTest, IndependentSourceLetsFanOutAndMatchSerial) {
-  RunningExample env(5, 2);
+// Two independent source lets per customer: the optimizer's post-pass
+// marks them (both call sources, neither references the other) as one
+// parallel group.
+ExprPtr CompileParallelLets(RunningExample& env) {
   const char* q =
       "for $c in ns3:CUSTOMER() "
       "let $r := ns4:getRating(<ns5:getRating><ns5:lName>{fn:data($c/LAST_NAME)}"
@@ -163,15 +167,13 @@ TEST(ParallelLetTest, IndependentSourceLetsFanOutAndMatchSerial) {
       "<B>{fn:count($r)}</B><C>{fn:count($cc)}</C>"
       "<D>{fn:count($cc) + 1}</D></R>";
   auto parsed = xquery::ParseExpression(q);
-  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed.ok());
   ExprPtr plan = *parsed;
   DiagnosticBag bag;
   compiler::Analyzer analyzer(&env.functions, &env.schemas, &bag);
-  ASSERT_TRUE(analyzer.Analyze(plan, {}).ok());
-  // The optimizer's post-pass marks the two lets (both call sources,
-  // neither references the other) as one parallel group.
+  EXPECT_TRUE(analyzer.Analyze(plan, {}).ok());
   Optimizer opt(&env.functions, &env.schemas, nullptr, {});
-  ASSERT_TRUE(opt.Optimize(plan).ok());
+  EXPECT_TRUE(opt.Optimize(plan).ok());
   int lets_marked = 0;
   for (const auto& cl : plan->clauses) {
     if (cl.kind == Clause::Kind::kLet && cl.parallel_group >= 0) {
@@ -179,19 +181,63 @@ TEST(ParallelLetTest, IndependentSourceLetsFanOutAndMatchSerial) {
     }
   }
   EXPECT_EQ(lets_marked, 2);
+  return plan;
+}
 
-  env.ctx.max_query_dop = 1;
-  auto serial = Evaluate(*plan, env.ctx);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+TEST(ParallelLetTest, IndependentSourceLetsFanOutAndMatchSerial) {
+  // Row-at-a-time and wide batches run the same operator: one fan-out
+  // per input row either way.
+  for (int batch_size : {1, 1024}) {
+    SCOPED_TRACE(batch_size);
+    RunningExample env(5, 2);
+    env.ctx.batch_size = batch_size;
+    ExprPtr plan = CompileParallelLets(env);
 
+    env.ctx.max_query_dop = 1;
+    auto serial = Evaluate(*plan, env.ctx);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+    env.ctx.max_query_dop = 4;
+    env.stats.Reset();
+    auto parallel = Evaluate(*plan, env.ctx);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(xml::SerializeSequence(*serial),
+              xml::SerializeSequence(*parallel));
+    EXPECT_EQ(env.stats.parallel_let_fanouts.load(), 5);
+  }
+}
+
+TEST(ParallelLetTest, CancelStopsWithinOneInputRow) {
+  // One wide batch holds every customer, so only the per-row cancel poll
+  // can stop the fan-out before the batch is done.
+  RunningExample env(30, 1);
+  env.ctx.batch_size = 1024;
   env.ctx.max_query_dop = 4;
+  env.rating_ws->SetLatency("ns4:getRating", 10);
+  ExprPtr plan = CompileParallelLets(env);
+  observability::QueryControl control;
+  env.ctx.exec = &control;
   env.stats.Reset();
-  auto parallel = Evaluate(*plan, env.ctx);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_EQ(xml::SerializeSequence(*serial),
-            xml::SerializeSequence(*parallel));
-  EXPECT_GT(env.stats.parallel_let_fanouts.load(), 0);
-  env.ctx.max_query_dop = 1;
+
+  int64_t fanouts_at_cancel = -1;
+  std::atomic<bool> finished{false};
+  std::thread canceller([&] {
+    while (env.stats.parallel_let_fanouts.load() < 3 && !finished.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    fanouts_at_cancel = env.stats.parallel_let_fanouts.load();
+    control.cancelled.store(true);
+  });
+  auto result = Evaluate(*plan, env.ctx);
+  finished.store(true);
+  canceller.join();
+  env.ctx.exec = nullptr;
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
+  // The row in flight when the flag flipped finishes; no later row starts.
+  EXPECT_LE(env.stats.parallel_let_fanouts.load(), fanouts_at_cancel + 1);
+  EXPECT_LT(env.stats.parallel_let_fanouts.load(), 30);
 }
 
 TEST(ParallelLetTest, DependentLetsAreNotMarked) {

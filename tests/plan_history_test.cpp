@@ -155,6 +155,31 @@ TEST(PlanHistoryTest, SentinelFiresOnceAndCarriesExplains) {
   ASSERT_EQ(history.Regressions().size(), 1u);
 }
 
+TEST(PlanHistoryTest, RegressionRingBoundedAndZeroCapacityCounts) {
+  PlanHistoryOptions opts;
+  opts.max_regressions = 2;
+  PlanHistory history(opts);
+  for (int i = 0; i < 3; ++i) {
+    PlanRegressionEvent ev;
+    ev.statement_fingerprint = 9;
+    ev.regressed_plan_fingerprint = 100 + i;
+    EXPECT_EQ(history.PublishRegression(ev), i);
+  }
+  EXPECT_EQ(history.regressions_total(), 3);
+  auto kept = history.Regressions();
+  ASSERT_EQ(kept.size(), 2u);  // oldest evicted
+  EXPECT_EQ(kept.front().seq, 1);
+  EXPECT_EQ(kept.back().regressed_plan_fingerprint, 102u);
+
+  // Capacity 0 retains nothing but still counts every event.
+  opts.max_regressions = 0;
+  PlanHistory none(opts);
+  EXPECT_EQ(none.PublishRegression(PlanRegressionEvent{}), 0);
+  EXPECT_EQ(none.PublishRegression(PlanRegressionEvent{}), 1);
+  EXPECT_EQ(none.regressions_total(), 2);
+  EXPECT_TRUE(none.Regressions().empty());
+}
+
 TEST(PlanHistoryTest, SentinelSilentWhenNewPlanIsFine) {
   PlanHistoryOptions opts;
   opts.sentinel_min_calls = 2;

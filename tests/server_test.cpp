@@ -451,7 +451,7 @@ TEST_F(EntryPointParityTest, EveryEntryPointRecordsOneCompletion) {
     ASSERT_EQ(platform_.execution_audit().total_appended(), audits + 1);
     const auto record = platform_.execution_audit().Records().back();
     EXPECT_EQ(record.statement_fingerprint, stmt_fp);
-    EXPECT_EQ(record.outcome, "ok");
+    EXPECT_EQ(record.outcome, StatusCode::kOk);
     EXPECT_EQ(record.rows_returned, expected_rows);
 
     const auto stats = Stats(stmt_fp);

@@ -23,6 +23,7 @@ using observability::ReplayExecution;
 using observability::ReplayOptions;
 using observability::ReplayReport;
 using observability::WorkloadJournal;
+using observability::QueryCompletion;
 using observability::WorkloadJournalEntry;
 using server::DataServicePlatform;
 using server::ServerOptions;
@@ -115,9 +116,9 @@ TEST(WorkloadJournalTest, CaptureCanBeDisabled) {
 TEST(WorkloadJournalTest, RingEvictsOldestAtCapacity) {
   WorkloadJournal journal(3);
   for (int i = 0; i < 7; ++i) {
-    WorkloadJournalEntry e;
-    e.text = "q" + std::to_string(i);
-    journal.Append(std::move(e));
+    QueryCompletion c;
+    c.text = "q" + std::to_string(i);
+    journal.Append(c);
   }
   EXPECT_EQ(journal.total_appended(), 7);
   auto entries = journal.Records();
@@ -128,9 +129,9 @@ TEST(WorkloadJournalTest, RingEvictsOldestAtCapacity) {
 
   journal.Clear();
   EXPECT_TRUE(journal.Records().empty());
-  WorkloadJournalEntry e;
-  e.text = "fresh";
-  journal.Append(std::move(e));
+  QueryCompletion c;
+  c.text = "fresh";
+  journal.Append(c);
   // Clear re-arms the epoch, so the first post-clear offset is ~0 again.
   EXPECT_LT(journal.Records()[0].offset_micros, 1'000'000);
 }
@@ -295,7 +296,7 @@ TEST(ReplayTest, ReplayEnforcesFunctionAcls) {
   EXPECT_EQ(report.sheds, 0);
   const auto record = env.platform.execution_audit().Records().back();
   EXPECT_EQ(record.principal, "analyst");
-  EXPECT_EQ(record.outcome, StatusCodeName(StatusCode::kSecurityError));
+  EXPECT_EQ(record.outcome, StatusCode::kSecurityError);
   EXPECT_EQ(record.rows_returned, 0);
   auto denied = env.platform.audit_log().EventsInCategory("access-denied");
   ASSERT_EQ(denied.size(), 1u);
