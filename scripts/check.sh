@@ -227,8 +227,9 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 # The TSan gate covers the suites that exercise the worker pool, the
 # PP-k prefetcher, the observability plane's shared rings (audit,
 # slow-query and workload journal, which the completion parity suite
-# drives from concurrent executions), and the server's shared plan and
-# view-plan caches and plan templates (the shared-state paths).
+# drives from concurrent executions), the server's shared plan and
+# view-plan caches and plan templates (the shared-state paths), and the
+# pruned scans and PP-k fetches at dop 8 (the column pruning suite).
 # query_trace_test is excluded: its timeout test deliberately abandons
 # an evaluation past the end of the test body, which is the documented
 # fn-bea:timeout contract, not a data race in the runtime.
@@ -241,8 +242,8 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
   --target physical_parity_test parallel_exec_test worker_pool_test \
   join_methods_test observability_test insight_plane_test \
   batch_runtime_test plan_history_test workload_replay_test admission_test \
-  server_test plan_rebind_test completion_parity_test
+  server_test plan_rebind_test completion_parity_test column_pruning_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test|plan_rebind_test|completion_parity_test)$'
+  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test|plan_rebind_test|completion_parity_test|column_pruning_test)$'
 
 echo "== all checks passed =="

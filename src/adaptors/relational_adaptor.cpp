@@ -37,9 +37,9 @@ SelectPtr RelationalAdaptor::SelectAll(const TableDef& def,
                                        const std::string& key_column) const {
   auto s = std::make_shared<SelectStmt>();
   s->from = {def.name, nullptr, "t1"};
-  for (const auto& col : def.columns) {
-    s->items.push_back({SqlExpr::Column("t1", col.name), col.name});
-  }
+  std::vector<std::string> columns;
+  for (const auto& col : def.columns) columns.push_back(col.name);
+  s->items = relational::ColumnItems("t1", columns);
   if (with_key_param) {
     s->where = SqlExpr::Binary("=", SqlExpr::Column("t1", key_column),
                                SqlExpr::Param(0));

@@ -1115,11 +1115,13 @@ class Optimizer::Impl {
       spec->row_name = row_type.name();
       auto select = std::make_shared<relational::SelectStmt>();
       select->from = {fn->Property("table"), nullptr, "t1"};
+      std::vector<std::string> names;
       for (const auto& field : row_type.fields()) {
-        select->items.push_back(
-            {relational::SqlExpr::Column("t1", field.name), field.name});
+        names.push_back(field.name);
         spec->columns.push_back({field.name, xsd::AtomizedType(field.type)});
       }
+      // Every column: pushdown prunes the ones the FLWOR never reads.
+      select->items = relational::ColumnItems("t1", names);
       if (row_type.FindField(spec->in_column) == nullptr) continue;
       // Observed-cost advice (§9 roadmap): against a small observed
       // inner table, a one-shot full fetch with an index join beats

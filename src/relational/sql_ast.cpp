@@ -113,6 +113,14 @@ SqlExprPtr SqlExpr::Clone() const {
   return e;
 }
 
+std::vector<SelectItem> ColumnItems(const std::string& alias,
+                                    const std::vector<std::string>& columns) {
+  std::vector<SelectItem> items;
+  items.reserve(columns.size());
+  for (const auto& c : columns) items.push_back({SqlExpr::Column(alias, c), c});
+  return items;
+}
+
 SelectPtr SelectStmt::Clone() const {
   auto s = std::make_shared<SelectStmt>();
   s->distinct = distinct;

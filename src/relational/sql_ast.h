@@ -143,6 +143,12 @@ struct SelectStmt {
   SelectPtr Clone() const;
 };
 
+/// The projection `alias."C" AS C` of each of `columns`, in order: the one
+/// SELECT-list builder behind the adaptor's table reads, pushdown's bare
+/// scans and PP-k fetch templates. Column pruning passes the kept columns.
+std::vector<SelectItem> ColumnItems(const std::string& alias,
+                                    const std::vector<std::string>& columns);
+
 /// UPDATE t SET col = expr, ... WHERE cond — produced by the update
 /// decomposition (paper §6); optimistic-concurrency checks land in `where`.
 struct UpdateStmt {

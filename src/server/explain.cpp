@@ -149,7 +149,8 @@ void RenderCompileHeader(const CompiledPlan& plan, std::ostream& os) {
   os << "pushdown: " << plan.pushdown.regions_pushed << " region(s), "
      << plan.pushdown.bare_scans_pushed << " bare scan(s), "
      << plan.pushdown.outer_joins_pushed << " outer join(s), "
-     << plan.pushdown.custom_filters_pushed << " custom filter(s)\n";
+     << plan.pushdown.custom_filters_pushed << " custom filter(s), "
+     << plan.pushdown.columns_pruned << " column(s) pruned\n";
   if (!plan.called_functions.empty()) {
     os << "calls:";
     for (const auto& f : plan.called_functions) os << " " << f;
@@ -170,6 +171,7 @@ void RenderCompileJson(const CompiledPlan& plan, std::ostream& os) {
      << ",\"exists\":" << plan.pushdown.exists_pushed
      << ",\"ranges\":" << plan.pushdown.ranges_pushed
      << ",\"custom_filters\":" << plan.pushdown.custom_filters_pushed
+     << ",\"columns_pruned\":" << plan.pushdown.columns_pruned
      << "}";
 }
 
@@ -331,7 +333,8 @@ std::string RenderPlanSnapshotText(const CompiledPlan& plan) {
   os << "pushdown: " << plan.pushdown.regions_pushed << " region(s), "
      << plan.pushdown.bare_scans_pushed << " bare scan(s), "
      << plan.pushdown.outer_joins_pushed << " outer join(s), "
-     << plan.pushdown.custom_filters_pushed << " custom filter(s)\n";
+     << plan.pushdown.custom_filters_pushed << " custom filter(s), "
+     << plan.pushdown.columns_pruned << " column(s) pruned\n";
   if (!plan.called_functions.empty()) {
     os << "calls:";
     for (const auto& f : plan.called_functions) os << " " << f;

@@ -1,5 +1,6 @@
 #include "sql/pushdown.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -111,7 +112,11 @@ class PushdownPass {
   PushdownPass(const compiler::FunctionTable* functions, PushdownStats* stats)
       : functions_(functions), stats_(stats) {}
 
-  Status Run(ExprPtr& root) { return Rewrite(root); }
+  Status Run(ExprPtr& root) {
+    ALDSP_RETURN_NOT_OK(Rewrite(root));
+    PruneColumns(*root);
+    return Status::OK();
+  }
 
  private:
   // ----- Tree walk -------------------------------------------------------
@@ -1462,11 +1467,12 @@ class PushdownPass {
     std::string alias = ctx.NewAlias();
     select->from = {fn->Property("table"), nullptr, alias};
     auto spec = std::make_shared<SqlQuerySpec>();
+    std::vector<std::string> names;
     for (const auto& field : fn->return_type.item->fields()) {
-      select->items.push_back(
-          {SqlExpr::Column(alias, field.name), field.name});
+      names.push_back(field.name);
       spec->columns.push_back({field.name, xsd::AtomizedType(field.type)});
     }
+    select->items = relational::ColumnItems(alias, names);
     auto and_where = [&](SqlExprPtr p) {
       select->where = select->where
                           ? SqlExpr::Binary("AND", select->where, std::move(p))
@@ -1496,9 +1502,104 @@ class PushdownPass {
     spec->select = select;
     spec->row_name = fn->return_type.item->name();
     vendor_by_spec_[spec.get()] = ctx.vendor;
+    bare_scans_[spec] = fn->return_type.item.get();
     e = xquery::MakeSqlQuery(spec, ctx.params, e->loc);
     if (stats_ != nullptr) ++stats_->bare_scans_pushed;
     return folded;
+  }
+
+  // ----- Column pruning (pattern a for rows that stay in the mid-tier) ---
+  //
+  // Runs once the whole tree is rewritten: view unfolding, predicate
+  // placement and the leading-scan fold have settled which columns each
+  // FLWOR still reads. A row whose unread nullable columns are missing is
+  // the row the source returns when they are NULL, so it is a valid
+  // instance of the row type; NOT NULL columns always ship.
+
+  void PruneColumns(Expr& e) {
+    xquery::ForEachChildSlot(e, [&](ExprPtr& c) {
+      if (c) PruneColumns(*c);
+    });
+    if (e.kind != ExprKind::kFLWOR) return;
+    for (Clause& cl : e.clauses) {
+      if (cl.kind != Clause::Kind::kFor && cl.kind != Clause::Kind::kJoin) {
+        continue;
+      }
+      auto scan = bare_scans_.find(cl.expr->sql);
+      if (scan == bare_scans_.end()) continue;
+      const xsd::XType& row = *scan->second;
+      std::set<std::string> read;
+      if (!ColumnReads(e, cl.var, row, &read)) continue;
+      std::vector<std::string> kept;
+      for (const auto& field : row.fields()) {
+        if (read.count(field.name) > 0 || !field.type.allows_empty()) {
+          kept.push_back(field.name);
+        }
+      }
+      if (kept.size() == row.fields().size()) continue;
+      auto project = [&](SelectStmt& select,
+                         std::vector<SqlQuerySpec::OutCol>& columns) {
+        select.items = relational::ColumnItems(select.from.alias, kept);
+        std::vector<SqlQuerySpec::OutCol> out;
+        for (const auto& col : columns) {
+          if (std::find(kept.begin(), kept.end(), col.name) != kept.end()) {
+            out.push_back(col);
+          }
+        }
+        columns = std::move(out);
+      };
+      project(*cl.expr->sql->select, cl.expr->sql->columns);
+      if (cl.ppk_fetch != nullptr) {
+        // The fetch spec came from the optimizer: project a copy.
+        auto fetch = std::make_shared<xquery::PPkFetchSpec>(*cl.ppk_fetch);
+        fetch->select_template = fetch->select_template->Clone();
+        project(*fetch->select_template, fetch->columns);
+        cl.ppk_fetch = std::move(fetch);
+      }
+      if (stats_ != nullptr) {
+        stats_->columns_pruned +=
+            static_cast<int>(row.fields().size() - kept.size());
+      }
+    }
+  }
+
+  // Adds to `read` the columns of `var`'s rows (of type `row`) that `e`
+  // reads: a child step `$var/NAME` reads NAME, a navigation call on
+  // `$var` its argument child. Returns false on any other use of `var`
+  // (returned, copied, passed on, let-bound, filtered, regrouped), which
+  // needs the whole row. A nested rebinding of the name only adds reads.
+  bool ColumnReads(Expr& e, const std::string& var, const xsd::XType& row,
+                   std::set<std::string>* read) {
+    auto reads_column = [&](const std::string& column) {
+      if (row.FindField(column) == nullptr) return false;
+      read->insert(column);
+      return true;
+    };
+    if (e.kind == ExprKind::kVarRef) return e.var_name != var;
+    if (e.kind == ExprKind::kPathStep && !e.is_attribute_step &&
+        e.children[0]->kind == ExprKind::kVarRef &&
+        e.children[0]->var_name == var) {
+      return reads_column(e.step_name);
+    }
+    if (e.kind == ExprKind::kFunctionCall && e.children.size() == 1) {
+      const ExternalFunction* nav = functions_->FindExternal(e.fn_name);
+      const Expr* arg = e.children[0].get();
+      while (arg->kind == ExprKind::kTypematch) arg = arg->children[0].get();
+      if (nav != nullptr && nav->kind() == "relational-nav" &&
+          arg->kind == ExprKind::kVarRef && arg->var_name == var) {
+        return reads_column(nav->Property("arg_child"));
+      }
+    }
+    for (const Clause& cl : e.clauses) {
+      for (const auto& gv : cl.group_vars) {
+        if (gv.in_var == var) return false;
+      }
+    }
+    bool ok = true;
+    xquery::ForEachChildSlot(e, [&](ExprPtr& c) {
+      if (c && ok) ok = ColumnReads(*c, var, row, read);
+    });
+    return ok;
   }
 
   const compiler::FunctionTable* functions_;
@@ -1509,6 +1610,9 @@ class PushdownPass {
   int serial_ = 0;
   bool pending_agg_used_ = false;
   std::map<const SqlQuerySpec*, std::string> vendor_by_spec_;
+  // Bare scans built by this pass, with their row types (the pointers
+  // are owned: no later allocation can reuse a key).
+  std::map<std::shared_ptr<SqlQuerySpec>, const xsd::XType*> bare_scans_;
 };
 
 }  // namespace

@@ -17,6 +17,9 @@ struct PushdownStats {
   int exists_pushed = 0;       // pattern (h) quantified expressions
   int ranges_pushed = 0;       // pattern (i) subsequence pagination
   int custom_filters_pushed = 0;  // §9 extensible pushdown (LDAP-like)
+  /// Unread columns dropped from the rows a for/join clause ships (its
+  /// bare scan and PP-k fetch), summed over clauses.
+  int columns_pruned = 0;
   /// Query literals (xquery::Expr::literal_slot >= 0) whose value became
   /// a LIKE pattern or a row range: the plan holds only for those values.
   int slotted_literals_read = 0;
@@ -38,7 +41,10 @@ struct PushdownStats {
 ///    rendered per dialect (Oracle ROWNUM nesting)    [pattern i]
 /// Non-pushable subexpressions whose variables are all bound outside the
 /// region are evaluated in the XQuery runtime and bound as SQL parameters
-/// (paper §4.4). The tree must be re-analyzed afterwards.
+/// (paper §4.4). A bare scan or PP-k fetch that a FLWOR clause binds then
+/// ships only the columns that FLWOR reads, plus the NOT NULL ones
+/// (pattern a's projection for rows that feed a cross-source join). The
+/// tree must be re-analyzed afterwards.
 Status PushdownRewrite(xquery::ExprPtr& root,
                        const compiler::FunctionTable* functions,
                        PushdownStats* stats = nullptr);
