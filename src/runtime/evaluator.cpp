@@ -149,17 +149,23 @@ Result<bool> CompareOperandsToBool(const Sequence& l, const Sequence& r,
   return CompareAtomPair(l.front().Atomize(), r.front().Atomize(), op);
 }
 
+Item RowToItem(const relational::ResultSet& rs, size_t row,
+               const std::string& row_name) {
+  const auto& cells = rs.rows[row];
+  NodePtr el = XNode::Element(row_name);
+  for (size_t i = 0; i < cells.size() && i < rs.column_names.size(); ++i) {
+    if (cells[i].is_null) continue;  // NULL -> missing element
+    el->AddChild(XNode::TypedElement(rs.column_names[i], cells[i].value));
+  }
+  return Item(std::move(el));
+}
+
 xml::Sequence RowsToItems(const relational::ResultSet& rs,
                           const std::string& row_name) {
   Sequence out;
   out.reserve(rs.rows.size());
-  for (const auto& row : rs.rows) {
-    NodePtr el = XNode::Element(row_name);
-    for (size_t i = 0; i < row.size() && i < rs.column_names.size(); ++i) {
-      if (row[i].is_null) continue;  // NULL -> missing element
-      el->AddChild(XNode::TypedElement(rs.column_names[i], row[i].value));
-    }
-    out.emplace_back(std::move(el));
+  for (size_t r = 0; r < rs.rows.size(); ++r) {
+    out.push_back(RowToItem(rs, r, row_name));
   }
   return out;
 }
@@ -304,8 +310,11 @@ class Evaluator {
         }
         return v;
       }
-      case ExprKind::kSqlQuery:
-        return EvalSqlQuery(e, env, depth);
+      case ExprKind::kSqlQuery: {
+        ALDSP_ASSIGN_OR_RETURN(relational::ResultSet rs,
+                               RunSqlQuery(e, env, depth));
+        return RowsToItems(rs, e.sql->row_name);
+      }
       case ExprKind::kCustomQuery:
         return EvalCustomQuery(e, env, depth);
       case ExprKind::kError:
@@ -691,6 +700,10 @@ class Evaluator {
     Result<Sequence> EvalExpr(const Expr& e, const Tuple& env) override {
       return ev_->Eval(e, env, depth_);
     }
+    Result<relational::ResultSet> RunSqlQuery(const Expr& e,
+                                              const Tuple& env) override {
+      return ev_->RunSqlQuery(e, env, depth_);
+    }
 
    private:
     Evaluator* ev_;
@@ -801,8 +814,11 @@ class Evaluator {
       while (true) {
         // One result row per pull: the root return clause evaluates its
         // expression lazily, so each delivered item pays for exactly one
-        // result-expression evaluation (external calls included) while the
-        // operators beneath the root still run at full batch width.
+        // result-expression evaluation (external calls included). The
+        // operators beneath the root fill batches up to the full width,
+        // except that a PP-k join hands over the rows it holds as a short
+        // batch instead of waiting on a fetch, so items reach the sink
+        // while later blocks are still in flight.
         ALDSP_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch, 1));
         if (!more) return Status::OK();
         ALDSP_RETURN_NOT_OK(
@@ -946,7 +962,11 @@ class Evaluator {
     return result;
   }
 
-  Result<Sequence> EvalSqlQuery(const Expr& e, const Tuple& env, int depth) {
+  // Runs a pushed SQL region's statement with its gate, health, metrics,
+  // trace and observed-cost bookkeeping, and returns the rows as cells;
+  // callers build the row elements (all at once, or a batch at a time).
+  Result<relational::ResultSet> RunSqlQuery(const Expr& e, const Tuple& env,
+                                            int depth) {
     const auto& spec = e.sql;
     if (!spec || !spec->select) {
       return Status::Internal("malformed SQL query node");
@@ -1017,7 +1037,7 @@ class Evaluator {
                                        micros);
       }
     }
-    return RowsToItems(rs, spec->row_name);
+    return rs;
   }
 
   // A pushed filter for a custom queryable source (§9 extensible

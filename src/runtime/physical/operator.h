@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "relational/engine.h"
 #include "runtime/context.h"
 #include "runtime/physical/batch.h"
 #include "runtime/tuple.h"
@@ -28,6 +29,11 @@ class ExprEvaluator {
   virtual ~ExprEvaluator() = default;
   virtual Result<xml::Sequence> EvalExpr(const xquery::Expr& e,
                                          const Tuple& env) = 0;
+  /// Runs a kSqlQuery expression's statement (with the interpreter's
+  /// source bookkeeping) and returns its rows as cells, so a scan can
+  /// build row elements one batch at a time (RowToItem).
+  virtual Result<relational::ResultSet> RunSqlQuery(const xquery::Expr& e,
+                                                    const Tuple& env) = 0;
 };
 
 /// Execution environment shared by every operator in one tree.

@@ -173,7 +173,8 @@ class SingletonSourceOp final : public PhysicalOperator {
 /// binding sequence materializes directly into the output batch's var
 /// column (items from a relational/SQL-region scan land in column
 /// storage without per-row tuple construction), and the positional
-/// counter is a pure columnar integer column.
+/// counter is a pure columnar integer column. Subclasses change only how
+/// the binding sequence is produced and indexed (Bind / ItemAt).
 class ForScanOp : public PhysicalOperator {
  public:
   ForScanOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
@@ -193,9 +194,9 @@ class ForScanOp : public PhysicalOperator {
                                : out->column_ptr(var_idx + 1);
     int target = batch_target();
     while (static_cast<int>(out->size()) < target) {
-      if (pos_ < items_.size()) {
+      if (pos_ < bound_) {
         out->AddRow(current_);
-        var_col->AppendItem(items_[pos_]);
+        var_col->AppendItem(ItemAt(pos_));
         if (pos_col != nullptr) {
           pos_col->AppendAtomic(
               AtomicValue::Integer(static_cast<int64_t>(pos_ + 1)));
@@ -211,19 +212,28 @@ class ForScanOp : public PhysicalOperator {
         continue;
       }
       current_ = in_.MaterializeRow(in_pos_++);
-      ALDSP_ASSIGN_OR_RETURN(Sequence seq,
-                             eval()->EvalExpr(*cl_.expr, current_));
-      items_ = std::move(seq);
+      ALDSP_ASSIGN_OR_RETURN(bound_, Bind(current_));
       pos_ = 0;
     }
     if (!out->empty()) return true;
-    return !(input_done_ && in_pos_ >= in_.size() && pos_ >= items_.size());
+    return !(input_done_ && in_pos_ >= in_.size() && pos_ >= bound_);
   }
+
+  /// Evaluates the binding sequence for one input tuple and returns its
+  /// length; ItemAt(i) then yields item i, once, in order.
+  virtual Result<size_t> Bind(const Tuple& env) {
+    ALDSP_ASSIGN_OR_RETURN(items_, eval()->EvalExpr(*cl_.expr, env));
+    return items_.size();
+  }
+  virtual Item ItemAt(size_t i) { return std::move(items_[i]); }
+
+  const Clause& cl() const { return cl_; }
 
  private:
   const Clause& cl_;
   Tuple current_;
   Sequence items_;
+  size_t bound_ = 0;
   size_t pos_ = 0;
   TupleBatch in_;
   size_t in_pos_ = 0;
@@ -232,12 +242,30 @@ class ForScanOp : public PhysicalOperator {
 
 /// A ForScan whose binding expression is a pushed-down SQL region
 /// (paper §4.4): the scan's rows come from one generated statement
-/// executed through the relational adaptor. Execution is inherited —
-/// the SQL region evaluates through the interpreter's kSqlQuery path —
-/// but the plan names it distinctly so EXPLAIN shows the region boundary.
+/// executed through the relational adaptor. The statement runs through
+/// the interpreter's kSqlQuery bookkeeping, but the scan keeps its rows
+/// as cells and builds a row element only when the row enters a batch,
+/// so a consumer pulling small batches never holds the whole scan as
+/// XML. The plan names it distinctly so EXPLAIN shows the region
+/// boundary.
 class SqlRegionScanOp final : public ForScanOp {
  public:
   using ForScanOp::ForScanOp;
+
+ protected:
+  Result<size_t> Bind(const Tuple& env) override {
+    ALDSP_ASSIGN_OR_RETURN(rows_, eval()->RunSqlQuery(*cl().expr, env));
+    return rows_.rows.size();
+  }
+  // Each row is read once, so its cells go as soon as its element exists.
+  Item ItemAt(size_t i) override {
+    Item item = RowToItem(rows_, i, cl().expr->sql->row_name);
+    relational::Row().swap(rows_.rows[i]);
+    return item;
+  }
+
+ private:
+  relational::ResultSet rows_;
 };
 
 /// `let $v := expr`: binds the full sequence without iterating it.
@@ -508,6 +536,10 @@ class JoinOpBase : public PhysicalOperator {
       }
       pending_.clear();
       pending_pos_ = 0;
+      // Rows in hand go to the consumer instead of waiting on a source
+      // with them: a short batch is legal, and the consumer's work then
+      // overlaps the round trips already in flight.
+      if (!out->empty() && RefillWouldWait()) return true;
       ALDSP_ASSIGN_OR_RETURN(bool more, Refill());
       if (!more) return !out->empty();
     }
@@ -518,15 +550,21 @@ class JoinOpBase : public PhysicalOperator {
   /// false when the input is exhausted.
   virtual Result<bool> Refill() = 0;
 
+  /// True when the next Refill would block on a source round trip. NL
+  /// and INL materialize their right side once, so they never wait.
+  virtual bool RefillWouldWait() { return false; }
+
   std::vector<Tuple>* pending() { return &pending_; }
 
-  /// Pulls the next left tuple, reading the upstream a batch at a time
-  /// (the PP-k block reader consumes lefts one by one across block
-  /// boundaries, so it buffers here instead of per-row upstream calls).
-  Result<bool> NextLeft(Tuple* out) {
+  /// Pulls the next left tuple, reading the upstream at most `max_rows`
+  /// rows at a time: the PP-k block reader consumes lefts one block at a
+  /// time, so pulling one block's worth keeps the upstream (a SQL scan
+  /// building row elements per batch) from running ahead of the fetches.
+  Result<bool> NextLeft(Tuple* out, int max_rows) {
     while (left_pos_ >= left_batch_.size()) {
       if (left_done_) return false;
-      ALDSP_ASSIGN_OR_RETURN(bool more, input()->NextBatch(&left_batch_));
+      ALDSP_ASSIGN_OR_RETURN(bool more,
+                             input()->NextBatch(&left_batch_, max_rows));
       left_pos_ = 0;
       if (!more) {
         left_done_ = true;
@@ -696,7 +734,9 @@ class IndexNLJoinOp final : public NestedLoopJoinOp {
 /// joins each block as its fetch completes. d=1 is the classic double
 /// buffer; larger depths overlap several round trips, chosen adaptively
 /// from the ObservedCostModel's per-source round-trip/transfer
-/// observations (ctx.ppk_prefetch_depth pins it).
+/// observations (ctx.ppk_prefetch_depth pins it). When the next block's
+/// fetch has not finished, the rows already joined leave as a short
+/// batch, so the consumer works on one block while the next is fetched.
 ///
 /// Close and the destructor cancel and drain the pipeline, so an early
 /// teardown (LIMIT-style close, timeout abandonment) never leaves a
@@ -725,6 +765,14 @@ class PPkJoinOp final : public JoinOpBase {
   }
 
   void CloseImpl() override { Drain(); }
+
+  // Without prefetch every refill fetches inline; with it, a refill
+  // waits when nothing is in flight yet or the head fetch is still
+  // running. WaitFor(0) checks the head without claiming it inline.
+  bool RefillWouldWait() override {
+    if (depth_ == 0 || inflight_.empty()) return !input_exhausted_;
+    return !inflight_.front().task.WaitFor(std::chrono::milliseconds(0));
+  }
 
   Result<bool> Refill() override {
     if (depth_ == 0) {
@@ -785,7 +833,7 @@ class PPkJoinOp final : public JoinOpBase {
     int k = std::max(1, cl().ppk_block_size);
     Tuple t;
     while (static_cast<int>(block.lefts.size()) < k) {
-      ALDSP_ASSIGN_OR_RETURN(bool more, NextLeft(&t));
+      ALDSP_ASSIGN_OR_RETURN(bool more, NextLeft(&t, k));
       if (!more) {
         input_exhausted_ = true;
         break;
@@ -1600,7 +1648,9 @@ class ReturnOp final : public PhysicalOperator {
   // appended — no per-row tuple construction for kernel expressions.
   //
   // Capped pulls (the streaming driver asks for one row at a time)
-  // buffer whole upstream batches — the pipeline below stays vectorized —
+  // buffer one upstream batch at a time — the pipeline below stays
+  // vectorized, and a PP-k join below hands over a short batch rather
+  // than wait on a fetch, so the buffer holds about one block's rows —
   // but evaluate the interpreted return expression only for rows actually
   // emitted this call, so each delivered item pays for exactly one result
   // expression (external calls included), preserving the incremental-

@@ -101,6 +101,23 @@ bool RedactNode(const NodePtr& node, const std::string& path,
 
 }  // namespace
 
+std::optional<xml::Item> AccessControl::FilterItem(const Principal& principal,
+                                                  const xml::Item& item,
+                                                  AuditLog* audit,
+                                                  int64_t* redactions) const {
+  if (element_policies_.empty() || !item.is_node() ||
+      item.node()->kind() != NodeKind::kElement) {
+    return item;
+  }
+  NodePtr copy = item.node()->Clone();
+  std::string root_path = xml::LocalName(copy->name());
+  if (!RedactNode(copy, root_path, element_policies_, principal, audit,
+                  redactions)) {
+    return std::nullopt;
+  }
+  return xml::Item(std::move(copy));
+}
+
 xml::Sequence AccessControl::FilterResult(const Principal& principal,
                                           const xml::Sequence& result,
                                           AuditLog* audit,
@@ -109,16 +126,9 @@ xml::Sequence AccessControl::FilterResult(const Principal& principal,
   xml::Sequence out;
   out.reserve(result.size());
   for (const auto& item : result) {
-    if (!item.is_node() || item.node()->kind() != NodeKind::kElement) {
-      out.push_back(item);
-      continue;
-    }
-    NodePtr copy = item.node()->Clone();
-    std::string root_path = xml::LocalName(copy->name());
-    if (RedactNode(copy, root_path, element_policies_, principal, audit,
-                   redactions)) {
-      out.emplace_back(std::move(copy));
-    }
+    std::optional<xml::Item> kept =
+        FilterItem(principal, item, audit, redactions);
+    if (kept.has_value()) out.push_back(std::move(*kept));
   }
   return out;
 }

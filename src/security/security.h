@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -95,6 +96,14 @@ class AccessControl {
                              const xml::Sequence& result,
                              AuditLog* audit = nullptr,
                              int64_t* redactions = nullptr) const;
+
+  /// FilterResult for one item: the redacted copy, or nullopt when the
+  /// policies remove the item entirely. Streamed results filter each
+  /// item this way before the sink sees it.
+  std::optional<xml::Item> FilterItem(const Principal& principal,
+                                      const xml::Item& item,
+                                      AuditLog* audit = nullptr,
+                                      int64_t* redactions = nullptr) const;
 
   bool has_element_policies() const { return !element_policies_.empty(); }
 

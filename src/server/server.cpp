@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -710,15 +711,24 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
                           std::max<int64_t>(0, t0 - arrival_micros));
   Result<xml::Sequence> result = xml::Sequence{};
   int64_t streamed = 0;
+  int64_t security_denials = 0;  // elements redacted
   {
     runtime::QueryTrace::Scope scope(trace.get(), root);
     if (sink != nullptr) {
       // FLWOR plans pipeline tuple by tuple: items reach the sink as they
-      // are produced, without materializing the whole result.
+      // are produced, without materializing the whole result. A
+      // principal's element policies filter each item on the way.
       Status st = runtime::EvaluateStream(
           *plan.plan, ctx, [&](const xml::Item& item) -> Status {
+            if (principal == nullptr) {
+              ++streamed;
+              return (*sink)(item);
+            }
+            std::optional<xml::Item> kept = access_control_.FilterItem(
+                *principal, item, &audit_, &security_denials);
+            if (!kept.has_value()) return Status::OK();
             ++streamed;
-            return (*sink)(item);
+            return (*sink)(*kept);
           });
       if (!st.ok()) result = st;
     } else {
@@ -726,8 +736,7 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
     }
   }
   admission_.Release(ticket.cls);
-  int64_t security_denials = 0;  // elements redacted
-  if (result.ok() && principal != nullptr) {
+  if (result.ok() && principal != nullptr && sink == nullptr) {
     ctl->SetPhase(observability::QueryPhase::kSecurityFilter);
     // Fine-grained filtering happens last so cached plans and cached
     // function results remain user-agnostic (paper §7).
@@ -803,6 +812,15 @@ Status DataServicePlatform::ExecuteStream(
   // The paper's server-side streaming API; remote client APIs stay
   // materialized to keep them stateless.
   return RunQuery(*plan, cache_hit, nullptr, &sink).status();
+}
+
+Status DataServicePlatform::ExecuteStreamAs(
+    const std::string& query, const security::Principal& principal,
+    const std::function<Status(const xml::Item&)>& sink) {
+  bool cache_hit = false;
+  ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
+                         Prepare(query, &cache_hit));
+  return RunQuery(*plan, cache_hit, &principal, &sink).status();
 }
 
 // EXPLAIN describes the plan the evaluator would actually run, so the

@@ -303,6 +303,13 @@ class DataServicePlatform {
   Status ExecuteStream(const std::string& query,
                        const std::function<Status(const xml::Item&)>& sink);
 
+  /// ExecuteStream on behalf of a principal: function ACLs as for
+  /// ExecuteAs, and element-level policies applied to each item before
+  /// `sink` sees it, so the streamed items equal ExecuteAs's result.
+  Status ExecuteStreamAs(const std::string& query,
+                         const security::Principal& principal,
+                         const std::function<Status(const xml::Item&)>& sink);
+
   // ----- Observability (EXPLAIN / PROFILE / metrics) -------------------
 
   /// Compiles (or reuses) the plan and renders the annotated operator
@@ -569,10 +576,10 @@ class DataServicePlatform {
   /// The one execution path behind every Execute* entry point: function
   /// ACLs (when `principal` is set), live registration, admission,
   /// evaluation (streamed into `sink` when given, materialized
-  /// otherwise), element-level security last, and exactly one
-  /// FinishObservation whether the run was refused or ran. `trace` null
-  /// picks the counters-or-promoted trace. Streamed runs return an empty
-  /// sequence.
+  /// otherwise), element-level security last (per item when streamed),
+  /// and exactly one FinishObservation whether the run was refused or
+  /// ran. `trace` null picks the counters-or-promoted trace. Streamed
+  /// runs return an empty sequence.
   Result<xml::Sequence> RunQuery(const CompiledPlan& plan, bool plan_cache_hit,
                                  const security::Principal* principal,
                                  const ItemSink* sink = nullptr,
