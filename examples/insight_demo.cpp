@@ -13,9 +13,11 @@
 //      above is exported to JSONL, imported back, and replayed open-loop
 //      at 2x the captured rate with a per-statement comparison report.
 //
-// With --json, stdout carries a single JSON document combining the
-// StatStatements, LiveQueries, PlanHistory, PlanRegressions, workload
-// journal and replay-report exports (so it pipes cleanly into
+// Every surface is its plane's snapshot document, printed with
+// observability::RenderText. With --json, stdout carries a single JSON
+// document combining the statement statistics, live queries, plan
+// history, plan regressions, workload journal, replay report, admission
+// and source-health documents (so it pipes cleanly into
 // `python3 -m json.tool`); the narration goes to stderr. --prom prints
 // the Prometheus text exposition of the metrics snapshot to stdout;
 // --journal prints the workload journal JSONL export to stdout.
@@ -28,6 +30,8 @@
 #include "server/server.h"
 
 using namespace aldsp;
+using observability::RenderJson;
+using observability::RenderText;
 
 int main(int argc, char** argv) {
   const bool json_mode = argc > 1 && std::strcmp(argv[1], "--json") == 0;
@@ -37,6 +41,20 @@ int main(int argc, char** argv) {
 
   server::DataServicePlatform aldsp;
   examples::WireRunningExample(aldsp, /*customers=*/60);
+  auto stat_statements = [&] {
+    auto& stats = aldsp.stat_statements();
+    return observability::StatStatements::Doc(stats.TopK(10),
+                                              stats.entry_count(),
+                                              stats.evictions());
+  };
+  auto live_queries = [&] {
+    auto& registry = aldsp.query_registry();
+    return observability::QueryRegistry::Doc(registry.Snapshot(),
+                                             registry.total_started(),
+                                             registry.total_cancel_requests());
+  };
+  auto& history = aldsp.plan_history();
+  auto& journal = aldsp.workload_journal();
 
   // --- 1. One fingerprint, many literals --------------------------------
   std::fprintf(out, "== running the workload ==\n");
@@ -63,7 +81,7 @@ int main(int argc, char** argv) {
     if (++items == 2) {
       // From inside the stream the query is visible as live...
       std::fprintf(out, "\n== live queries (mid-stream) ==\n%s",
-                   aldsp.LiveQueriesText().c_str());
+                   RenderText(live_queries()).c_str());
       // ...and cancellable by id.
       auto live = aldsp.query_registry().Snapshot();
       if (!live.empty()) (void)aldsp.CancelQuery(live[0].query_id);
@@ -75,9 +93,9 @@ int main(int argc, char** argv) {
 
   // --- 3. The insight surfaces ------------------------------------------
   std::fprintf(out, "\n== stat statements (by total wall time) ==\n%s",
-               aldsp.StatStatementsText(10).c_str());
+               RenderText(stat_statements()).c_str());
   std::fprintf(out, "\n== live queries (after) ==\n%s",
-               aldsp.LiveQueriesText().c_str());
+               RenderText(live_queries()).c_str());
 
   auto snapshot = aldsp.MetricsSnapshot();
   std::fprintf(out, "\n== per-tenant attribution ==\n");
@@ -89,10 +107,15 @@ int main(int argc, char** argv) {
   }
 
   // --- 4. Plan lifecycle plane ------------------------------------------
+  const auto history_doc = observability::PlanHistory::HistoryDoc(
+      history.Snapshot(), history.statement_count(),
+      history.statement_evictions(), history.plan_changes_total());
+  const auto regressions_doc = observability::PlanHistory::RegressionsDoc(
+      history.Regressions(), history.regressions_total());
   std::fprintf(out, "\n== plan history (all statements) ==\n%s",
-               aldsp.PlanHistoryText().c_str());
+               RenderText(history_doc).c_str());
   std::fprintf(out, "\n== plan regressions ==\n%s",
-               aldsp.PlanRegressionsText().c_str());
+               RenderText(regressions_doc).c_str());
 
   auto audit = aldsp.execution_audit().Records();
   if (!audit.empty()) {
@@ -101,9 +124,12 @@ int main(int argc, char** argv) {
   }
 
   // --- 5. Workload capture -> export -> import -> replay ----------------
-  const std::string jsonl = aldsp.WorkloadJournalJsonl();
+  const auto journal_doc = observability::WorkloadJournal::Doc(
+      journal.Records(), journal.total_appended(), journal.capacity());
+  const std::string jsonl =
+      observability::RenderJsonLines(journal_doc.Member("entries"));
   std::fprintf(out, "\n== workload journal (captured above) ==\n%s",
-               aldsp.WorkloadJournalText().c_str());
+               RenderText(journal_doc).c_str());
   auto imported = observability::WorkloadJournal::ParseJsonl(jsonl);
   observability::ReplayReport replay;
   if (imported.ok()) {
@@ -113,7 +139,7 @@ int main(int argc, char** argv) {
     ropts.clients = 2;
     replay = aldsp.ReplayWorkload(*imported, ropts);
     std::fprintf(out, "\n== replay at 2x (from the JSONL export) ==\n%s",
-                 replay.RenderText().c_str());
+                 RenderText(replay.Doc()).c_str());
   } else {
     std::fprintf(stderr, "journal import failed: %s\n",
                  imported.status().ToString().c_str());
@@ -121,13 +147,16 @@ int main(int argc, char** argv) {
   }
 
   if (json_mode) {
-    std::string doc = "{\"stat_statements\":" + aldsp.StatStatementsJson(10) +
-                      ",\"live_queries\":" + aldsp.LiveQueriesJson() +
-                      ",\"plan_history\":" + aldsp.PlanHistoryJson() +
-                      ",\"plan_regressions\":" + aldsp.PlanRegressionsJson() +
-                      ",\"workload_journal\":" + aldsp.WorkloadJournalJson() +
-                      ",\"replay\":" + replay.RenderJson() + "}";
-    std::fprintf(stdout, "%s\n", doc.c_str());
+    auto doc = observability::SnapshotDoc::Object();
+    doc.Add("stat_statements", stat_statements())
+        .Add("live_queries", live_queries())
+        .Add("plan_history", history_doc)
+        .Add("plan_regressions", regressions_doc)
+        .Add("workload_journal", journal_doc)
+        .Add("replay", replay.Doc())
+        .Add("admission", aldsp.admission().Snapshot().Doc())
+        .Add("source_health", aldsp.SourceHealthDoc());
+    std::fprintf(stdout, "%s\n", RenderJson(doc).c_str());
   }
   if (prom_mode) {
     std::fprintf(stdout, "%s", aldsp.MetricsPrometheusText().c_str());

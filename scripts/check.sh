@@ -59,9 +59,10 @@ print(f"trace ok: {len(events)} events, {slices} slices, {len(lanes)} lane(s)")
 PYEOF
 
 # Insight-plane validation: run the statement-insight demo (which ends
-# with a cooperative cancel) and round-trip its StatStatements,
-# LiveQueries, PlanHistory and PlanRegressions JSON exports through a
-# real JSON parser.
+# with a cooperative cancel) and round-trip its statement statistics,
+# live queries, plan history, plan regressions, workload journal, replay,
+# admission and source-health JSON documents through a real JSON parser,
+# then check every line of its workload journal JSONL export.
 echo "== tier-1: statement insight plane JSON validation =="
 cmake --build "$repo/build" -j "$jobs" --target insight_demo
 "$repo/build/examples/insight_demo" --json 2>/dev/null > "$repo/build/insight_demo.json"
@@ -103,10 +104,44 @@ assert folded_hist, "literal-varied statements did not fold in the history"
 regressions = doc["plan_regressions"]
 assert regressions["regressions_total"] == 0, regressions
 assert regressions["regressions"] == [], regressions
+journal = doc["workload_journal"]
+assert journal["retained"] == len(journal["entries"]), journal
+replay = doc["replay"]
+assert replay["ops"] >= 1, replay
+assert replay["fingerprint_mismatches"] == 0, replay
+admission = doc["admission"]
+for field in ("enabled", "max_concurrent_queries", "max_concurrent_analytics",
+              "running", "queue_depth", "admitted", "queued",
+              "shed_queue_full", "shed_timeout", "wait", "tenants"):
+    assert field in admission, f"missing admission.{field}: {admission}"
+for field in ("count", "mean_micros", "p95_micros_upper", "p99_micros_upper",
+              "max_micros"):
+    assert field in admission["wait"], f"missing wait.{field}: {admission}"
+health = doc["source_health"]
+assert health, "no source health exported"
+for source, h in health.items():
+    for field in ("state", "ewma_latency_micros", "successes", "failures",
+                  "timeouts", "consecutive_failures", "trips"):
+        assert field in h, f"missing {source}.{field}: {h}"
+    assert h["state"] in ("closed", "open", "half-open"), h
 print(f"insight ok: {stats['entry_count']} statements, "
       f"{live['total_started']} executions, "
       f"{live['total_cancel_requests']} cancel(s), "
-      f"{history['statement_count']} statement histories")
+      f"{history['statement_count']} statement histories, "
+      f"{replay['ops']} replayed ops, {len(health)} source(s)")
+PYEOF
+"$repo/build/examples/insight_demo" --journal 2>/dev/null > "$repo/build/insight_demo.jsonl"
+python3 - "$repo/build/insight_demo.jsonl" <<'PYEOF'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+assert lines, "empty workload journal export"
+seqs = []
+for line in lines:
+    entry = json.loads(line)
+    assert entry.get("text"), f"entry without text: {entry}"
+    seqs.append(entry["seq"])
+assert all(a < b for a, b in zip(seqs, seqs[1:])), f"seq not increasing: {seqs}"
+print(f"journal ok: {len(lines)} entries, seq {seqs[0]}..{seqs[-1]}")
 PYEOF
 
 # Prometheus exposition validation: render the demo server's metrics in

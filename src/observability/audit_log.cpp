@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "observability/json_util.h"
-
 namespace aldsp::observability {
 
 int64_t ExecutionAuditLog::Append(const QueryCompletion& completion) {
@@ -23,60 +21,38 @@ uint64_t ExecutionAuditLog::HashQuery(std::string_view text) {
   return hash;
 }
 
-std::string ExecutionAuditLog::RecordJson(const QueryCompletion& r) {
-  std::string out;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"seq\":%lld,\"query_hash\":\"%016llx\","
-                "\"fingerprint\":\"%llu\","
-                "\"statement_fingerprint\":\"%llu\",",
-                static_cast<long long>(r.seq),
-                static_cast<unsigned long long>(r.query_hash),
-                static_cast<unsigned long long>(r.fingerprint),
-                static_cast<unsigned long long>(r.statement_fingerprint));
-  out += buf;
-  out += "\"query_head\":";
-  AppendJsonString(&out, std::string_view(r.text).substr(0, kRetainedTextChars));
-  out += ",\"principal\":";
-  AppendJsonString(&out, r.principal);
-  out += ",\"outcome\":";
-  AppendJsonString(&out, r.outcome_name());
-  out += ",\"sources\":[";
-  for (size_t i = 0; i < r.sources.size(); ++i) {
-    if (i != 0) out += ",";
-    AppendJsonString(&out, r.sources[i]);
-  }
-  out += "]";
-  std::snprintf(
-      buf, sizeof(buf),
-      ",\"sql_pushdowns\":%lld,\"rows_returned\":%lld,"
-      "\"bytes_returned\":%lld,\"wall_micros\":%lld,"
-      "\"compile_micros\":%lld,\"plan_cache_hit\":%s,"
-      "\"function_cache_hits\":%lld,\"function_cache_misses\":%lld,"
-      "\"timeouts\":%lld,\"failovers\":%lld,\"security_denials\":%lld}",
-      static_cast<long long>(r.sql_pushdowns),
-      static_cast<long long>(r.rows_returned),
-      static_cast<long long>(r.bytes_returned),
-      static_cast<long long>(r.wall_micros),
-      static_cast<long long>(r.compile_micros),
-      r.plan_cache_hit ? "true" : "false",
-      static_cast<long long>(r.function_cache_hits),
-      static_cast<long long>(r.function_cache_misses),
-      static_cast<long long>(r.timeouts),
-      static_cast<long long>(r.failovers),
-      static_cast<long long>(r.security_denials));
-  out += buf;
-  return out;
-}
-
-std::string ExecutionAuditLog::RenderJsonl(
+SnapshotDoc ExecutionAuditLog::Doc(
     const std::vector<QueryCompletion>& records) {
-  std::string out;
+  using D = SnapshotDoc;
+  D doc = D::List("execution audit");
   for (const QueryCompletion& r : records) {
-    out += RecordJson(r);
-    out += "\n";
+    char hash[17];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(r.query_hash));
+    D sources = D::List();
+    for (const std::string& s : r.sources) sources.Push(D::String(s));
+    doc.Push(D::Object())
+        .Add("seq", D::Int(r.seq))
+        .Add("query_hash", D::Quoted(hash))
+        .Add("fingerprint", D::Fingerprint(r.fingerprint))
+        .Add("statement_fingerprint", D::Fingerprint(r.statement_fingerprint))
+        .Add("query_head", D::String(r.text.substr(0, kRetainedTextChars)))
+        .Add("principal", D::String(r.principal))
+        .Add("outcome", D::String(r.outcome_name()))
+        .Add("sources", std::move(sources))
+        .Add("sql_pushdowns", D::Int(r.sql_pushdowns))
+        .Add("rows_returned", D::Int(r.rows_returned))
+        .Add("bytes_returned", D::Int(r.bytes_returned))
+        .Add("wall_micros", D::Int(r.wall_micros))
+        .Add("compile_micros", D::Int(r.compile_micros))
+        .Add("plan_cache_hit", D::Bool(r.plan_cache_hit))
+        .Add("function_cache_hits", D::Int(r.function_cache_hits))
+        .Add("function_cache_misses", D::Int(r.function_cache_misses))
+        .Add("timeouts", D::Int(r.timeouts))
+        .Add("failovers", D::Int(r.failovers))
+        .Add("security_denials", D::Int(r.security_denials));
   }
-  return out;
+  return doc;
 }
 
 }  // namespace aldsp::observability

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "observability/bounded_ring.h"
+#include "observability/json_util.h"
 #include "observability/query_completion.h"
 
 namespace aldsp::observability {
@@ -31,9 +32,9 @@ class ExecutionAuditLog {
   void Clear() { ring_.Clear(); }
 
   static uint64_t HashQuery(std::string_view text);
-  static std::string RecordJson(const QueryCompletion& record);
-  /// One JSON object per line, oldest first.
-  static std::string RenderJsonl(const std::vector<QueryCompletion>& records);
+  /// The "execution audit" document: a list of `records` (a Records
+  /// result), exported as JSON Lines, one record per line oldest first.
+  static SnapshotDoc Doc(const std::vector<QueryCompletion>& records);
 
  private:
   BoundedRing<QueryCompletion> ring_;

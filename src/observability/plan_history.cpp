@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-
-#include "observability/json_util.h"
 
 namespace aldsp::observability {
 
@@ -210,175 +207,67 @@ void PlanHistory::Reset() {
   plan_changes_total_ = 0;
 }
 
-namespace {
-
-void AppendVersionText(std::string* out, const PlanVersion& v, int index) {
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "    v%d plan_fp=%llu trigger=\"%s\" compiles=%lld "
-                "calls=%lld mean_ms=%.2f p95_ms<=%.1f%s\n",
-                index, static_cast<unsigned long long>(v.plan_fingerprint),
-                CompileTriggerName(v.trigger),
-                static_cast<long long>(v.compiles),
-                static_cast<long long>(v.calls), v.wall.MeanMicros() / 1000.0,
-                v.wall.P95UpperMicros() / 1000.0,
-                v.regressed ? " REGRESSED" : "");
-  *out += line;
-}
-
-void AppendStatementText(std::string* out, const StatementHistory& s) {
-  *out += "  stmt_fp=" + std::to_string(s.statement_fingerprint);
-  *out += " plan_changes=" + std::to_string(s.plan_changes);
-  *out += " versions=" + std::to_string(s.versions.size());
-  *out += "  " + s.query_head + "\n";
-  int index = 0;
-  for (const auto& v : s.versions) AppendVersionText(out, v, ++index);
-}
-
-void AppendStatementJson(std::string* out, const StatementHistory& s) {
-  *out += "{\"statement_fingerprint\":\"" +
-          std::to_string(s.statement_fingerprint) + "\"";
-  *out += ",\"query_head\":";
-  AppendJsonString(out, s.query_head);
-  *out += ",\"plan_changes\":" + std::to_string(s.plan_changes);
-  *out += ",\"versions\":[";
-  bool first = true;
-  for (const auto& v : s.versions) {
-    if (!first) *out += ",";
-    first = false;
-    *out += "{\"plan_fingerprint\":\"" +
-            std::to_string(v.plan_fingerprint) + "\"";
-    *out += ",\"trigger\":";
-    AppendJsonString(out, CompileTriggerName(v.trigger));
-    *out += ",\"first_seen_micros\":" + std::to_string(v.first_seen_micros);
-    *out += ",\"last_seen_micros\":" + std::to_string(v.last_seen_micros);
-    *out += ",\"compiles\":" + std::to_string(v.compiles);
-    *out += ",\"calls\":" + std::to_string(v.calls);
-    *out += ",\"mean_wall_micros\":" +
-            std::to_string(static_cast<int64_t>(v.wall.MeanMicros()));
-    *out += ",\"p95_wall_micros_upper\":" +
-            std::to_string(v.wall.P95UpperMicros());
-    *out += ",\"regressed\":";
-    *out += v.regressed ? "true" : "false";
-    *out += ",\"explain\":";
-    AppendJsonString(out, v.explain_text);
-    *out += "}";
-  }
-  *out += "]}";
-}
-
-}  // namespace
-
-std::string PlanHistory::RenderHistoryText(uint64_t statement_fp) const {
-  if (statement_fp != 0) {
-    auto s = Statement(statement_fp);
-    if (!s.has_value()) {
-      return "plan history: statement " + std::to_string(statement_fp) +
-             " not tracked\n";
+SnapshotDoc PlanHistory::HistoryDoc(
+    const std::vector<StatementHistory>& statements, int64_t statement_count,
+    int64_t statement_evictions, int64_t plan_changes_total) {
+  using D = SnapshotDoc;
+  D list = D::List();
+  for (const StatementHistory& s : statements) {
+    D versions = D::List();
+    for (const PlanVersion& v : s.versions) {
+      versions.Push(D::Object())
+          .Add("plan_fingerprint", D::Fingerprint(v.plan_fingerprint))
+          .Add("trigger", D::String(CompileTriggerName(v.trigger)))
+          .Add("first_seen_micros", D::Int(v.first_seen_micros))
+          .Add("last_seen_micros", D::Int(v.last_seen_micros))
+          .Add("compiles", D::Int(v.compiles))
+          .Add("calls", D::Int(v.calls))
+          .Add("mean_wall_micros",
+               D::Int(static_cast<int64_t>(v.wall.MeanMicros())))
+          .Add("p95_wall_micros_upper", D::Int(v.wall.P95UpperMicros()))
+          .Add("regressed", D::Bool(v.regressed))
+          .Add("explain", D::String(v.explain_text));
     }
-    std::string out = "plan history (1 statement)\n";
-    AppendStatementText(&out, *s);
-    return out;
+    list.Push(D::Object())
+        .Add("statement_fingerprint", D::Fingerprint(s.statement_fingerprint))
+        .Add("query_head", D::String(s.query_head))
+        .Add("plan_changes", D::Int(s.plan_changes))
+        .Add("versions", std::move(versions));
   }
-  auto all = Snapshot();
-  std::string out =
-      "plan history (" + std::to_string(all.size()) + " statements)\n";
-  for (const auto& s : all) AppendStatementText(&out, s);
-  return out;
+  return D::Object("plan history")
+      .Add("statement_count", D::Int(statement_count))
+      .Add("statement_evictions", D::Int(statement_evictions))
+      .Add("plan_changes_total", D::Int(plan_changes_total))
+      .Add("statements", std::move(list));
 }
 
-std::string PlanHistory::RenderHistoryJson(uint64_t statement_fp) const {
-  std::string out = "{\"statement_count\":" + std::to_string(statement_count());
-  out += ",\"statement_evictions\":" + std::to_string(statement_evictions());
-  out += ",\"plan_changes_total\":" + std::to_string(plan_changes_total());
-  out += ",\"statements\":[";
-  if (statement_fp != 0) {
-    auto s = Statement(statement_fp);
-    if (s.has_value()) AppendStatementJson(&out, *s);
-  } else {
-    bool first = true;
-    for (const auto& s : Snapshot()) {
-      if (!first) out += ",";
-      first = false;
-      AppendStatementJson(&out, s);
-    }
+SnapshotDoc PlanHistory::RegressionsDoc(
+    const std::vector<PlanRegressionEvent>& events,
+    int64_t regressions_total) {
+  using D = SnapshotDoc;
+  D list = D::List();
+  for (const PlanRegressionEvent& e : events) {
+    list.Push(D::Object())
+        .Add("seq", D::Int(e.seq))
+        .Add("statement_fingerprint", D::Fingerprint(e.statement_fingerprint))
+        .Add("query_head", D::String(e.query_head))
+        .Add("baseline_plan_fingerprint",
+             D::Fingerprint(e.baseline_plan_fingerprint))
+        .Add("regressed_plan_fingerprint",
+             D::Fingerprint(e.regressed_plan_fingerprint))
+        .Add("trigger", D::String(CompileTriggerName(e.trigger)))
+        .Add("baseline_calls", D::Int(e.baseline_calls))
+        .Add("regressed_calls", D::Int(e.regressed_calls))
+        .Add("baseline_mean_micros", D::Int(e.baseline_mean_micros))
+        .Add("regressed_mean_micros", D::Int(e.regressed_mean_micros))
+        .Add("baseline_p95_micros", D::Int(e.baseline_p95_micros))
+        .Add("regressed_p95_micros", D::Int(e.regressed_p95_micros))
+        .Add("ratio", D::Real(e.ratio, 3))
+        .Add("explain_diff", D::String(e.explain_diff));
   }
-  out += "]}";
-  return out;
-}
-
-std::string PlanHistory::RenderRegressionsText() const {
-  auto events = Regressions();
-  std::string out =
-      "plan regressions: " + std::to_string(regressions_total()) +
-      " total, " + std::to_string(events.size()) + " retained\n";
-  for (const auto& e : events) {
-    char line[320];
-    std::snprintf(
-        line, sizeof(line),
-        "  [%lld] stmt_fp=%llu plan_fp %llu -> %llu trigger=\"%s\" "
-        "ratio=%.2fx mean_ms %.2f -> %.2f p95_ms <=%.1f -> <=%.1f\n",
-        static_cast<long long>(e.seq),
-        static_cast<unsigned long long>(e.statement_fingerprint),
-        static_cast<unsigned long long>(e.baseline_plan_fingerprint),
-        static_cast<unsigned long long>(e.regressed_plan_fingerprint),
-        CompileTriggerName(e.trigger), e.ratio,
-        e.baseline_mean_micros / 1000.0, e.regressed_mean_micros / 1000.0,
-        e.baseline_p95_micros / 1000.0, e.regressed_p95_micros / 1000.0);
-    out += line;
-    out += "      " + e.query_head + "\n";
-    if (!e.explain_diff.empty()) {
-      // Indent the diff under the event line.
-      size_t start = 0;
-      while (start < e.explain_diff.size()) {
-        size_t end = e.explain_diff.find('\n', start);
-        if (end == std::string::npos) end = e.explain_diff.size();
-        out += "      " + e.explain_diff.substr(start, end - start) + "\n";
-        start = end + 1;
-      }
-    }
-  }
-  return out;
-}
-
-std::string PlanHistory::RenderRegressionsJson() const {
-  auto events = Regressions();
-  std::string out =
-      "{\"regressions_total\":" + std::to_string(regressions_total());
-  out += ",\"regressions\":[";
-  bool first = true;
-  for (const auto& e : events) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"seq\":" + std::to_string(e.seq);
-    out += ",\"statement_fingerprint\":\"" +
-           std::to_string(e.statement_fingerprint) + "\"";
-    out += ",\"query_head\":";
-    AppendJsonString(&out, e.query_head);
-    out += ",\"baseline_plan_fingerprint\":\"" +
-           std::to_string(e.baseline_plan_fingerprint) + "\"";
-    out += ",\"regressed_plan_fingerprint\":\"" +
-           std::to_string(e.regressed_plan_fingerprint) + "\"";
-    out += ",\"trigger\":";
-    AppendJsonString(&out, CompileTriggerName(e.trigger));
-    out += ",\"baseline_calls\":" + std::to_string(e.baseline_calls);
-    out += ",\"regressed_calls\":" + std::to_string(e.regressed_calls);
-    out += ",\"baseline_mean_micros\":" +
-           std::to_string(e.baseline_mean_micros);
-    out += ",\"regressed_mean_micros\":" +
-           std::to_string(e.regressed_mean_micros);
-    out += ",\"baseline_p95_micros\":" + std::to_string(e.baseline_p95_micros);
-    out += ",\"regressed_p95_micros\":" +
-           std::to_string(e.regressed_p95_micros);
-    char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.3f", e.ratio);
-    out += ",\"ratio\":" + std::string(ratio);
-    out += ",\"explain_diff\":";
-    AppendJsonString(&out, e.explain_diff);
-    out += "}";
-  }
-  out += "]}";
-  return out;
+  return D::Object("plan regressions")
+      .Add("regressions_total", D::Int(regressions_total))
+      .Add("regressions", std::move(list));
 }
 
 }  // namespace aldsp::observability

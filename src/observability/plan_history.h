@@ -11,6 +11,7 @@
 
 #include "observability/bounded_ring.h"
 #include "observability/histogram.h"
+#include "observability/json_util.h"
 
 namespace aldsp::observability {
 
@@ -141,11 +142,16 @@ class PlanHistory {
 
   void Reset();
 
-  /// statement_fp == 0 renders every tracked statement.
-  std::string RenderHistoryText(uint64_t statement_fp) const;
-  std::string RenderHistoryJson(uint64_t statement_fp) const;
-  std::string RenderRegressionsText() const;
-  std::string RenderRegressionsJson() const;
+  /// The "plan history" document of `statements` (a Snapshot result, or
+  /// one Statement) and the history's totals.
+  static SnapshotDoc HistoryDoc(const std::vector<StatementHistory>& statements,
+                                int64_t statement_count,
+                                int64_t statement_evictions,
+                                int64_t plan_changes_total);
+  /// The "plan regressions" document of `events` (a Regressions result).
+  static SnapshotDoc RegressionsDoc(
+      const std::vector<PlanRegressionEvent>& events,
+      int64_t regressions_total);
 
  private:
   StatementHistory* FindOrCreateLocked(uint64_t statement_fp,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "observability/json_util.h"
-
 namespace aldsp::observability {
 
 namespace {
@@ -128,60 +126,31 @@ std::map<std::string, QueryRegistry::TenantGauge> QueryRegistry::TenantGauges()
   return tenants_;
 }
 
-std::string QueryRegistry::RenderText() const {
-  auto live = Snapshot();
-  std::string out = "live queries: " + std::to_string(live.size()) + "\n";
-  for (const auto& q : live) {
-    out += "  #" + std::to_string(q.query_id);
-    out += " stmt_fp=" + std::to_string(q.statement_fingerprint);
-    out += " plan_fp=" + std::to_string(q.fingerprint);
-    out += " tenant=" + q.tenant;
-    out += " phase=" + std::string(QueryPhaseName(q.phase));
-    out += " rows=" + std::to_string(q.rows_produced);
-    out += " peak_bytes=" + std::to_string(q.peak_bytes);
-    if (q.memory_budget_bytes > 0) {
-      out += " budget_bytes=" + std::to_string(q.memory_budget_bytes);
-    }
-    out += " elapsed_ms=" + std::to_string(q.elapsed_micros / 1000);
-    if (q.budget_breached) out += " BUDGET-BREACHED";
-    if (q.cancel_requested) out += " CANCELLING";
-    out += "  " + q.query_head + "\n";
+SnapshotDoc QueryRegistry::Doc(const std::vector<LiveQueryInfo>& live,
+                               int64_t total_started,
+                               int64_t total_cancel_requests) {
+  using D = SnapshotDoc;
+  D queries = D::List();
+  for (const LiveQueryInfo& q : live) {
+    queries.Push(D::Object())
+        .Add("query_id", D::Int(static_cast<int64_t>(q.query_id)))
+        .Add("fingerprint", D::Fingerprint(q.fingerprint))
+        .Add("statement_fingerprint", D::Fingerprint(q.statement_fingerprint))
+        .Add("tenant", D::String(q.tenant))
+        .Add("query_head", D::String(q.query_head))
+        .Add("phase", D::String(QueryPhaseName(q.phase)))
+        .Add("elapsed_micros", D::Int(q.elapsed_micros))
+        .Add("rows_produced", D::Int(q.rows_produced))
+        .Add("peak_bytes", D::Int(q.peak_bytes))
+        .Add("memory_budget_bytes", D::Int(q.memory_budget_bytes))
+        .Add("budget_breached", D::Bool(q.budget_breached))
+        .Add("cancel_requested", D::Bool(q.cancel_requested));
   }
-  return out;
-}
-
-std::string QueryRegistry::RenderJson() const {
-  auto live = Snapshot();
-  std::string out = "{\"live_count\":" + std::to_string(live.size());
-  out += ",\"total_started\":" + std::to_string(total_started());
-  out += ",\"total_cancel_requests\":" + std::to_string(total_cancel_requests());
-  out += ",\"queries\":[";
-  bool first = true;
-  for (const auto& q : live) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"query_id\":" + std::to_string(q.query_id);
-    out += ",\"fingerprint\":\"" + std::to_string(q.fingerprint) + "\"";
-    out += ",\"statement_fingerprint\":\"" +
-           std::to_string(q.statement_fingerprint) + "\"";
-    out += ",\"tenant\":";
-    AppendJsonString(&out, q.tenant);
-    out += ",\"query_head\":";
-    AppendJsonString(&out, q.query_head);
-    out += ",\"phase\":";
-    AppendJsonString(&out, QueryPhaseName(q.phase));
-    out += ",\"elapsed_micros\":" + std::to_string(q.elapsed_micros);
-    out += ",\"rows_produced\":" + std::to_string(q.rows_produced);
-    out += ",\"peak_bytes\":" + std::to_string(q.peak_bytes);
-    out += ",\"memory_budget_bytes\":" + std::to_string(q.memory_budget_bytes);
-    out += ",\"budget_breached\":";
-    out += q.budget_breached ? "true" : "false";
-    out += ",\"cancel_requested\":";
-    out += q.cancel_requested ? "true" : "false";
-    out += "}";
-  }
-  out += "]}";
-  return out;
+  return D::Object("live queries")
+      .Add("live_count", D::Int(static_cast<int64_t>(live.size())))
+      .Add("total_started", D::Int(total_started))
+      .Add("total_cancel_requests", D::Int(total_cancel_requests))
+      .Add("queries", std::move(queries));
 }
 
 }  // namespace aldsp::observability

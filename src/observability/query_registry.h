@@ -10,6 +10,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "observability/json_util.h"
+
 namespace aldsp::observability {
 
 /// Execution phases a query moves through. Stored as an int in QueryControl
@@ -125,8 +127,10 @@ class QueryRegistry {
 
   std::vector<LiveQueryInfo> Snapshot() const;
 
-  std::string RenderText() const;
-  std::string RenderJson() const;
+  /// The "live queries" document of `live` (a Snapshot result) and the
+  /// registry's cumulative totals.
+  static SnapshotDoc Doc(const std::vector<LiveQueryInfo>& live,
+                         int64_t total_started, int64_t total_cancel_requests);
 
   /// Cumulative totals since construction.
   int64_t total_started() const {

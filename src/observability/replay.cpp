@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
-#include <sstream>
 #include <thread>
-
-#include "observability/json_util.h"
 
 namespace aldsp::observability {
 
@@ -208,89 +204,39 @@ ReplayReport ReplayDriver::Run(const ReplayOptions& options) const {
   return report;
 }
 
-std::string ReplayReport::RenderText() const {
-  std::ostringstream os;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "replay: %lld ops in %.1fms  %.1f qps  errors=%lld"
-                " sheds=%lld stmt_mismatches=%lld plan_changes=%lld\n",
-                static_cast<long long>(ops),
-                static_cast<double>(wall_micros) / 1000.0, throughput_qps,
-                static_cast<long long>(errors),
-                static_cast<long long>(sheds),
-                static_cast<long long>(fingerprint_mismatches),
-                static_cast<long long>(plan_changes));
-  os << buf;
-  std::snprintf(buf, sizeof(buf),
-                "latency us: mean=%lld p50=%lld p95=%lld p99=%lld "
-                "p999=%lld max=%lld\n",
-                static_cast<long long>(mean_micros),
-                static_cast<long long>(p50_micros),
-                static_cast<long long>(p95_micros),
-                static_cast<long long>(p99_micros),
-                static_cast<long long>(p999_micros),
-                static_cast<long long>(max_micros));
-  os << buf;
-  os << "per-statement vs captured baseline:\n";
+SnapshotDoc ReplayReport::Doc() const {
+  using D = SnapshotDoc;
+  D list = D::List();
   for (const ReplayStatementReport& s : statements) {
-    std::snprintf(buf, sizeof(buf),
-                  "  stmt_fp=%llu calls %lld->%lld mean %lldus->%lldus"
-                  " (%.2fx)%s%s\n",
-                  static_cast<unsigned long long>(s.statement_fingerprint),
-                  static_cast<long long>(s.captured_calls),
-                  static_cast<long long>(s.replayed_calls),
-                  static_cast<long long>(s.captured_mean_micros),
-                  static_cast<long long>(s.replayed_mean_micros), s.ratio,
-                  s.regressed ? " REGRESSED" : "",
-                  s.fingerprint_mismatches > 0 ? " FINGERPRINT-MISMATCH" : "");
-    os << buf;
-    os << "    " << s.query_head << "\n";
+    list.Push(D::Object())
+        .Add("statement_fingerprint", D::Fingerprint(s.statement_fingerprint))
+        .Add("query_head", D::String(s.query_head))
+        .Add("captured_calls", D::Int(s.captured_calls))
+        .Add("replayed_calls", D::Int(s.replayed_calls))
+        .Add("captured_mean_micros", D::Int(s.captured_mean_micros))
+        .Add("replayed_mean_micros", D::Int(s.replayed_mean_micros))
+        .Add("ratio", D::Real(s.ratio, 3))
+        .Add("regressed", D::Bool(s.regressed))
+        .Add("errors", D::Int(s.errors))
+        .Add("sheds", D::Int(s.sheds))
+        .Add("fingerprint_mismatches", D::Int(s.fingerprint_mismatches))
+        .Add("plan_changes", D::Int(s.plan_changes));
   }
-  return os.str();
-}
-
-std::string ReplayReport::RenderJson() const {
-  std::string out = "{\"ops\":" + std::to_string(ops);
-  out += ",\"errors\":" + std::to_string(errors);
-  out += ",\"sheds\":" + std::to_string(sheds);
-  out += ",\"fingerprint_mismatches\":" + std::to_string(fingerprint_mismatches);
-  out += ",\"plan_changes\":" + std::to_string(plan_changes);
-  out += ",\"wall_micros\":" + std::to_string(wall_micros);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"throughput_qps\":%.2f", throughput_qps);
-  out += buf;
-  out += ",\"mean_micros\":" + std::to_string(mean_micros);
-  out += ",\"p50_micros\":" + std::to_string(p50_micros);
-  out += ",\"p95_micros\":" + std::to_string(p95_micros);
-  out += ",\"p99_micros\":" + std::to_string(p99_micros);
-  out += ",\"p999_micros\":" + std::to_string(p999_micros);
-  out += ",\"max_micros\":" + std::to_string(max_micros);
-  out += ",\"statements\":[";
-  bool first = true;
-  for (const ReplayStatementReport& s : statements) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"statement_fingerprint\":\"" +
-           std::to_string(s.statement_fingerprint) + "\"";
-    out += ",\"query_head\":";
-    AppendJsonString(&out, s.query_head);
-    out += ",\"captured_calls\":" + std::to_string(s.captured_calls);
-    out += ",\"replayed_calls\":" + std::to_string(s.replayed_calls);
-    out += ",\"captured_mean_micros\":" + std::to_string(s.captured_mean_micros);
-    out += ",\"replayed_mean_micros\":" + std::to_string(s.replayed_mean_micros);
-    std::snprintf(buf, sizeof(buf), ",\"ratio\":%.3f", s.ratio);
-    out += buf;
-    out += ",\"regressed\":";
-    out += s.regressed ? "true" : "false";
-    out += ",\"errors\":" + std::to_string(s.errors);
-    out += ",\"sheds\":" + std::to_string(s.sheds);
-    out += ",\"fingerprint_mismatches\":" +
-           std::to_string(s.fingerprint_mismatches);
-    out += ",\"plan_changes\":" + std::to_string(s.plan_changes);
-    out += "}";
-  }
-  out += "]}";
-  return out;
+  return D::Object("replay")
+      .Add("ops", D::Int(ops))
+      .Add("errors", D::Int(errors))
+      .Add("sheds", D::Int(sheds))
+      .Add("fingerprint_mismatches", D::Int(fingerprint_mismatches))
+      .Add("plan_changes", D::Int(plan_changes))
+      .Add("wall_micros", D::Int(wall_micros))
+      .Add("throughput_qps", D::Real(throughput_qps, 2))
+      .Add("mean_micros", D::Int(mean_micros))
+      .Add("p50_micros", D::Int(p50_micros))
+      .Add("p95_micros", D::Int(p95_micros))
+      .Add("p99_micros", D::Int(p99_micros))
+      .Add("p999_micros", D::Int(p999_micros))
+      .Add("max_micros", D::Int(max_micros))
+      .Add("statements", std::move(list));
 }
 
 }  // namespace aldsp::observability

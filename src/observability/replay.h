@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "observability/json_util.h"
 #include "observability/workload_journal.h"
 
 namespace aldsp::observability {
@@ -104,8 +105,8 @@ struct ReplayReport {
   /// Worst ratio first; statements the sentinel gates flagged lead.
   std::vector<ReplayStatementReport> statements;
 
-  std::string RenderText() const;
-  std::string RenderJson() const;
+  /// The "replay" document of this report.
+  SnapshotDoc Doc() const;
 };
 
 /// Replays a captured workload journal through a ReplayExecutor and

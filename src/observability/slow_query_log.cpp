@@ -1,10 +1,6 @@
 #include "observability/slow_query_log.h"
 
-#include <cstdio>
 #include <sstream>
-#include <string_view>
-
-#include "observability/json_util.h"
 
 namespace aldsp::observability {
 
@@ -59,46 +55,24 @@ void SlowQueryLog::Clear() {
   promoted_.clear();
 }
 
-std::string SlowQueryLog::RecordJson(const SlowQueryRecord& r) {
-  const QueryCompletion& c = r.completion;
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"seq\":%lld,\"fingerprint\":\"%llu\","
-                "\"statement_fingerprint\":\"%llu\",",
-                static_cast<long long>(r.seq),
-                static_cast<unsigned long long>(c.fingerprint),
-                static_cast<unsigned long long>(c.statement_fingerprint));
-  out += buf;
-  out += "\"query_head\":";
-  AppendJsonString(&out, std::string_view(c.text).substr(0, kRetainedTextChars));
-  std::snprintf(buf, sizeof(buf),
-                ",\"wall_micros\":%lld,\"threshold_micros\":%lld,"
-                "\"full_trace\":%s,",
-                static_cast<long long>(c.wall_micros),
-                static_cast<long long>(r.threshold_micros),
-                r.full_trace ? "true" : "false");
-  out += buf;
-  out += "\"profile_json\":";
-  // profile_json is already JSON (or empty); embed as-is when present.
-  out += r.profile_json.empty() ? "null" : r.profile_json;
-  out += ",\"trace_json\":";
-  out += r.trace_json.empty() ? "null" : r.trace_json;
-  out += ",\"profile_text\":";
-  AppendJsonString(&out, r.profile_text);
-  out += "}";
-  return out;
-}
-
-std::string SlowQueryLog::RenderJson(
-    const std::vector<SlowQueryRecord>& records) {
-  std::string out = "[";
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (i != 0) out += ",";
-    out += RecordJson(records[i]);
+SnapshotDoc SlowQueryLog::Doc(const std::vector<SlowQueryRecord>& records) {
+  using D = SnapshotDoc;
+  D doc = D::List("slow queries");
+  for (const SlowQueryRecord& r : records) {
+    const QueryCompletion& c = r.completion;
+    doc.Push(D::Object())
+        .Add("seq", D::Int(r.seq))
+        .Add("fingerprint", D::Fingerprint(c.fingerprint))
+        .Add("statement_fingerprint", D::Fingerprint(c.statement_fingerprint))
+        .Add("query_head", D::String(c.text.substr(0, kRetainedTextChars)))
+        .Add("wall_micros", D::Int(c.wall_micros))
+        .Add("threshold_micros", D::Int(r.threshold_micros))
+        .Add("full_trace", D::Bool(r.full_trace))
+        .Add("profile_json", D::RawJson(r.profile_json))
+        .Add("trace_json", D::RawJson(r.trace_json))
+        .Add("profile_text", D::String(r.profile_text));
   }
-  out += "]";
-  return out;
+  return doc;
 }
 
 }  // namespace aldsp::observability

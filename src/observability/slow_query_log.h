@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "observability/bounded_ring.h"
+#include "observability/json_util.h"
 #include "observability/query_completion.h"
 
 namespace aldsp::observability {
@@ -56,8 +57,9 @@ class SlowQueryLog {
   size_t capacity() const { return ring_.capacity(); }
   void Clear();
 
-  static std::string RecordJson(const SlowQueryRecord& record);
-  static std::string RenderJson(const std::vector<SlowQueryRecord>& records);
+  /// The "slow queries" document: a list of `records` (a Records result,
+  /// or a selection of it).
+  static SnapshotDoc Doc(const std::vector<SlowQueryRecord>& records);
 
  private:
   // Promotion set cap: a rogue workload of unique slow statements must

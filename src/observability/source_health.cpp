@@ -1,9 +1,5 @@
 #include "observability/source_health.h"
 
-#include <cstdio>
-
-#include "observability/json_util.h"
-
 namespace aldsp::observability {
 
 const char* BreakerStateName(BreakerState state) {
@@ -151,31 +147,22 @@ std::vector<SourceHealthSnapshot> SourceHealthBoard::GetSnapshot(
   return out;
 }
 
-std::string SourceHealthBoard::RenderJson(
+SnapshotDoc SourceHealthBoard::Doc(
     const std::vector<SourceHealthSnapshot>& snap) {
-  std::string out = "{";
-  bool first = true;
+  using D = SnapshotDoc;
+  D doc = D::Keyed("source health");
   for (const SourceHealthSnapshot& s : snap) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonString(&out, s.source);
-    out += ":{\"state\":";
-    AppendJsonString(&out, BreakerStateName(s.state));
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  ",\"ewma_latency_micros\":%.1f,\"successes\":%lld,"
-                  "\"failures\":%lld,\"timeouts\":%lld,"
-                  "\"consecutive_failures\":%lld,\"trips\":%lld}",
-                  s.ewma_latency_micros,
-                  static_cast<long long>(s.successes),
-                  static_cast<long long>(s.failures),
-                  static_cast<long long>(s.timeouts),
-                  static_cast<long long>(s.consecutive_failures),
-                  static_cast<long long>(s.trips));
-    out += buf;
+    D e = D::Object();
+    e.Add("state", D::String(BreakerStateName(s.state)))
+        .Add("ewma_latency_micros", D::Real(s.ewma_latency_micros, 1))
+        .Add("successes", D::Int(s.successes))
+        .Add("failures", D::Int(s.failures))
+        .Add("timeouts", D::Int(s.timeouts))
+        .Add("consecutive_failures", D::Int(s.consecutive_failures))
+        .Add("trips", D::Int(s.trips));
+    doc.Add(s.source, std::move(e));
   }
-  out += "}";
-  return out;
+  return doc;
 }
 
 void SourceHealthBoard::Clear() {

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "observability/json_util.h"
+
 namespace aldsp::observability {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
@@ -63,7 +65,9 @@ class SourceHealthBoard {
 
   BreakerState StateOf(const std::string& source, int64_t now_micros) const;
   std::vector<SourceHealthSnapshot> GetSnapshot(int64_t now_micros) const;
-  static std::string RenderJson(const std::vector<SourceHealthSnapshot>& snap);
+  /// The "source health" document: `snap` (a GetSnapshot result) keyed by
+  /// source name.
+  static SnapshotDoc Doc(const std::vector<SourceHealthSnapshot>& snap);
 
   const BreakerOptions& options() const { return options_; }
   void Clear();

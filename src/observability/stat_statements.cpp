@@ -1,9 +1,6 @@
 #include "observability/stat_statements.h"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "observability/json_util.h"
 
 namespace aldsp::observability {
 
@@ -98,84 +95,37 @@ int64_t StatStatements::evictions() const {
   return evictions_;
 }
 
-std::string StatStatements::RenderText(int top_k) const {
-  auto top = TopK(top_k);
-  std::string out =
-      "statement statistics (top " + std::to_string(top.size()) + ")\n";
-  int rank = 0;
-  for (const auto& s : top) {
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "  [%d] stmt_fp=%llu plan_fp=%llu calls=%lld errors=%lld "
-                  "cancels=%lld sheds=%lld "
-                  "total_ms=%.1f mean_ms=%.2f p95_ms<=%.1f rows=%lld "
-                  "peak_bytes=%lld\n",
-                  ++rank,
-                  static_cast<unsigned long long>(s.statement_fingerprint),
-                  static_cast<unsigned long long>(s.fingerprint),
-                  static_cast<long long>(s.calls),
-                  static_cast<long long>(s.errors),
-                  static_cast<long long>(s.cancels),
-                  static_cast<long long>(s.sheds),
-                  s.total_wall_micros / 1000.0, s.MeanWallMicros() / 1000.0,
-                  s.P95WallMicrosEstimate() / 1000.0,
-                  static_cast<long long>(s.rows_returned),
-                  static_cast<long long>(s.max_peak_bytes));
-    out += line;
-    std::snprintf(line, sizeof(line),
-                  "      source_ms=%.1f compute_ms=%.1f queue_ms=%.1f "
-                  "plan_cache=%lld/%lld fn_cache=%lld/%lld\n",
-                  s.source_wait_micros / 1000.0, s.compute_micros / 1000.0,
-                  s.queue_wait_micros / 1000.0,
-                  static_cast<long long>(s.plan_cache_hits),
-                  static_cast<long long>(s.plan_cache_hits +
-                                         s.plan_cache_misses),
-                  static_cast<long long>(s.function_cache_hits),
-                  static_cast<long long>(s.function_cache_hits +
-                                         s.function_cache_misses));
-    out += line;
-    out += "      " + s.query_head + "\n";
+SnapshotDoc StatStatements::Doc(const std::vector<StatementStats>& top,
+                                int64_t entry_count, int64_t evictions) {
+  using D = SnapshotDoc;
+  D statements = D::List();
+  for (const StatementStats& s : top) {
+    statements.Push(D::Object())
+        .Add("fingerprint", D::Fingerprint(s.fingerprint))
+        .Add("statement_fingerprint", D::Fingerprint(s.statement_fingerprint))
+        .Add("query_head", D::String(s.query_head))
+        .Add("calls", D::Int(s.calls))
+        .Add("errors", D::Int(s.errors))
+        .Add("cancels", D::Int(s.cancels))
+        .Add("sheds", D::Int(s.sheds))
+        .Add("total_wall_micros", D::Int(s.total_wall_micros))
+        .Add("mean_wall_micros",
+             D::Int(static_cast<int64_t>(s.MeanWallMicros())))
+        .Add("p95_wall_micros_upper", D::Int(s.P95WallMicrosEstimate()))
+        .Add("rows_returned", D::Int(s.rows_returned))
+        .Add("max_peak_bytes", D::Int(s.max_peak_bytes))
+        .Add("source_wait_micros", D::Int(s.source_wait_micros))
+        .Add("compute_micros", D::Int(s.compute_micros))
+        .Add("queue_wait_micros", D::Int(s.queue_wait_micros))
+        .Add("plan_cache_hits", D::Int(s.plan_cache_hits))
+        .Add("plan_cache_misses", D::Int(s.plan_cache_misses))
+        .Add("function_cache_hits", D::Int(s.function_cache_hits))
+        .Add("function_cache_misses", D::Int(s.function_cache_misses));
   }
-  return out;
-}
-
-std::string StatStatements::RenderJson(int top_k) const {
-  auto top = TopK(top_k);
-  std::string out = "{\"entry_count\":" + std::to_string(entry_count());
-  out += ",\"evictions\":" + std::to_string(evictions());
-  out += ",\"statements\":[";
-  bool first = true;
-  for (const auto& s : top) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"fingerprint\":\"" + std::to_string(s.fingerprint) + "\"";
-    out += ",\"statement_fingerprint\":\"" +
-           std::to_string(s.statement_fingerprint) + "\"";
-    out += ",\"query_head\":";
-    AppendJsonString(&out, s.query_head);
-    out += ",\"calls\":" + std::to_string(s.calls);
-    out += ",\"errors\":" + std::to_string(s.errors);
-    out += ",\"cancels\":" + std::to_string(s.cancels);
-    out += ",\"sheds\":" + std::to_string(s.sheds);
-    out += ",\"total_wall_micros\":" + std::to_string(s.total_wall_micros);
-    out += ",\"mean_wall_micros\":" +
-           std::to_string(static_cast<int64_t>(s.MeanWallMicros()));
-    out += ",\"p95_wall_micros_upper\":" +
-           std::to_string(s.P95WallMicrosEstimate());
-    out += ",\"rows_returned\":" + std::to_string(s.rows_returned);
-    out += ",\"max_peak_bytes\":" + std::to_string(s.max_peak_bytes);
-    out += ",\"source_wait_micros\":" + std::to_string(s.source_wait_micros);
-    out += ",\"compute_micros\":" + std::to_string(s.compute_micros);
-    out += ",\"queue_wait_micros\":" + std::to_string(s.queue_wait_micros);
-    out += ",\"plan_cache_hits\":" + std::to_string(s.plan_cache_hits);
-    out += ",\"plan_cache_misses\":" + std::to_string(s.plan_cache_misses);
-    out += ",\"function_cache_hits\":" + std::to_string(s.function_cache_hits);
-    out += ",\"function_cache_misses\":" +
-           std::to_string(s.function_cache_misses);
-    out += "}";
-  }
-  out += "]}";
-  return out;
+  return D::Object("statement statistics")
+      .Add("entry_count", D::Int(entry_count))
+      .Add("evictions", D::Int(evictions))
+      .Add("statements", std::move(statements));
 }
 
 }  // namespace aldsp::observability

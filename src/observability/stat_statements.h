@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "observability/histogram.h"
+#include "observability/json_util.h"
 #include "observability/query_completion.h"
 
 namespace aldsp::observability {
@@ -68,8 +69,9 @@ class StatStatements {
   int64_t entry_count() const;
   int64_t evictions() const;
 
-  std::string RenderText(int top_k) const;
-  std::string RenderJson(int top_k) const;
+  /// The "statement statistics" document of `top` (a TopK result).
+  static SnapshotDoc Doc(const std::vector<StatementStats>& top,
+                         int64_t entry_count, int64_t evictions);
 
  private:
   const size_t max_entries_;

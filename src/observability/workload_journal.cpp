@@ -1,11 +1,7 @@
 #include "observability/workload_journal.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
-
-#include "observability/json_util.h"
 
 namespace aldsp::observability {
 
@@ -33,46 +29,9 @@ void WorkloadJournal::Clear() {
   ring_.Clear([this] { epoch_micros_ = -1; });
 }
 
-std::string WorkloadJournal::EntryJson(const WorkloadJournalEntry& e) {
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"seq\":%lld,\"offset_micros\":%lld,"
-                "\"statement_fingerprint\":\"%llu\","
-                "\"plan_fingerprint\":\"%llu\",",
-                static_cast<long long>(e.seq),
-                static_cast<long long>(e.offset_micros),
-                static_cast<unsigned long long>(e.statement_fingerprint),
-                static_cast<unsigned long long>(e.plan_fingerprint));
-  out += buf;
-  out += "\"text\":";
-  AppendJsonString(&out, e.text);
-  out += ",\"principal\":";
-  AppendJsonString(&out, e.principal);
-  out += ",\"outcome\":";
-  AppendJsonString(&out, e.outcome);
-  std::snprintf(buf, sizeof(buf),
-                ",\"wall_micros\":%lld,\"rows\":%lld,\"peak_bytes\":%lld}",
-                static_cast<long long>(e.wall_micros),
-                static_cast<long long>(e.rows),
-                static_cast<long long>(e.peak_bytes));
-  out += buf;
-  return out;
-}
-
-std::string WorkloadJournal::RenderJsonl(
-    const std::vector<WorkloadJournalEntry>& entries) {
-  std::string out;
-  for (const WorkloadJournalEntry& e : entries) {
-    out += EntryJson(e);
-    out += "\n";
-  }
-  return out;
-}
-
 namespace {
 
-/// Minimal parser for the flat JSON objects EntryJson emits: string,
+/// Minimal parser for the flat JSON objects the JSONL export holds: string,
 /// integer and quoted-integer values only, no nesting. Returns false on
 /// malformed input; unknown keys are skipped so the format can grow.
 class FlatJsonParser {
@@ -222,42 +181,29 @@ Result<std::vector<WorkloadJournalEntry>> WorkloadJournal::ParseJsonl(
   return out;
 }
 
-std::string WorkloadJournal::RenderText(
-    const std::vector<WorkloadJournalEntry>& entries) {
-  std::ostringstream os;
-  os << "workload journal: " << entries.size() << " entr"
-     << (entries.size() == 1 ? "y" : "ies") << "\n";
-  for (const WorkloadJournalEntry& e : entries) {
-    os << "  #" << e.seq << " +" << e.offset_micros / 1000 << "ms"
-       << " stmt_fp=" << e.statement_fingerprint
-       << " plan_fp=" << e.plan_fingerprint
-       << " tenant=" << (e.principal.empty() ? "(anonymous)" : e.principal)
-       << " " << e.outcome << " wall=" << e.wall_micros << "us rows=" << e.rows;
-    if (e.peak_bytes > 0) os << " peak_bytes=" << e.peak_bytes;
-    std::string head = e.text.substr(0, 72);
-    for (char& c : head) {
-      if (c == '\n' || c == '\t') c = ' ';
-    }
-    os << "  " << head << "\n";
-  }
-  return os.str();
-}
-
-std::string WorkloadJournal::RenderJson(
+SnapshotDoc WorkloadJournal::Doc(
     const std::vector<WorkloadJournalEntry>& entries, int64_t total_appended,
     size_t capacity) {
-  std::string out = "{\"total_appended\":" + std::to_string(total_appended);
-  out += ",\"capacity\":" + std::to_string(capacity);
-  out += ",\"retained\":" + std::to_string(entries.size());
-  out += ",\"entries\":[";
-  bool first = true;
+  using D = SnapshotDoc;
+  D list = D::List();
   for (const WorkloadJournalEntry& e : entries) {
-    if (!first) out += ",";
-    first = false;
-    out += EntryJson(e);
+    list.Push(D::Object())
+        .Add("seq", D::Int(e.seq))
+        .Add("offset_micros", D::Int(e.offset_micros))
+        .Add("statement_fingerprint", D::Fingerprint(e.statement_fingerprint))
+        .Add("plan_fingerprint", D::Fingerprint(e.plan_fingerprint))
+        .Add("text", D::String(e.text))
+        .Add("principal", D::String(e.principal))
+        .Add("outcome", D::String(e.outcome))
+        .Add("wall_micros", D::Int(e.wall_micros))
+        .Add("rows", D::Int(e.rows))
+        .Add("peak_bytes", D::Int(e.peak_bytes));
   }
-  out += "]}";
-  return out;
+  return D::Object("workload journal")
+      .Add("total_appended", D::Int(total_appended))
+      .Add("capacity", D::Int(static_cast<int64_t>(capacity)))
+      .Add("retained", D::Int(static_cast<int64_t>(entries.size())))
+      .Add("entries", std::move(list));
 }
 
 }  // namespace aldsp::observability

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "observability/bounded_ring.h"
+#include "observability/json_util.h"
 #include "observability/query_completion.h"
 
 namespace aldsp::observability {
@@ -60,19 +61,16 @@ class WorkloadJournal {
   /// Drops all entries and re-arms the epoch for a fresh capture.
   void Clear();
 
-  static std::string EntryJson(const WorkloadJournalEntry& entry);
-  /// One JSON object per line, oldest first — the export format.
-  static std::string RenderJsonl(const std::vector<WorkloadJournalEntry>& entries);
-  /// Parses a RenderJsonl export back into entries (the import side of
-  /// the capture -> export -> import -> replay round trip). Unknown keys
+  /// The "workload journal" document: {"total_appended":N,"capacity":N,
+  /// "retained":N,"entries":[...]}. Its "entries" member rendered as JSON
+  /// Lines, one entry per line oldest first, is the export format.
+  static SnapshotDoc Doc(const std::vector<WorkloadJournalEntry>& entries,
+                         int64_t total_appended, size_t capacity);
+  /// Parses a JSONL export back into entries (the import side of the
+  /// capture -> export -> import -> replay round trip). Unknown keys
   /// are ignored; a malformed line fails the whole import.
   static Result<std::vector<WorkloadJournalEntry>> ParseJsonl(
       const std::string& jsonl);
-
-  static std::string RenderText(const std::vector<WorkloadJournalEntry>& entries);
-  /// JSON document: {"entries":[...],"total_appended":N,...}.
-  static std::string RenderJson(const std::vector<WorkloadJournalEntry>& entries,
-                                int64_t total_appended, size_t capacity);
 
  private:
   BoundedRing<WorkloadJournalEntry> ring_;

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-
-#include "observability/json_util.h"
 
 namespace aldsp::server {
 namespace {
@@ -242,98 +239,39 @@ void AdmissionController::ResetStats() {
   tenant_counters_.clear();
 }
 
-std::string AdmissionSnapshot::RenderText() const {
-  if (!enabled) return "admission control: disabled\n";
-  char line[256];
-  std::string out;
-  std::snprintf(line, sizeof(line),
-                "admission control: max_concurrent=%d analytics_cap=%d\n",
-                max_concurrent_queries, max_concurrent_analytics);
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "  running=%lld (analytics=%lld) queue_depth=%lld\n",
-                static_cast<long long>(running),
-                static_cast<long long>(analytics_running),
-                static_cast<long long>(queue_depth));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "  admitted=%lld (interactive=%lld analytics=%lld "
-                "queued_first=%lld)\n",
-                static_cast<long long>(admitted),
-                static_cast<long long>(admitted_interactive),
-                static_cast<long long>(admitted_analytics),
-                static_cast<long long>(queued));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "  shed: queue_full=%lld timeout=%lld "
-                "cancelled_while_queued=%lld\n",
-                static_cast<long long>(shed_queue_full),
-                static_cast<long long>(shed_timeout),
-                static_cast<long long>(cancelled_while_queued));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "  wait: mean=%.2fms p95<=%.1fms p99<=%.1fms max=%.1fms\n",
-                wait.MeanMicros() / 1000.0,
-                wait.PercentileUpperMicros(0.95) / 1000.0,
-                wait.PercentileUpperMicros(0.99) / 1000.0,
-                wait.max_micros / 1000.0);
-  out += line;
+observability::SnapshotDoc AdmissionSnapshot::Doc() const {
+  using D = observability::SnapshotDoc;
+  D wait_doc = D::Object();
+  wait_doc.Add("count", D::Int(wait.count))
+      .Add("mean_micros", D::Int(static_cast<int64_t>(wait.MeanMicros())))
+      .Add("p95_micros_upper", D::Int(wait.PercentileUpperMicros(0.95)))
+      .Add("p99_micros_upper", D::Int(wait.PercentileUpperMicros(0.99)))
+      .Add("max_micros", D::Int(wait.max_micros));
+  D tenant_list = D::List();
   for (const auto& [tenant, t] : tenants) {
-    std::snprintf(line, sizeof(line),
-                  "  tenant %s: weight=%.1f admitted=%lld queued=%lld "
-                  "shed=%lld\n",
-                  tenant.c_str(), t.weight, static_cast<long long>(t.admitted),
-                  static_cast<long long>(t.queued),
-                  static_cast<long long>(t.shed));
-    out += line;
+    tenant_list.Push(D::Object())
+        .Add("tenant", D::String(tenant))
+        .Add("weight", D::Real(t.weight, 3))
+        .Add("admitted", D::Int(t.admitted))
+        .Add("queued", D::Int(t.queued))
+        .Add("shed", D::Int(t.shed));
   }
-  return out;
-}
-
-std::string AdmissionSnapshot::RenderJson() const {
-  std::string out = "{\"enabled\":";
-  out += enabled ? "true" : "false";
-  out += ",\"max_concurrent_queries\":" + std::to_string(max_concurrent_queries);
-  out += ",\"max_concurrent_analytics\":" +
-         std::to_string(max_concurrent_analytics);
-  out += ",\"running\":" + std::to_string(running);
-  out += ",\"analytics_running\":" + std::to_string(analytics_running);
-  out += ",\"queue_depth\":" + std::to_string(queue_depth);
-  out += ",\"admitted\":" + std::to_string(admitted);
-  out += ",\"admitted_interactive\":" + std::to_string(admitted_interactive);
-  out += ",\"admitted_analytics\":" + std::to_string(admitted_analytics);
-  out += ",\"queued\":" + std::to_string(queued);
-  out += ",\"shed_queue_full\":" + std::to_string(shed_queue_full);
-  out += ",\"shed_timeout\":" + std::to_string(shed_timeout);
-  out += ",\"cancelled_while_queued\":" +
-         std::to_string(cancelled_while_queued);
-  out += ",\"wait\":{\"count\":" + std::to_string(wait.count);
-  out += ",\"mean_micros\":" +
-         std::to_string(static_cast<int64_t>(wait.MeanMicros()));
-  out += ",\"p95_micros_upper\":" +
-         std::to_string(wait.PercentileUpperMicros(0.95));
-  out += ",\"p99_micros_upper\":" +
-         std::to_string(wait.PercentileUpperMicros(0.99));
-  out += ",\"max_micros\":" + std::to_string(wait.max_micros);
-  out += "}";
-  out += ",\"tenants\":[";
-  bool first = true;
-  for (const auto& [tenant, t] : tenants) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"tenant\":";
-    observability::AppendJsonString(&out, tenant);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", t.weight);
-    out += ",\"weight\":";
-    out += buf;
-    out += ",\"admitted\":" + std::to_string(t.admitted);
-    out += ",\"queued\":" + std::to_string(t.queued);
-    out += ",\"shed\":" + std::to_string(t.shed);
-    out += "}";
-  }
-  out += "]}";
-  return out;
+  return D::Object("admission control")
+      .Add("enabled", D::Bool(enabled))
+      .Add("max_concurrent_queries", D::Int(max_concurrent_queries))
+      .Add("max_concurrent_analytics", D::Int(max_concurrent_analytics))
+      .Add("running", D::Int(running))
+      .Add("analytics_running", D::Int(analytics_running))
+      .Add("queue_depth", D::Int(queue_depth))
+      .Add("admitted", D::Int(admitted))
+      .Add("admitted_interactive", D::Int(admitted_interactive))
+      .Add("admitted_analytics", D::Int(admitted_analytics))
+      .Add("queued", D::Int(queued))
+      .Add("shed_queue_full", D::Int(shed_queue_full))
+      .Add("shed_timeout", D::Int(shed_timeout))
+      .Add("cancelled_while_queued", D::Int(cancelled_while_queued))
+      .Add("wait", std::move(wait_doc))
+      .Add("tenants", std::move(tenant_list));
 }
 
 }  // namespace aldsp::server

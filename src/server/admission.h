@@ -11,6 +11,7 @@
 
 #include "common/status.h"
 #include "observability/histogram.h"
+#include "observability/json_util.h"
 #include "observability/query_registry.h"
 
 namespace aldsp::server {
@@ -80,8 +81,8 @@ struct AdmissionSnapshot {
   };
   std::map<std::string, TenantCounters> tenants;
 
-  std::string RenderText() const;
-  std::string RenderJson() const;
+  /// The "admission control" document of this snapshot.
+  observability::SnapshotDoc Doc() const;
 };
 
 /// The server's execution front door (the concurrent serving plane): at

@@ -1,7 +1,6 @@
 #include "server/explain.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -392,21 +391,6 @@ std::string RenderProfileText(const CompiledPlan& plan,
   if (trace.has_timeline()) {
     os << observability::RenderCriticalPathText(
         observability::AnalyzeCriticalPath(trace.BuildTimeline()));
-  }
-  return os.str();
-}
-
-std::string RenderSourceHealthText(
-    const std::vector<observability::SourceHealthSnapshot>& health) {
-  std::ostringstream os;
-  os << "=== source health ===\n";
-  for (const auto& s : health) {
-    char ewma[32];
-    std::snprintf(ewma, sizeof(ewma), "%.1f", s.ewma_latency_micros);
-    os << s.source << ": " << observability::BreakerStateName(s.state)
-       << "  ewma=" << ewma << "us ok=" << s.successes
-       << " err=" << s.failures << " timeout=" << s.timeouts
-       << " trips=" << s.trips << "\n";
   }
   return os.str();
 }

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "observability/source_health.h"
 #include "runtime/physical/builder.h"
 #include "runtime/query_trace.h"
 #include "server/server.h"
@@ -59,13 +58,6 @@ std::string RenderPlanSnapshotText(const CompiledPlan& plan);
 /// one -/+ pair instead of resynchronizing the whole tree.
 std::string RenderExplainDiff(const std::string& before,
                               const std::string& after);
-
-/// The source-health scoreboard section EXPLAIN appends once the server
-/// has observed any source: per-source breaker state, EWMA latency and
-/// error/timeout tallies, so a plan reading a tripped source is visible
-/// at plan-inspection time.
-std::string RenderSourceHealthText(
-    const std::vector<observability::SourceHealthSnapshot>& health);
 
 }  // namespace aldsp::server
 

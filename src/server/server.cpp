@@ -856,9 +856,8 @@ Result<std::string> DataServicePlatform::Explain(const std::string& query) {
     }
     out += "\n";
   }
-  std::vector<observability::SourceHealthSnapshot> health =
-      health_.GetSnapshot(NowMicros());
-  if (!health.empty()) out += RenderSourceHealthText(health);
+  observability::SnapshotDoc health = SourceHealthDoc();
+  if (health.size() != 0) out += observability::RenderText(health);
   return out;
 }
 
@@ -866,12 +865,11 @@ Result<std::string> DataServicePlatform::ExplainJson(const std::string& query) {
   ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
                          Prepare(query));
   std::string json = RenderPlanJson(*plan, PlanBuildOptions(ctx_));
-  std::vector<observability::SourceHealthSnapshot> health =
-      health_.GetSnapshot(NowMicros());
-  if (!health.empty() && !json.empty() && json.back() == '}') {
+  observability::SnapshotDoc health = SourceHealthDoc();
+  if (health.size() != 0 && !json.empty() && json.back() == '}') {
     json.pop_back();
     json += ",\"source_health\":";
-    json += observability::SourceHealthBoard::RenderJson(health);
+    observability::AppendJson(&json, health);
     json += "}";
   }
   return json;
@@ -1019,39 +1017,7 @@ runtime::MetricsRegistry::Snapshot DataServicePlatform::MetricsSnapshot() {
   return metrics_.GetSnapshot();
 }
 
-std::string DataServicePlatform::StatStatementsText(int top_k) {
-  return stat_statements_.RenderText(top_k);
-}
-
-std::string DataServicePlatform::StatStatementsJson(int top_k) {
-  return stat_statements_.RenderJson(top_k);
-}
-
 void DataServicePlatform::ResetStatStatements() { stat_statements_.Reset(); }
-
-std::string DataServicePlatform::LiveQueriesText() {
-  return query_registry_.RenderText();
-}
-
-std::string DataServicePlatform::LiveQueriesJson() {
-  return query_registry_.RenderJson();
-}
-
-std::string DataServicePlatform::PlanHistoryText(uint64_t statement_fp) {
-  return plan_history_.RenderHistoryText(statement_fp);
-}
-
-std::string DataServicePlatform::PlanHistoryJson(uint64_t statement_fp) {
-  return plan_history_.RenderHistoryJson(statement_fp);
-}
-
-std::string DataServicePlatform::PlanRegressionsText() {
-  return plan_history_.RenderRegressionsText();
-}
-
-std::string DataServicePlatform::PlanRegressionsJson() {
-  return plan_history_.RenderRegressionsJson();
-}
 
 bool DataServicePlatform::CancelQuery(uint64_t query_id) {
   const bool found = query_registry_.Cancel(query_id);
@@ -1059,22 +1025,6 @@ bool DataServicePlatform::CancelQuery(uint64_t query_id) {
                 "query #" + std::to_string(query_id) +
                     (found ? "" : " (not running)"));
   return found;
-}
-
-std::string DataServicePlatform::WorkloadJournalText() {
-  return observability::WorkloadJournal::RenderText(
-      workload_journal_.Records());
-}
-
-std::string DataServicePlatform::WorkloadJournalJson() {
-  return observability::WorkloadJournal::RenderJson(
-      workload_journal_.Records(), workload_journal_.total_appended(),
-      workload_journal_.capacity());
-}
-
-std::string DataServicePlatform::WorkloadJournalJsonl() {
-  return observability::WorkloadJournal::RenderJsonl(
-      workload_journal_.Records());
 }
 
 observability::ReplayReport DataServicePlatform::ReplayWorkload(
@@ -1125,30 +1075,6 @@ observability::ReplayReport DataServicePlatform::ReplayWorkload(
   return report;
 }
 
-std::string DataServicePlatform::AuditLog() {
-  return observability::ExecutionAuditLog::RenderJsonl(exec_audit_.Records());
-}
-
-std::string DataServicePlatform::SlowQueries() {
-  return observability::SlowQueryLog::RenderJson(slow_queries_.Records());
-}
-
-std::string DataServicePlatform::RenderSlowQueryText(int64_t seq) {
-  std::ostringstream os;
-  for (const auto& r : slow_queries_.Records()) {
-    if (seq >= 0 && r.seq != seq) continue;
-    os << "-- slow query #" << r.seq
-       << " stmt_fp=" << r.completion.statement_fingerprint
-       << " wall=" << r.completion.wall_micros
-       << "us threshold=" << r.threshold_micros << "us "
-       << (r.full_trace ? "[full trace]" : "[counters]") << "\n";
-    os << r.completion.text << "\n";
-    os << r.profile_text;
-    if (!r.profile_text.empty() && r.profile_text.back() != '\n') os << "\n";
-  }
-  return os.str();
-}
-
 std::string DataServicePlatform::SlowQueryChromeTrace(int64_t seq) {
   for (const auto& r : slow_queries_.Records()) {
     if (r.seq == seq) return r.trace_json;
@@ -1156,8 +1082,8 @@ std::string DataServicePlatform::SlowQueryChromeTrace(int64_t seq) {
   return "";
 }
 
-std::string DataServicePlatform::SourceHealthJson() {
-  return observability::SourceHealthBoard::RenderJson(
+observability::SnapshotDoc DataServicePlatform::SourceHealthDoc() const {
+  return observability::SourceHealthBoard::Doc(
       health_.GetSnapshot(NowMicros()));
 }
 

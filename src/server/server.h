@@ -340,26 +340,21 @@ class DataServicePlatform {
   runtime::MetricsRegistry::Snapshot MetricsSnapshot();
   std::string MetricsText();
   std::string MetricsJson();
-  /// The always-on metrics export API (counters, source histograms,
-  /// rolling windows, windowed cache-hit counters, pool gauges).
-  std::string MetricsSnapshotJson() { return MetricsJson(); }
   /// The same snapshot in Prometheus text exposition format, for scrape
   /// endpoints (per-tenant gauges as labelled families, source latency
   /// as cumulative `le` buckets).
   std::string MetricsPrometheusText();
 
   // ----- Always-on observability plane ---------------------------------
+  //
+  // Each plane renders its own snapshot document: for example
+  // RenderJsonLines(ExecutionAuditLog::Doc(execution_audit().Records()))
+  // is the audit JSONL, and RenderText(SlowQueryLog::Doc(...)) the slow
+  // query report (observability/json_util.h).
 
-  /// JSONL rendering of the retained execution audit records (one JSON
-  /// object per line, oldest first).
-  std::string AuditLog();
-  /// JSON array of the retained slow-query captures.
-  std::string SlowQueries();
-  /// Rendered profile of the slow-query record with sequence number
-  /// `seq`, or of every retained record when `seq` < 0.
-  std::string RenderSlowQueryText(int64_t seq = -1);
-  /// JSON snapshot of the per-source health scoreboard.
-  std::string SourceHealthJson();
+  /// The per-source health scoreboard document, read at the server's
+  /// clock; Explain and ExplainJson embed the same document.
+  observability::SnapshotDoc SourceHealthDoc() const;
   /// Chrome trace_event JSON stored with the slow-query capture `seq`
   /// (promoted runs execute under a timeline trace whose exported
   /// timeline is retained), or "" when the record is absent or was a
@@ -373,23 +368,19 @@ class DataServicePlatform {
   // ----- Statement-level insight plane ---------------------------------
 
   /// Cumulative per-fingerprint statement statistics (pg_stat_statements
-  /// style), ordered by total wall time; top_k <= 0 renders every entry.
-  std::string StatStatementsText(int top_k = 20);
-  std::string StatStatementsJson(int top_k = 20);
+  /// style) in stat_statements(), TopK ordered by total wall time; the
+  /// live queries (id, fingerprint, tenant, phase, rows produced so far,
+  /// peak bytes, elapsed time) in query_registry().
   void ResetStatStatements();
 
-  /// The queries running right now: id, fingerprint, tenant, phase, rows
-  /// produced so far, peak bytes, elapsed time.
-  std::string LiveQueriesText();
-  std::string LiveQueriesJson();
-
   /// Requests cooperative cancellation of an in-flight query (ids appear
-  /// in LiveQueries*). The query fails with StatusCode::kCancelled within
-  /// one operator scheduling quantum; prefetch and exchange tasks drain
-  /// through their normal Close/CancelAndWait paths. Returns false when
-  /// the id is not (or no longer) running. Audited either way it lands:
-  /// the cancel request in the security audit log, the cancelled
-  /// execution in the execution audit log.
+  /// in query_registry().Snapshot()). The query fails with
+  /// StatusCode::kCancelled within one operator scheduling quantum;
+  /// prefetch and exchange tasks drain through their normal
+  /// Close/CancelAndWait paths. Returns false when the id is not (or no
+  /// longer) running. Audited either way it lands: the cancel request in
+  /// the security audit log, the cancelled execution in the execution
+  /// audit log.
   bool CancelQuery(uint64_t query_id);
 
   observability::StatStatements& stat_statements() { return stat_statements_; }
@@ -397,9 +388,8 @@ class DataServicePlatform {
 
   // ----- Concurrent serving plane (admission control) ------------------
 
-  /// Admission gate state: slots, lanes, shed counters, wait histogram.
-  std::string AdmissionText() { return admission_.Snapshot().RenderText(); }
-  std::string AdmissionJson() { return admission_.Snapshot().RenderJson(); }
+  /// Admission gate state (slots, lanes, shed counters, wait histogram)
+  /// via admission().Snapshot().
   AdmissionController& admission() { return admission_; }
 
   // ----- Plan lifecycle plane ------------------------------------------
@@ -407,29 +397,12 @@ class DataServicePlatform {
   /// Per-statement plan-version history: every plan fingerprint a
   /// statement has compiled into, with its compile trigger (cold compile,
   /// cache eviction, cost-model-advice change), per-version latency
-  /// baseline and retained EXPLAIN snapshot. statement_fp == 0 renders
-  /// every tracked statement.
-  std::string PlanHistoryText(uint64_t statement_fp = 0);
-  std::string PlanHistoryJson(uint64_t statement_fp = 0);
-
-  /// Regression-sentinel events: a new plan version whose latency
-  /// baseline breached the prior version's, with a structural EXPLAIN
-  /// diff between the two plans.
-  std::string PlanRegressionsText();
-  std::string PlanRegressionsJson();
-
+  /// baseline and retained EXPLAIN snapshot; and the regression
+  /// sentinel's events (a new plan version whose latency baseline
+  /// breached the prior version's, with a structural EXPLAIN diff).
   observability::PlanHistory& plan_history() { return plan_history_; }
 
   // ----- Workload capture & replay plane --------------------------------
-
-  /// The captured workload: every observed Execute* lands in a bounded
-  /// journal (statement + plan fingerprint, text, principal, arrival
-  /// offset, wall micros, rows, peak bytes, outcome). Text / JSON
-  /// renderings, and the JSONL export that WorkloadJournal::ParseJsonl
-  /// round-trips for capture-on-one-server, replay-on-another.
-  std::string WorkloadJournalText();
-  std::string WorkloadJournalJson();
-  std::string WorkloadJournalJsonl();
 
   /// Re-runs a captured workload against this server in open loop
   /// (recorded arrival offsets, scaled by options.speed) or closed loop
@@ -449,6 +422,11 @@ class DataServicePlatform {
     return workload_capture_.load(std::memory_order_relaxed);
   }
 
+  /// The captured workload: every observed Execute* lands in a bounded
+  /// journal (statement + plan fingerprint, text, principal, arrival
+  /// offset, wall micros, rows, peak bytes, outcome). The JSONL export of
+  /// WorkloadJournal::Doc's entries round-trips through ParseJsonl for
+  /// capture-on-one-server, replay-on-another.
   observability::WorkloadJournal& workload_journal() {
     return workload_journal_;
   }

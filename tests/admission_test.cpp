@@ -35,6 +35,9 @@ using aldsp::testing::RunningExample;
 using observability::QueryControl;
 using observability::QueryPhase;
 using observability::QueryRegistry;
+using observability::RenderJson;
+using observability::RenderJsonLines;
+using observability::RenderText;
 using server::AdmissionController;
 using server::AdmissionOptions;
 using server::AdmissionSnapshot;
@@ -47,6 +50,11 @@ using xquery::JoinMethod;
 
 bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
+}
+
+std::string AuditJsonl(DataServicePlatform& platform) {
+  return RenderJsonLines(observability::ExecutionAuditLog::Doc(
+      platform.execution_audit().Records()));
 }
 
 int64_t NowMs() {
@@ -370,10 +378,10 @@ TEST(AdmissionControllerTest, SnapshotRenderers) {
   AdmissionController ac(opts);
   auto t = ac.Admit("tenant-x", QueryClass::kInteractive);
   ASSERT_TRUE(t.status.ok());
-  std::string text = ac.Snapshot().RenderText();
+  std::string text = RenderText(ac.Snapshot().Doc());
   EXPECT_TRUE(Contains(text, "admission control")) << text;
   EXPECT_TRUE(Contains(text, "tenant-x")) << text;
-  std::string json = ac.Snapshot().RenderJson();
+  std::string json = RenderJson(ac.Snapshot().Doc());
   EXPECT_EQ(json.front(), '{');
   EXPECT_TRUE(Contains(json, "\"admitted\":1")) << json;
   EXPECT_TRUE(Contains(json, "\"tenant\":\"tenant-x\"")) << json;
@@ -532,14 +540,17 @@ TEST(AdmissionServerTest, BudgetBreachThreadsShedOutcomeEverywhere) {
 
   // Outcome threading: audit log, stat_statements, workload journal and
   // per-tenant metrics all classify the run as shed, not as an error.
-  EXPECT_TRUE(Contains(env.platform.AuditLog(),
+  EXPECT_TRUE(Contains(AuditJsonl(env.platform),
                        "\"outcome\":\"ResourceExhausted\""));
   auto top = env.platform.stat_statements().TopK(0);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].sheds, 1);
   EXPECT_EQ(top[0].errors, 0);
-  EXPECT_TRUE(Contains(env.platform.WorkloadJournalJsonl(),
-                       "\"outcome\":\"ResourceExhausted\""));
+  EXPECT_TRUE(Contains(
+      RenderJsonLines(observability::WorkloadJournal::Doc(
+                          env.platform.workload_journal().Records(), 0, 0)
+                          .Member("entries")),
+      "\"outcome\":\"ResourceExhausted\""));
   auto snapshot = env.platform.MetricsSnapshot();
   EXPECT_EQ(snapshot.windowed_counters.at("tenant.(anonymous).sheds").total,
             1);
@@ -609,7 +620,7 @@ TEST(AdmissionServerTest, QueueTimeoutShedsAndCancelWhileQueuedCancels) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted)
       << shed.status().ToString();
-  EXPECT_TRUE(Contains(env.platform.AuditLog(),
+  EXPECT_TRUE(Contains(AuditJsonl(env.platform),
                        "\"outcome\":\"ResourceExhausted\""));
   // The admission audit trail names the gate.
   bool saw_admission_event = false;
@@ -729,8 +740,8 @@ TEST(ReplayShedTest, ShedExecutionsCountApartFromErrors) {
   EXPECT_EQ(report.ops, 3);
   EXPECT_EQ(report.sheds, 1);
   EXPECT_EQ(report.errors, 1);
-  EXPECT_TRUE(Contains(report.RenderJson(), "\"sheds\":1"))
-      << report.RenderJson();
+  EXPECT_TRUE(Contains(RenderJson(report.Doc()), "\"sheds\":1"))
+      << RenderJson(report.Doc());
 }
 
 }  // namespace

@@ -27,6 +27,9 @@ using observability::QueryControl;
 using observability::QueryPhase;
 using observability::QueryRegistry;
 using observability::QueryCompletion;
+using observability::RenderJson;
+using observability::RenderText;
+using observability::SnapshotDoc;
 using observability::StatStatements;
 using server::DataServicePlatform;
 using server::ServerOptions;
@@ -42,6 +45,16 @@ int64_t NowMs() {
 
 bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
+}
+
+SnapshotDoc StatsDoc(const StatStatements& stats) {
+  return StatStatements::Doc(stats.TopK(20), stats.entry_count(),
+                             stats.evictions());
+}
+
+SnapshotDoc LiveDoc(const QueryRegistry& registry) {
+  return QueryRegistry::Doc(registry.Snapshot(), registry.total_started(),
+                            registry.total_cancel_requests());
 }
 
 // ----- StatStatements accumulator ----------------------------------------
@@ -102,10 +115,10 @@ TEST(StatStatementsTest, RenderersIncludeCountsAndEscapes) {
   QueryCompletion s = Sample(7, 1234);
   s.text = "for $c in \"quoted\"";
   stats.Record(s);
-  std::string text = stats.RenderText(10);
-  EXPECT_TRUE(Contains(text, "fp=7")) << text;
+  std::string text = RenderText(StatsDoc(stats));
+  EXPECT_TRUE(Contains(text, "fingerprint=\"7\"")) << text;
   EXPECT_TRUE(Contains(text, "calls=1")) << text;
-  std::string json = stats.RenderJson(10);
+  std::string json = RenderJson(StatsDoc(stats));
   EXPECT_EQ(json.front(), '{');
   EXPECT_TRUE(Contains(json, "\\\"quoted\\\"")) << json;
 }
@@ -140,7 +153,7 @@ TEST(QueryRegistryTest, RegisterSnapshotCancelUnregister) {
   EXPECT_FALSE(reg.Cancel(ctl->query_id));  // already gone
   EXPECT_EQ(reg.total_started(), 1);
 
-  std::string json = reg.RenderJson();
+  std::string json = RenderJson(LiveDoc(reg));
   EXPECT_EQ(json.front(), '{');
   EXPECT_TRUE(Contains(json, "\"live_count\":0")) << json;
 }
@@ -262,9 +275,9 @@ TEST(InsightPlaneTest, StatStatementsAccumulateAcrossLiterals) {
   EXPECT_EQ(top[0].plan_cache_misses, 3);
   EXPECT_GT(top[0].total_wall_micros, 0);
 
-  std::string text = env.platform.StatStatementsText();
+  std::string text = RenderText(StatsDoc(env.platform.stat_statements()));
   EXPECT_TRUE(Contains(text, "calls=3")) << text;
-  std::string json = env.platform.StatStatementsJson();
+  std::string json = RenderJson(StatsDoc(env.platform.stat_statements()));
   EXPECT_EQ(json.front(), '{');
   EXPECT_TRUE(Contains(json, "\"calls\":3")) << json;
 
@@ -301,7 +314,7 @@ TEST(InsightPlaneTest, LiveQueriesVisibleDuringExecution) {
       "for $c in ns3:CUSTOMER() return fn:data($c/CID)",
       [&](const xml::Item&) -> Status {
         if (++items == 5) {
-          live_json = env.platform.LiveQueriesJson();
+          live_json = RenderJson(LiveDoc(env.platform.query_registry()));
           mid_stream = env.platform.query_registry().Snapshot();
         }
         return Status::OK();
@@ -316,7 +329,8 @@ TEST(InsightPlaneTest, LiveQueriesVisibleDuringExecution) {
   EXPECT_TRUE(Contains(live_json, "\"phase\":\"executing\"")) << live_json;
   // Finished executions leave the registry.
   EXPECT_EQ(env.platform.query_registry().live_count(), 0);
-  EXPECT_TRUE(Contains(env.platform.LiveQueriesText(), "live queries: 0"));
+  EXPECT_TRUE(Contains(RenderText(LiveDoc(env.platform.query_registry())),
+                       "live_count=0"));
 }
 
 TEST(InsightPlaneTest, PerTenantWindowsAttributeResources) {

@@ -23,6 +23,9 @@ using aldsp::testing::MakeCustomerDb;
 using observability::BreakerOptions;
 using observability::BreakerState;
 using observability::ExecutionAuditLog;
+using observability::RenderJson;
+using observability::RenderJsonLines;
+using observability::RenderText;
 using observability::RollingCounter;
 using observability::RollingWindow;
 using observability::SourceHealthBoard;
@@ -123,7 +126,7 @@ TEST(SourceHealthBoardTest, EwmaAndJsonRendering) {
   ASSERT_EQ(snap.size(), 1u);
   // alpha = 0.2: 0.2 * 200 + 0.8 * 100 = 120.
   EXPECT_NEAR(snap[0].ewma_latency_micros, 120.0, 0.01);
-  std::string json = SourceHealthBoard::RenderJson(snap);
+  std::string json = RenderJson(SourceHealthBoard::Doc(snap));
   EXPECT_NE(json.find("\"db\":{\"state\":\"closed\""), std::string::npos);
   EXPECT_NE(json.find("\"ewma_latency_micros\":120.0"), std::string::npos);
   EXPECT_NE(json.find("\"successes\":2"), std::string::npos);
@@ -274,7 +277,7 @@ TEST(ExecutionAuditLogTest, BoundedRingAndJsonl) {
   EXPECT_EQ(records.back().seq, 4);
   // The log stamps the hash of the full text.
   EXPECT_EQ(records.back().query_hash, ExecutionAuditLog::HashQuery("q4"));
-  std::string jsonl = ExecutionAuditLog::RenderJsonl(records);
+  std::string jsonl = RenderJsonLines(ExecutionAuditLog::Doc(records));
   // One JSON object per line, schema-stable keys.
   int lines = 0;
   for (char c : jsonl) {
@@ -294,7 +297,7 @@ TEST(ExecutionAuditLogTest, ControlCharactersStayOnOneJsonlLine) {
   observability::QueryCompletion r;
   r.text = "for $c in\nns3:CUSTOMER()\treturn\r$c \x01\x1f end";
   log.Append(r);
-  std::string jsonl = ExecutionAuditLog::RenderJsonl(log.Records());
+  std::string jsonl = RenderJsonLines(ExecutionAuditLog::Doc(log.Records()));
   // Exactly one line (one trailing newline) despite the embedded \n.
   ASSERT_FALSE(jsonl.empty());
   EXPECT_EQ(jsonl.back(), '\n');
@@ -386,7 +389,7 @@ TEST(SlowQueryLogTest, PromotionAndBoundedRing) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_TRUE(records.back().full_trace);
   EXPECT_EQ(records.back().completion.wall_micros, 1002);
-  std::string json = observability::SlowQueryLog::RenderJson(records);
+  std::string json = RenderJson(observability::SlowQueryLog::Doc(records));
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"wall_micros\":1002"), std::string::npos);
 }
@@ -446,7 +449,8 @@ TEST_F(ObservabilityServerTest, CompletionsAuditedPerExecution) {
   EXPECT_EQ(second.compile_micros, 0);
 
   // The JSONL API renders both records.
-  std::string jsonl = platform_.AuditLog();
+  std::string jsonl = RenderJsonLines(
+      ExecutionAuditLog::Doc(platform_.execution_audit().Records()));
   EXPECT_NE(jsonl.find("\"sources\":[\"customer_db\"]"), std::string::npos);
   EXPECT_NE(jsonl.find("\"plan_cache_hit\":true"), std::string::npos);
 }
@@ -472,7 +476,7 @@ TEST_F(ObservabilityServerTest, RollingMetricsFedByExecutions) {
   EXPECT_EQ(snap.windowed_counters.at("plan_cache.misses").total, 1);
   EXPECT_GE(snap.counters.at("worker_pool.size"), 1);
   EXPECT_EQ(snap.counters.at("audit_log.records"), 2);
-  std::string json = platform_.MetricsSnapshotJson();
+  std::string json = platform_.MetricsJson();
   EXPECT_NE(json.find("\"windows\""), std::string::npos);
   EXPECT_NE(json.find("\"query.latency_micros\""), std::string::npos);
   EXPECT_NE(json.find("\"windowed_counters\""), std::string::npos);
@@ -524,14 +528,19 @@ TEST_F(ObservabilityServerTest, ExplainRendersSourceHealth) {
   ASSERT_TRUE(platform_.Execute("fn:count(ns3:CUSTOMER())").ok());
   auto text = platform_.Explain("fn:count(ns3:CUSTOMER())");
   ASSERT_TRUE(text.ok());
-  EXPECT_NE(text->find("=== source health ==="), std::string::npos);
-  EXPECT_NE(text->find("customer_db: closed"), std::string::npos);
+  EXPECT_NE(text->find("\nsource health\n"), std::string::npos) << *text;
+  const size_t line = text->find("\n  customer_db ");
+  ASSERT_NE(line, std::string::npos) << *text;
+  EXPECT_LT(text->find("state=\"closed\"", line), text->find('\n', line + 1))
+      << *text;
   auto json = platform_.ExplainJson("fn:count(ns3:CUSTOMER())");
   ASSERT_TRUE(json.ok());
-  EXPECT_NE(json->find("\"source_health\""), std::string::npos);
+  EXPECT_NE(json->find("\"source_health\":" +
+                       RenderJson(platform_.SourceHealthDoc()) + "}"),
+            std::string::npos);
   EXPECT_EQ(json->back(), '}');
-  // The standalone health API renders the same scoreboard.
-  EXPECT_NE(platform_.SourceHealthJson().find("\"customer_db\""),
+  // The standalone health document renders the same scoreboard.
+  EXPECT_NE(RenderJson(platform_.SourceHealthDoc()).find("\"customer_db\""),
             std::string::npos);
 }
 
@@ -607,15 +616,16 @@ TEST_F(SlowQueryServerTest, FirstSlowRunPromotesSecondCapturesFullTrace) {
             std::string::npos);
   EXPECT_FALSE(records[1].profile_json.empty());
 
-  std::string json = platform_.SlowQueries();
+  using observability::SlowQueryLog;
+  std::string json = RenderJson(SlowQueryLog::Doc(records));
   EXPECT_NE(json.find("\"full_trace\":true"), std::string::npos);
-  std::string text = platform_.RenderSlowQueryText();
-  EXPECT_NE(text.find("-- slow query #0"), std::string::npos);
-  EXPECT_NE(text.find("[full trace]"), std::string::npos);
-  // Selecting one record by sequence number filters the rest.
-  std::string one = platform_.RenderSlowQueryText(records[0].seq);
-  EXPECT_NE(one.find("[counters]"), std::string::npos);
-  EXPECT_EQ(one.find("[full trace]"), std::string::npos);
+  std::string text = RenderText(SlowQueryLog::Doc(records));
+  EXPECT_NE(text.find("seq=0"), std::string::npos);
+  EXPECT_NE(text.find("full_trace=true"), std::string::npos);
+  // Selecting one record by sequence number leaves the rest out.
+  std::string one = RenderText(SlowQueryLog::Doc({records[0]}));
+  EXPECT_NE(one.find("full_trace=false"), std::string::npos);
+  EXPECT_EQ(one.find("full_trace=true"), std::string::npos);
 
   // Promotion keys on the statement, not the text: once one literal of a
   // statement ran slow, a different literal runs under a timeline the
@@ -679,8 +689,9 @@ TEST_F(BreakerServerTest, RepeatedTimeoutsTripImmediateFailoverThenRecovery) {
   EXPECT_EQ(health.StateOf("ws", 0), BreakerState::kOpen);
   EXPECT_EQ(health.GetSnapshot(0)[0].timeouts, 2);
   EXPECT_EQ(health.GetSnapshot(0)[0].trips, 1);
-  EXPECT_NE(platform_.SourceHealthJson().find("\"state\":\"open\""),
-            std::string::npos);
+  EXPECT_NE(
+      RenderJson(platform_.SourceHealthDoc()).find("\"state\":\"open\""),
+      std::string::npos);
 
   // With the breaker open the timeout combinator takes the alternate
   // immediately instead of re-paying the deadline.

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "observability/plan_history.h"
 #include "server/explain.h"
@@ -25,6 +26,10 @@ using observability::CompileTrigger;
 using observability::PlanHistory;
 using observability::PlanHistoryOptions;
 using observability::PlanRegressionEvent;
+using observability::RenderJson;
+using observability::RenderText;
+using observability::SnapshotDoc;
+using observability::StatementHistory;
 using server::DataServicePlatform;
 using server::ServerOptions;
 using aldsp::testing::MakeCreditCardDb;
@@ -32,6 +37,14 @@ using aldsp::testing::MakeCustomerDb;
 using xquery::Clause;
 using xquery::ExprPtr;
 using xquery::JoinMethod;
+
+/// The plan-history document of `statements` with `history`'s totals.
+SnapshotDoc HistoryDoc(const PlanHistory& history,
+                       const std::vector<StatementHistory>& statements) {
+  return PlanHistory::HistoryDoc(statements, history.statement_count(),
+                                 history.statement_evictions(),
+                                 history.plan_changes_total());
+}
 
 // ----- Statement fingerprint unit tests ---------------------------------
 
@@ -199,14 +212,15 @@ TEST(PlanHistoryTest, RenderersEmitValidShapes) {
   history.RecordCompile(5, 50, "some \"query\"", "a",
                         [] { return "plan\ntext"; });
   history.RecordExecution(5, 50, 1234);
-  std::string text = history.RenderHistoryText(0);
-  EXPECT_NE(text.find("stmt_fp=5"), std::string::npos);
+  std::string text = RenderText(HistoryDoc(history, history.Snapshot()));
+  EXPECT_NE(text.find("statement_fingerprint=\"5\""), std::string::npos);
   EXPECT_NE(text.find("cold compile"), std::string::npos);
-  std::string json = history.RenderHistoryJson(5);
+  std::string json = RenderJson(HistoryDoc(history, {*history.Statement(5)}));
   EXPECT_NE(json.find("\"statement_fingerprint\":\"5\""), std::string::npos);
   EXPECT_NE(json.find("\"trigger\":\"cold compile\""), std::string::npos);
   // Unknown statement renders an empty-but-valid document.
-  EXPECT_NE(history.RenderHistoryJson(999).find("\"statements\":[]"),
+  EXPECT_FALSE(history.Statement(999).has_value());
+  EXPECT_NE(RenderJson(HistoryDoc(history, {})).find("\"statements\":[]"),
             std::string::npos);
 }
 
@@ -337,20 +351,25 @@ TEST(PlanLifecycleE2ETest, FlipRecordsHistoryAndSentinelFires) {
             std::string::npos);
 
   // ...and the server surfaces it all: history, regressions, metrics.
-  std::string hist_json = platform.PlanHistoryJson(stmt_fp);
+  auto& history = platform.plan_history();
+  std::string hist_json =
+      RenderJson(HistoryDoc(history, {*history.Statement(stmt_fp)}));
   EXPECT_NE(hist_json.find("\"plan_changes\":1"), std::string::npos);
   EXPECT_NE(hist_json.find("cost-model-advice change"), std::string::npos);
-  std::string reg_json = platform.PlanRegressionsJson();
+  const SnapshotDoc regressions = PlanHistory::RegressionsDoc(
+      history.Regressions(), history.regressions_total());
+  std::string reg_json = RenderJson(regressions);
   EXPECT_NE(reg_json.find("\"regressions_total\":1"), std::string::npos);
-  EXPECT_NE(platform.PlanRegressionsText().find("ratio="),
-            std::string::npos);
+  EXPECT_NE(RenderText(regressions).find("ratio="), std::string::npos);
   auto snapshot = platform.MetricsSnapshot();
   EXPECT_EQ(snapshot.counters.at("plan_history.plan_changes"), 1);
   EXPECT_EQ(snapshot.counters.at("plan_history.regressions"), 1);
 
   // The cumulative statement stats kept one entry across the flip —
   // the forking problem the statement fingerprint exists to solve.
-  std::string stats_json = platform.StatStatementsJson(0);
+  auto& stats = platform.stat_statements();
+  std::string stats_json = RenderJson(observability::StatStatements::Doc(
+      stats.TopK(0), stats.entry_count(), stats.evictions()));
   const std::string key =
       "\"statement_fingerprint\":\"" + std::to_string(stmt_fp) + "\"";
   size_t first = stats_json.find(key);

@@ -604,7 +604,9 @@ TEST_F(SlowQueryTimelineTest, PromotedRunRetainsChromeTrace) {
             records[1].trace_json);
   EXPECT_EQ(platform.SlowQueryChromeTrace(records[0].seq), "");
   EXPECT_EQ(platform.SlowQueryChromeTrace(999'999), "");
-  EXPECT_TRUE(Contains(platform.SlowQueries(), "\"trace_json\":{"));
+  EXPECT_TRUE(Contains(observability::RenderJson(
+                           observability::SlowQueryLog::Doc(records)),
+                       "\"trace_json\":{"));
 }
 
 // ----- Batch accounting: spans report rows, never batches ------------------

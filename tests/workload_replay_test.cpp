@@ -21,6 +21,8 @@ using aldsp::testing::MakeCustomerDb;
 using observability::ReplayDriver;
 using observability::ReplayExecution;
 using observability::ReplayOptions;
+using observability::RenderJson;
+using observability::RenderText;
 using observability::ReplayReport;
 using observability::WorkloadJournal;
 using observability::QueryCompletion;
@@ -30,6 +32,16 @@ using server::ServerOptions;
 
 bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
+}
+
+/// The JSONL export: the journal document's entries, one per line.
+std::string Jsonl(const std::vector<WorkloadJournalEntry>& entries) {
+  return observability::RenderJsonLines(
+      WorkloadJournal::Doc(entries, 0, 0).Member("entries"));
+}
+
+std::string Jsonl(const WorkloadJournal& journal) {
+  return Jsonl(journal.Records());
 }
 
 class WorkloadServer {
@@ -159,7 +171,7 @@ TEST(WorkloadJournalTest, JsonlRoundTripPreservesEveryField) {
   b.outcome = "kCancelled";
   entries.push_back(b);
 
-  const std::string jsonl = WorkloadJournal::RenderJsonl(entries);
+  const std::string jsonl = Jsonl(entries);
   auto parsed = WorkloadJournal::ParseJsonl(jsonl);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 2u);
@@ -198,7 +210,7 @@ TEST(ReplayTest, ClosedLoopRoundTripVerifiesFingerprints) {
 
   // Export, then import as a second operator would on another box.
   auto imported =
-      WorkloadJournal::ParseJsonl(env.platform.WorkloadJournalJsonl());
+      WorkloadJournal::ParseJsonl(Jsonl(env.platform.workload_journal()));
   ASSERT_TRUE(imported.ok()) << imported.status().ToString();
   ASSERT_EQ(imported->size(), 5u);
 
@@ -238,9 +250,9 @@ TEST(ReplayTest, ClosedLoopRoundTripVerifiesFingerprints) {
   ASSERT_TRUE(env.platform.Execute("fn:count(ns3:ORDER())").ok());
   EXPECT_EQ(env.platform.workload_journal().total_appended(), captured + 1);
 
-  const std::string text = report.RenderText();
-  EXPECT_TRUE(Contains(text, "replay: 40 ops")) << text;
-  const std::string json = report.RenderJson();
+  const std::string text = RenderText(report.Doc());
+  EXPECT_TRUE(Contains(text, "ops=40")) << text;
+  const std::string json = RenderJson(report.Doc());
   EXPECT_TRUE(Contains(json, "\"fingerprint_mismatches\":0")) << json;
 }
 
@@ -330,7 +342,7 @@ TEST(ReplayTest, FlagsRegressionAgainstCapturedBaseline) {
   ASSERT_EQ(report.statements.size(), 1u);
   EXPECT_TRUE(report.statements[0].regressed);
   EXPECT_GE(report.statements[0].ratio, 1.5);
-  EXPECT_TRUE(Contains(report.RenderText(), "REGRESSED"));
+  EXPECT_TRUE(Contains(RenderText(report.Doc()), "regressed=true"));
 
   // Same capture, but too few calls for the gate: no flag.
   ReplayOptions strict = opts;
@@ -446,7 +458,7 @@ TEST(ConcurrencyGaugesTest, JournalCaptureRacesExport) {
   std::thread exporter([&] {
     while (!done.load()) {
       auto parsed =
-          WorkloadJournal::ParseJsonl(env.platform.WorkloadJournalJsonl());
+          WorkloadJournal::ParseJsonl(Jsonl(env.platform.workload_journal()));
       ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     }
   });
