@@ -48,6 +48,14 @@ struct Scope {
   }
 };
 
+Scope TableScope(const TableDef& def, const std::string& alias) {
+  std::vector<std::string> cols;
+  for (const auto& c : def.columns) cols.push_back(c.name);
+  Scope scope;
+  scope.entries.push_back({alias, 0, std::move(cols)});
+  return scope;
+}
+
 /// Evaluation frame: a scope + current flat row, an optional group of
 /// member rows (for aggregates), and a link to the enclosing frame for
 /// correlated subqueries.
@@ -58,9 +66,18 @@ struct Frame {
   const Frame* outer = nullptr;
 };
 
+/// A working relation. A base table's rows are borrowed in place: the
+/// statement holds the database lock for its whole run, so the stored
+/// vector cannot change under it. Join output, derived tables and
+/// statement results own their rows.
 struct Relation {
   Scope scope;
-  std::vector<Row> rows;
+  const std::vector<Row>* stored = nullptr;
+  std::vector<Row> owned;
+
+  const std::vector<Row>& rows() const {
+    return stored != nullptr ? *stored : owned;
+  }
 };
 
 // Canonical encoding of a cell for hashing/grouping. NULL encodes to a
@@ -146,7 +163,7 @@ class Executor {
     rs.column_names = rel.scope.entries.empty()
                           ? std::vector<std::string>{}
                           : rel.scope.entries.front().cols;
-    rs.rows = std::move(rel.rows);
+    rs.rows = std::move(rel.owned);
     return rs;
   }
 
@@ -157,20 +174,19 @@ class Executor {
     ALDSP_ASSIGN_OR_RETURN(Relation working, EvalTableRef(s.from, outer));
     for (const auto& join : s.joins) {
       ALDSP_ASSIGN_OR_RETURN(Relation right, EvalTableRef(join.right, outer));
-      ALDSP_ASSIGN_OR_RETURN(working,
-                             ExecJoin(std::move(working), std::move(right),
-                                      join, outer));
+      ALDSP_ASSIGN_OR_RETURN(working, ExecJoin(working, right, join, outer));
     }
 
-    // ----- WHERE -----
-    if (s.where) {
-      std::vector<Row> kept;
-      for (auto& row : working.rows) {
+    // ----- WHERE ----- (the surviving rows, read where they are)
+    std::vector<const Row*> live;
+    if (!s.where) live.reserve(working.rows().size());
+    for (const Row& row : working.rows()) {
+      if (s.where) {
         Frame f{&working.scope, &row, nullptr, outer};
         ALDSP_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*s.where, f));
-        if (keep) kept.push_back(std::move(row));
+        if (!keep) continue;
       }
-      working.rows = std::move(kept);
+      live.push_back(&row);
     }
 
     bool grouped = !s.group_by.empty() || s.having != nullptr ||
@@ -191,13 +207,10 @@ class Executor {
       std::unordered_map<std::string, size_t> index;
       if (s.group_by.empty()) {
         // Global aggregate: exactly one group (possibly empty).
-        groups.emplace_back();
-        for (const auto& row : working.rows) {
-          groups[0].members.push_back(&row);
-        }
+        groups.push_back({std::move(live)});
       } else {
-        for (const auto& row : working.rows) {
-          Frame f{&working.scope, &row, nullptr, outer};
+        for (const Row* row : live) {
+          Frame f{&working.scope, row, nullptr, outer};
           std::vector<Cell> key;
           for (const auto& g : s.group_by) {
             ALDSP_ASSIGN_OR_RETURN(Cell c, Eval(*g, f));
@@ -210,7 +223,7 @@ class Executor {
             groups.emplace_back();
             it = index.find(enc);
           }
-          groups[it->second].members.push_back(&row);
+          groups[it->second].members.push_back(row);
         }
       }
       Row null_row(working.scope.Width(), Cell::Null());
@@ -233,8 +246,8 @@ class Executor {
         out.push_back(std::move(orow));
       }
     } else {
-      for (const auto& row : working.rows) {
-        Frame f{&working.scope, &row, nullptr, outer};
+      for (const Row* row : live) {
+        Frame f{&working.scope, row, nullptr, outer};
         OutRow orow;
         for (const auto& item : s.items) {
           ALDSP_ASSIGN_OR_RETURN(Cell c, Eval(*item.expr, f));
@@ -286,7 +299,8 @@ class Executor {
       } else {
         int64_t end = std::min<int64_t>(start + count,
                                         static_cast<int64_t>(rows.size()));
-        rows = std::vector<Row>(rows.begin() + start, rows.begin() + end);
+        rows.erase(rows.begin() + end, rows.end());
+        rows.erase(rows.begin(), rows.begin() + start);
       }
     }
 
@@ -299,7 +313,7 @@ class Executor {
                           : s.items[i].output_name);
     }
     result.scope.entries.push_back({"", 0, std::move(names)});
-    result.rows = std::move(rows);
+    result.owned = std::move(rows);
     return result;
   }
 
@@ -336,18 +350,16 @@ class Executor {
       ALDSP_ASSIGN_OR_RETURN(Relation sub, ExecSelect(*ref.derived, outer));
       rel.scope.entries.push_back(
           {ref.alias, 0, sub.scope.entries.front().cols});
-      rel.rows = std::move(sub.rows);
+      rel.owned = std::move(sub.owned);
       return rel;
     }
     const TableDef* def = nullptr;
     const std::vector<Row>* rows = nullptr;
     ALDSP_RETURN_NOT_OK(lookup_(ref.table_name, &def, &rows));
-    std::vector<std::string> cols;
-    for (const auto& c : def->columns) cols.push_back(c.name);
-    rel.scope.entries.push_back(
-        {ref.alias.empty() ? ref.table_name : ref.alias, 0, std::move(cols)});
-    rel.rows = *rows;
-    if (stats_ != nullptr) stats_->rows_scanned += rel.rows.size();
+    rel.scope =
+        TableScope(*def, ref.alias.empty() ? ref.table_name : ref.alias);
+    rel.stored = rows;
+    if (stats_ != nullptr) stats_->rows_scanned += rows->size();
     return rel;
   }
 
@@ -381,7 +393,7 @@ class Executor {
     return true;
   }
 
-  Result<Relation> ExecJoin(Relation left, Relation right,
+  Result<Relation> ExecJoin(const Relation& left, const Relation& right,
                             const JoinClause& join, const Frame* outer) {
     // Combined scope: left entries + right entries shifted.
     Relation combined;
@@ -426,8 +438,9 @@ class Executor {
     if (!equi.empty()) {
       // Hash join: build on right, probe with left.
       std::unordered_map<std::string, std::vector<size_t>> build;
-      for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-        Frame f{&right.scope, &right.rows[ri], nullptr, outer};
+      const std::vector<Row>& rrows = right.rows();
+      for (size_t ri = 0; ri < rrows.size(); ++ri) {
+        Frame f{&right.scope, &rrows[ri], nullptr, outer};
         std::vector<Cell> key;
         bool has_null = false;
         for (const auto& [le, re] : equi) {
@@ -438,7 +451,7 @@ class Executor {
         if (has_null) continue;  // NULL keys never join
         build[EncodeCells(key)].push_back(ri);
       }
-      for (const auto& lrow : left.rows) {
+      for (const auto& lrow : left.rows()) {
         Frame f{&left.scope, &lrow, nullptr, outer};
         std::vector<Cell> key;
         bool has_null = false;
@@ -453,12 +466,11 @@ class Executor {
           if (it != build.end()) {
             for (size_t ri : it->second) {
               Row merged = lrow;
-              merged.insert(merged.end(), right.rows[ri].begin(),
-                            right.rows[ri].end());
+              merged.insert(merged.end(), rrows[ri].begin(), rrows[ri].end());
               ALDSP_ASSIGN_OR_RETURN(bool ok, eval_residual(merged));
               if (ok) {
                 matched = true;
-                combined.rows.push_back(std::move(merged));
+                combined.owned.push_back(std::move(merged));
               }
             }
           }
@@ -466,14 +478,14 @@ class Executor {
         if (!matched && join.kind == JoinKind::kLeftOuter) {
           Row merged = lrow;
           merged.insert(merged.end(), right_width, Cell::Null());
-          combined.rows.push_back(std::move(merged));
+          combined.owned.push_back(std::move(merged));
         }
       }
     } else {
       // Nested loop.
-      for (const auto& lrow : left.rows) {
+      for (const auto& lrow : left.rows()) {
         bool matched = false;
-        for (const auto& rrow : right.rows) {
+        for (const auto& rrow : right.rows()) {
           Row merged = lrow;
           merged.insert(merged.end(), rrow.begin(), rrow.end());
           bool ok = true;
@@ -483,13 +495,13 @@ class Executor {
           }
           if (ok) {
             matched = true;
-            combined.rows.push_back(std::move(merged));
+            combined.owned.push_back(std::move(merged));
           }
         }
         if (!matched && join.kind == JoinKind::kLeftOuter) {
           Row merged = lrow;
           merged.insert(merged.end(), right_width, Cell::Null());
-          combined.rows.push_back(std::move(merged));
+          combined.owned.push_back(std::move(merged));
         }
       }
     }
@@ -573,7 +585,7 @@ class Executor {
         Executor sub(lookup_, params_, stats_);
         ALDSP_ASSIGN_OR_RETURN(Relation rel,
                                sub.ExecSelect(*e.subquery, &f));
-        return Cell::Bool(!rel.rows.empty());
+        return Cell::Bool(!rel.owned.empty());
       }
       case SqlExpr::Kind::kLike: {
         ALDSP_ASSIGN_OR_RETURN(Cell v, Eval(*e.args[0], f));
@@ -822,150 +834,137 @@ void Database::SimulateLatency(int64_t sleep_micros) const {
   }
 }
 
-Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
-                                          const std::vector<Cell>& params) {
+template <typename T, typename Body>
+Result<T> Database::RunStatement(Body body) {
   int64_t sleep_micros = 0;
-  Result<ResultSet> result = [&]() -> Result<ResultSet> {
+  Result<T> result = [&]() -> Result<T> {
     std::lock_guard<std::mutex> lock(mutex_);
     ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
-    auto lookup = [this](const std::string& name, const TableDef** def,
-                         const std::vector<Row>** rows) -> Status {
-      const TableStorage* s = FindStorage(name);
-      if (s == nullptr) {
-        return Status::NotFound("no such table in " + name_ + ": " + name);
-      }
-      *def = &s->def;
-      *rows = &s->rows;
-      return Status::OK();
-    };
-    Executor exec(lookup, &params, &stats_);
-    ALDSP_ASSIGN_OR_RETURN(ResultSet rs, exec.Run(stmt));
-    ChargeRows(rs.rows.size(), &sleep_micros);
-    return rs;
+    return body(&sleep_micros);
   }();
   SimulateLatency(sleep_micros);
   return result;
 }
 
-Result<int64_t> Database::ExecuteUpdate(const UpdateStmt& stmt,
-                                        const std::vector<Cell>& params) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  int64_t sleep_micros = 0;
-  ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
-  SimulateLatency(sleep_micros);
-  TableStorage* storage = FindStorage(stmt.table_name);
-  if (storage == nullptr) {
-    return Status::NotFound("no such table: " + stmt.table_name);
-  }
-  auto lookup = [this](const std::string& name, const TableDef** def,
-                       const std::vector<Row>** rows) -> Status {
+Database::TableLookup Database::ReadTables() const {
+  return [this](const std::string& name, const TableDef** def,
+                const std::vector<Row>** rows) -> Status {
     const TableStorage* s = FindStorage(name);
-    if (s == nullptr) return Status::NotFound("no such table: " + name);
+    if (s == nullptr) {
+      return Status::NotFound("no such table in " + name_ + ": " + name);
+    }
     *def = &s->def;
     *rows = &s->rows;
     return Status::OK();
   };
-  Executor exec(lookup, &params, &stats_);
-  Scope scope;
-  std::vector<std::string> cols;
-  for (const auto& c : storage->def.columns) cols.push_back(c.name);
-  scope.entries.push_back({stmt.table_name, 0, cols});
+}
 
-  int64_t affected = 0;
-  for (auto& row : storage->rows) {
-    Frame f{&scope, &row, nullptr, nullptr};
-    if (stmt.where) {
-      ALDSP_ASSIGN_OR_RETURN(Cell c, exec.EvalPublic(*stmt.where, f));
-      if (c.is_null || !c.value.AsBoolean()) continue;
+Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
+                                          const std::vector<Cell>& params) {
+  return RunStatement<ResultSet>(
+      [&](int64_t* sleep_micros) -> Result<ResultSet> {
+        Executor exec(ReadTables(), &params, &stats_);
+        ALDSP_ASSIGN_OR_RETURN(ResultSet rs, exec.Run(stmt));
+        ChargeRows(rs.rows.size(), sleep_micros);
+        return rs;
+      });
+}
+
+// UPDATE and DELETE decide every row against the table as it was before
+// the statement, then write: a subquery over the same table reads the
+// stored rows in place and must not see the statement's own changes.
+
+Result<int64_t> Database::ExecuteUpdate(const UpdateStmt& stmt,
+                                        const std::vector<Cell>& params) {
+  return RunStatement<int64_t>([&](int64_t*) -> Result<int64_t> {
+    TableStorage* storage = FindStorage(stmt.table_name);
+    if (storage == nullptr) {
+      return Status::NotFound("no such table: " + stmt.table_name);
     }
-    // Evaluate all assignments against the pre-update row, then apply.
-    std::vector<std::pair<int, Cell>> updates;
-    for (const auto& [col, expr] : stmt.assignments) {
-      int idx = storage->def.ColumnIndex(col);
-      if (idx < 0) {
-        return Status::NotFound("no such column: " + col + " in " +
-                                stmt.table_name);
+    Executor exec(ReadTables(), &params, &stats_);
+    Scope scope = TableScope(storage->def, stmt.table_name);
+    std::vector<std::pair<Row*, std::vector<std::pair<size_t, Cell>>>> writes;
+    for (auto& row : storage->rows) {
+      Frame f{&scope, &row, nullptr, nullptr};
+      if (stmt.where) {
+        ALDSP_ASSIGN_OR_RETURN(Cell c, exec.EvalPublic(*stmt.where, f));
+        if (c.is_null || !c.value.AsBoolean()) continue;
       }
-      ALDSP_ASSIGN_OR_RETURN(Cell v, exec.EvalPublic(*expr, f));
-      updates.emplace_back(idx, std::move(v));
+      std::vector<std::pair<size_t, Cell>> updates;
+      for (const auto& [col, expr] : stmt.assignments) {
+        int idx = storage->def.ColumnIndex(col);
+        if (idx < 0) {
+          return Status::NotFound("no such column: " + col + " in " +
+                                  stmt.table_name);
+        }
+        ALDSP_ASSIGN_OR_RETURN(Cell v, exec.EvalPublic(*expr, f));
+        updates.emplace_back(static_cast<size_t>(idx), std::move(v));
+      }
+      writes.emplace_back(&row, std::move(updates));
     }
-    for (auto& [idx, v] : updates) row[static_cast<size_t>(idx)] = std::move(v);
-    ++affected;
-  }
-  return affected;
+    for (auto& [row, updates] : writes) {
+      for (auto& [idx, v] : updates) (*row)[idx] = std::move(v);
+    }
+    return static_cast<int64_t>(writes.size());
+  });
 }
 
 Result<int64_t> Database::ExecuteInsert(const InsertStmt& stmt,
                                         const std::vector<Cell>& params) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  int64_t sleep_micros = 0;
-  ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
-  SimulateLatency(sleep_micros);
-  TableStorage* storage = FindStorage(stmt.table_name);
-  if (storage == nullptr) {
-    return Status::NotFound("no such table: " + stmt.table_name);
-  }
-  auto lookup = [](const std::string& name, const TableDef**,
-                   const std::vector<Row>**) -> Status {
-    return Status::NotFound("table scans not allowed in INSERT: " + name);
-  };
-  Executor exec(lookup, &params, &stats_);
-  Row row(storage->def.columns.size(), Cell::Null());
-  Frame f{nullptr, nullptr, nullptr, nullptr};
-  for (size_t i = 0; i < stmt.columns.size(); ++i) {
-    int idx = storage->def.ColumnIndex(stmt.columns[i]);
-    if (idx < 0) {
-      return Status::NotFound("no such column: " + stmt.columns[i]);
+  return RunStatement<int64_t>([&](int64_t*) -> Result<int64_t> {
+    TableStorage* storage = FindStorage(stmt.table_name);
+    if (storage == nullptr) {
+      return Status::NotFound("no such table: " + stmt.table_name);
     }
-    ALDSP_ASSIGN_OR_RETURN(Cell v, exec.EvalPublic(*stmt.values[i], f));
-    row[static_cast<size_t>(idx)] = std::move(v);
-  }
-  ALDSP_RETURN_NOT_OK(CheckRow(storage->def, row));
-  storage->rows.push_back(std::move(row));
-  return 1;
+    auto lookup = [](const std::string& name, const TableDef**,
+                     const std::vector<Row>**) -> Status {
+      return Status::NotFound("table scans not allowed in INSERT: " + name);
+    };
+    Executor exec(lookup, &params, &stats_);
+    Row row(storage->def.columns.size(), Cell::Null());
+    Frame f{nullptr, nullptr, nullptr, nullptr};
+    for (size_t i = 0; i < stmt.columns.size(); ++i) {
+      int idx = storage->def.ColumnIndex(stmt.columns[i]);
+      if (idx < 0) {
+        return Status::NotFound("no such column: " + stmt.columns[i]);
+      }
+      ALDSP_ASSIGN_OR_RETURN(Cell v, exec.EvalPublic(*stmt.values[i], f));
+      row[static_cast<size_t>(idx)] = std::move(v);
+    }
+    ALDSP_RETURN_NOT_OK(CheckRow(storage->def, row));
+    storage->rows.push_back(std::move(row));
+    return 1;
+  });
 }
 
 Result<int64_t> Database::ExecuteDelete(const DeleteStmt& stmt,
                                         const std::vector<Cell>& params) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  int64_t sleep_micros = 0;
-  ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
-  SimulateLatency(sleep_micros);
-  TableStorage* storage = FindStorage(stmt.table_name);
-  if (storage == nullptr) {
-    return Status::NotFound("no such table: " + stmt.table_name);
-  }
-  auto lookup = [this](const std::string& name, const TableDef** def,
-                       const std::vector<Row>** rows) -> Status {
-    const TableStorage* s = FindStorage(name);
-    if (s == nullptr) return Status::NotFound("no such table: " + name);
-    *def = &s->def;
-    *rows = &s->rows;
-    return Status::OK();
-  };
-  Executor exec(lookup, &params, &stats_);
-  Scope scope;
-  std::vector<std::string> cols;
-  for (const auto& c : storage->def.columns) cols.push_back(c.name);
-  scope.entries.push_back({stmt.table_name, 0, cols});
-
-  std::vector<Row> kept;
-  int64_t removed = 0;
-  for (auto& row : storage->rows) {
-    bool remove = true;
+  return RunStatement<int64_t>([&](int64_t*) -> Result<int64_t> {
+    TableStorage* storage = FindStorage(stmt.table_name);
+    if (storage == nullptr) {
+      return Status::NotFound("no such table: " + stmt.table_name);
+    }
+    Executor exec(ReadTables(), &params, &stats_);
+    Scope scope = TableScope(storage->def, stmt.table_name);
+    std::vector<Row>& rows = storage->rows;
+    std::vector<bool> remove(rows.size(), true);
     if (stmt.where) {
-      Frame f{&scope, &row, nullptr, nullptr};
-      ALDSP_ASSIGN_OR_RETURN(Cell c, exec.EvalPublic(*stmt.where, f));
-      remove = !c.is_null && c.value.AsBoolean();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        Frame f{&scope, &rows[i], nullptr, nullptr};
+        ALDSP_ASSIGN_OR_RETURN(Cell c, exec.EvalPublic(*stmt.where, f));
+        remove[i] = !c.is_null && c.value.AsBoolean();
+      }
     }
-    if (remove) {
-      ++removed;
-    } else {
-      kept.push_back(std::move(row));
+    size_t kept = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (remove[i]) continue;
+      if (kept != i) rows[kept] = std::move(rows[i]);
+      ++kept;
     }
-  }
-  storage->rows = std::move(kept);
-  return removed;
+    int64_t removed = static_cast<int64_t>(rows.size() - kept);
+    rows.resize(kept);
+    return removed;
+  });
 }
 
 Status Database::Begin() {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -98,6 +99,8 @@ class Database {
     TableDef def;
     std::vector<Row> rows;
   };
+  using TableLookup = std::function<Status(
+      const std::string&, const TableDef**, const std::vector<Row>**)>;
 
   TableStorage* FindStorage(const std::string& name);
   const TableStorage* FindStorage(const std::string& name) const;
@@ -107,6 +110,13 @@ class Database {
   /// same backend overlap their simulated wire time, the way independent
   /// connections to a real RDBMS would.
   Status ChargeStatement(int64_t* sleep_micros);
+  /// Runs one statement: charges its round trip and runs `body` under
+  /// mutex_, then sleeps the simulated wire time after releasing it.
+  template <typename T, typename Body>
+  Result<T> RunStatement(Body body);
+  /// Resolves the tables a statement reads. The executor reads their
+  /// stored rows in place, so a lookup is only valid under mutex_.
+  TableLookup ReadTables() const;
   void ChargeRows(size_t n, int64_t* sleep_micros);
   void SimulateLatency(int64_t sleep_micros) const;
   Status CheckRow(const TableDef& def, const Row& row) const;
