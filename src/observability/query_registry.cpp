@@ -21,8 +21,6 @@ const char* QueryPhaseName(QueryPhase phase) {
       return "queued";
     case QueryPhase::kExecuting:
       return "executing";
-    case QueryPhase::kSecurityFilter:
-      return "security-filter";
     case QueryPhase::kFinishing:
       return "finishing";
   }

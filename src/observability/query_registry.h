@@ -23,7 +23,6 @@ enum class QueryPhase : int {
   /// they hold any execution resources.
   kQueued,
   kExecuting,
-  kSecurityFilter,
   kFinishing,
 };
 

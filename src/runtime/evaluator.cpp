@@ -722,44 +722,25 @@ class Evaluator {
     return opts;
   }
 
-  /// Appends the result column's row values to `deliver`'s target: the
-  /// batch drive loops below read the ReturnOp's kResultBinding column
-  /// directly (the atomic layout is the fast path — no Sequence is
-  /// built for single-atomic results until delivery), falling back to a
-  /// materialized-row lookup only when an unconverted tree didn't
-  /// produce the column.
-  template <typename Fn>
-  static Status DrainResultBatch(const physical::TupleBatch& batch,
-                                 const Fn& deliver) {
-    const physical::BatchColumn* col =
-        batch.FindColumn(physical::kResultBinding);
-    size_t n = batch.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (col != nullptr) {
-        size_t r = batch.PhysicalIndex(i);
-        if (col->atomic()) {
-          ALDSP_RETURN_NOT_OK(deliver(Sequence{Item(col->atoms[r])}));
-        } else {
-          ALDSP_RETURN_NOT_OK(deliver(col->seqs[r]));
-        }
-        continue;
-      }
-      Tuple t = batch.MaterializeRow(i);
-      const Sequence* v = t.Lookup(physical::kResultBinding);
-      if (v != nullptr) ALDSP_RETURN_NOT_OK(deliver(*v));
-    }
-    return Status::OK();
-  }
-
-  Result<Sequence> EvalFLWOR(const Expr& e, const Tuple& env, int depth) {
+  /// The one FLWOR drive loop: lowers `e` into an operator tree, pulls
+  /// its root `max_rows` rows at a time (0 pulls full batches) and hands
+  /// each result item to `deliver`. The loop reads the return operator's
+  /// kResultBinding column directly (the atomic layout is the fast path:
+  /// no Sequence is built for single-atomic results). Cancel is polled
+  /// per delivered row even though execution polls per batch: a consumer
+  /// that cancels the query sees the stream stop at the next row
+  /// boundary, not after the rest of an already-produced batch.
+  template <typename Deliver>
+  Status DriveFLWOR(const Expr& e, const Tuple& env, int depth, int max_rows,
+                    const char* span_detail, const Deliver& deliver) {
     int span = -1;
     std::optional<QueryTrace::Scope> scope;
     auto t0 = std::chrono::steady_clock::now();
     if (ctx_.trace != nullptr) {
-      span = ctx_.trace->BeginSpan("flwor");
+      span = ctx_.trace->BeginSpan("flwor", span_detail);
       scope.emplace(ctx_.trace, span);
     }
-    Sequence out;
+    int64_t produced = 0;
     InterpreterShim shim(this, depth);
     physical::ExecEnv xenv{&ctx_, &shim, env};
     std::unique_ptr<physical::PhysicalOperator> plan =
@@ -768,73 +749,22 @@ class Evaluator {
       ALDSP_RETURN_NOT_OK(plan->Open(&xenv));
       physical::TupleBatch batch;
       while (true) {
-        ALDSP_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch));
+        ALDSP_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch, max_rows));
         if (!more) return Status::OK();
-        ALDSP_RETURN_NOT_OK(
-            DrainResultBatch(batch, [&](const Sequence& v) -> Status {
-              // Progress stays per result row, not per batch.
-              if (ctx_.exec != nullptr) {
-                ctx_.exec->AddRows(static_cast<int64_t>(v.size()));
-              }
-              xml::AppendSequence(out, v);
-              return Status::OK();
-            }));
-      }
-    }();
-    plan->Close();
-    if (ctx_.trace != nullptr) {
-      ctx_.trace->AddSpanMetrics(span, static_cast<int64_t>(out.size()),
-                                 MicrosSince(t0));
-      ctx_.trace->EndSpan(span);
-    }
-    if (!result.ok()) return result;
-    return out;
-  }
-
- public:
-  // Streaming FLWOR: one tuple at a time through the operator tree,
-  // items delivered as produced.
-  Status StreamFLWOR(const Expr& e, const Tuple& env,
-                     const std::function<Status(const Item&)>& sink) {
-    int span = -1;
-    std::optional<QueryTrace::Scope> scope;
-    auto t0 = std::chrono::steady_clock::now();
-    if (ctx_.trace != nullptr) {
-      span = ctx_.trace->BeginSpan("flwor", "streaming");
-      scope.emplace(ctx_.trace, span);
-    }
-    int64_t produced = 0;
-    InterpreterShim shim(this, 0);
-    physical::ExecEnv xenv{&ctx_, &shim, env};
-    std::unique_ptr<physical::PhysicalOperator> plan =
-        physical::BuildPlan(e, PlanOptions());
-    Status result = [&]() -> Status {
-      ALDSP_RETURN_NOT_OK(plan->Open(&xenv));
-      physical::TupleBatch batch;
-      while (true) {
-        // One result row per pull: the root return clause evaluates its
-        // expression lazily, so each delivered item pays for exactly one
-        // result-expression evaluation (external calls included). The
-        // operators beneath the root fill batches up to the full width,
-        // except that a PP-k join hands over the rows it holds as a short
-        // batch instead of waiting on a fetch, so items reach the sink
-        // while later blocks are still in flight.
-        ALDSP_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch, 1));
-        if (!more) return Status::OK();
-        ALDSP_RETURN_NOT_OK(
-            DrainResultBatch(batch, [&](const Sequence& v) -> Status {
-              // Delivery polls per row even though execution polls per
-              // batch: a sink that cancels the query must see the stream
-              // stop at the next row boundary, not after the rest of an
-              // already-produced batch.
-              ALDSP_RETURN_NOT_OK(CheckCancelled(ctx_.exec));
-              for (const auto& item : v) {
-                ALDSP_RETURN_NOT_OK(sink(item));
-                ++produced;
-                if (ctx_.exec != nullptr) ctx_.exec->AddRows(1);
-              }
-              return Status::OK();
-            }));
+        const physical::BatchColumn& col =
+            *batch.FindColumn(physical::kResultBinding);
+        for (size_t r = 0; r < col.rows(); ++r) {
+          ALDSP_RETURN_NOT_OK(CheckCancelled(ctx_.exec));
+          if (col.atomic()) {
+            ALDSP_RETURN_NOT_OK(deliver(Item(col.atoms[r])));
+            ++produced;
+            continue;
+          }
+          for (const Item& item : col.seqs[r]) {
+            ALDSP_RETURN_NOT_OK(deliver(item));
+            ++produced;
+          }
+        }
       }
     }();
     plan->Close();
@@ -843,6 +773,29 @@ class Evaluator {
       ctx_.trace->EndSpan(span);
     }
     return result;
+  }
+
+  // runtime::Evaluate and nested FLWORs pull full batches.
+  Result<Sequence> EvalFLWOR(const Expr& e, const Tuple& env, int depth) {
+    Sequence out;
+    ALDSP_RETURN_NOT_OK(DriveFLWOR(e, env, depth, 0, "",
+                                   [&](const Item& item) -> Status {
+                                     out.push_back(item);
+                                     return Status::OK();
+                                   }));
+    return out;
+  }
+
+ public:
+  // Streaming FLWOR: the root is pulled one row at a time, so each
+  // delivered item pays for exactly one interpreted return expression
+  // (external calls included). The operators beneath the root fill
+  // batches up to the full width, except that a PP-k join hands over the
+  // rows it holds as a short batch instead of waiting on a fetch, so
+  // items reach the sink while later blocks are still in flight.
+  Status StreamFLWOR(const Expr& e, const Tuple& env,
+                     const std::function<Status(const Item&)>& sink) {
+    return DriveFLWOR(e, env, 0, 1, "streaming", sink);
   }
 
  private:

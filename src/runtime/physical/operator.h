@@ -125,9 +125,6 @@ class PhysicalOperator {
   /// cap when one was passed to NextBatch, else the context batch_size
   /// (clamped at Open).
   int batch_target() const { return batch_limit_; }
-  /// The uncapped batch width (the clamped context batch_size). A target
-  /// below this means the consumer capped the current pull.
-  int batch_capacity() const { return batch_size_; }
 
   /// Reports bytes materialized by a blocking stage against both the
   /// peak-memory stat and this operator's span.

@@ -1621,9 +1621,8 @@ class OrderByOp final : public PhysicalOperator {
 
 /// Evaluates the return expression per tuple and binds the resulting
 /// sequence to kResultBinding; the tree driver delivers those sequences.
-/// Batch-native: the result lands as a column on the input batch (the
-/// drivers read it directly — the atomic layout is their fast path), via
-/// the expression kernel when the return shape supports it.
+/// Emitted rows carry only the result column over an empty base: the
+/// drivers read nothing else (the atomic layout is their fast path).
 class ReturnOp final : public PhysicalOperator {
  public:
   ReturnOp(std::unique_ptr<PhysicalOperator> input, const Expr* ret)
@@ -1639,56 +1638,21 @@ class ReturnOp final : public PhysicalOperator {
     return Status::OK();
   }
 
-  // Two production modes:
-  //
-  // Uncapped pulls (the materializing driver) take the eager columnar
-  // path: the input batch lands directly in `out`, the result expression
-  // is evaluated for the whole batch (one kernel dispatch, or one
-  // materialized row per interpreter call), and the result column is
-  // appended — no per-row tuple construction for kernel expressions.
-  //
-  // Capped pulls (the streaming driver asks for one row at a time)
-  // buffer one upstream batch at a time — the pipeline below stays
-  // vectorized, and a PP-k join below hands over a short batch rather
-  // than wait on a fetch, so the buffer holds about one block's rows —
-  // but evaluate the interpreted return expression only for rows actually
-  // emitted this call, so each delivered item pays for exactly one result
-  // expression (external calls included), preserving the incremental-
-  // delivery contract. Kernel-evaluable expressions are pure, so those
-  // are computed eagerly per buffered batch either way.
+  // Buffers one upstream batch at a time, so the pipeline below stays
+  // vectorized (a PP-k join below hands over a short batch rather than
+  // wait on a fetch, so the buffer holds about one block's rows). A
+  // kernel-evaluable return expression is pure and is computed for the
+  // whole buffered batch; any other is evaluated only for the rows this
+  // pull emits, so a driver pulling one row at a time pays for exactly
+  // one result expression (external calls included) per delivered item.
+  // A pull that has emitted rows returns at the end of the buffered batch
+  // instead of waiting on the next one.
   Result<bool> NextBatchImpl(TupleBatch* out) override {
-    size_t want = batch_target();
-    if (in_pos_ >= in_.size() && !input_done_ &&
-        batch_target() == batch_capacity()) {
-      ALDSP_ASSIGN_OR_RETURN(bool more,
-                             input()->NextBatch(out, batch_target()));
-      if (!more) {
-        input_done_ = true;
-        return false;
-      }
-      out->Compact();
-      size_t n = out->size();
-      if (ret_ == nullptr) {
-        vals_.assign(n, Sequence{});
-      } else if (kernel_) {
-        ALDSP_RETURN_NOT_OK(KernelEvalRows(*ret_, *out, &vals_));
-      } else {
-        vals_.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          Tuple t = out->MaterializeRow(i);
-          ALDSP_ASSIGN_OR_RETURN(Sequence v, eval()->EvalExpr(*ret_, t));
-          vals_[i] = std::move(v);
-        }
-      }
-      BatchColumn* col = out->AddColumn(kResultBinding);
-      for (size_t i = 0; i < n; ++i) col->AppendSeq(std::move(vals_[i]));
-      return true;
-    }
-    vals_.clear();
+    const size_t want = batch_target();
+    BatchColumn* col = out->AddColumn(kResultBinding);
     while (out->size() < want) {
       if (in_pos_ >= in_.size()) {
-        if (input_done_) break;
-        in_.Clear();
+        if (input_done_ || !out->empty()) break;
         in_pos_ = 0;
         ALDSP_ASSIGN_OR_RETURN(bool more, input()->NextBatch(&in_));
         if (!more) {
@@ -1701,22 +1665,18 @@ class ReturnOp final : public PhysicalOperator {
         }
         continue;
       }
-      Tuple t = in_.MaterializeRow(in_pos_);
       Sequence v;
-      if (ret_ == nullptr) {
-        v = Sequence{};
-      } else if (kernel_) {
+      if (kernel_) {
         v = std::move(kernel_vals_[in_pos_]);
-      } else {
-        ALDSP_ASSIGN_OR_RETURN(v, eval()->EvalExpr(*ret_, t));
+      } else if (ret_ != nullptr) {
+        ALDSP_ASSIGN_OR_RETURN(
+            v, eval()->EvalExpr(*ret_, in_.MaterializeRow(in_pos_)));
       }
-      out->PushRow(std::move(t));
-      vals_.push_back(std::move(v));
+      out->AddRow(Tuple());
+      col->AppendSeq(std::move(v));
       ++in_pos_;
     }
-    BatchColumn* col = out->AddColumn(kResultBinding);
-    for (Sequence& v : vals_) col->AppendSeq(std::move(v));
-    return !(out->empty() && input_done_);
+    return !out->empty();  // an empty pull means the input ended
   }
 
  private:
@@ -1726,7 +1686,6 @@ class ReturnOp final : public PhysicalOperator {
   size_t in_pos_ = 0;
   bool input_done_ = false;
   std::vector<Sequence> kernel_vals_;
-  std::vector<Sequence> vals_;
 };
 
 JoinMethod ResolveJoinMethod(const Clause& cl) {

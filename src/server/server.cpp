@@ -710,45 +710,36 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
   metrics_.RecordWindowed("admission.wait_micros",
                           std::max<int64_t>(0, t0 - arrival_micros));
   Result<xml::Sequence> result = xml::Sequence{};
-  int64_t streamed = 0;
+  int64_t returned = 0;
   int64_t security_denials = 0;  // elements redacted
   {
     runtime::QueryTrace::Scope scope(trace.get(), root);
-    if (sink != nullptr) {
-      // FLWOR plans pipeline tuple by tuple: items reach the sink as they
-      // are produced, without materializing the whole result. A
-      // principal's element policies filter each item on the way.
-      Status st = runtime::EvaluateStream(
-          *plan.plan, ctx, [&](const xml::Item& item) -> Status {
-            if (principal == nullptr) {
-              ++streamed;
-              return (*sink)(item);
-            }
-            std::optional<xml::Item> kept = access_control_.FilterItem(
-                *principal, item, &audit_, &security_denials);
-            if (!kept.has_value()) return Status::OK();
-            ++streamed;
-            return (*sink)(*kept);
-          });
-      if (!st.ok()) result = st;
-    } else {
-      result = runtime::Evaluate(*plan.plan, ctx);
-    }
+    // Every execution streams: items are produced one at a time, redacted
+    // for a principal on the way (fine-grained filtering happens last, so
+    // cached plans and cached function results remain user-agnostic,
+    // paper §7), counted as progress, and then handed to the caller's
+    // sink or collected into the result.
+    auto forward = [&](const xml::Item& item) -> Status {
+      ++returned;
+      ctl->AddRows(1);
+      if (sink != nullptr) return (*sink)(item);
+      result->push_back(item);
+      return Status::OK();
+    };
+    Status st = runtime::EvaluateStream(
+        *plan.plan, ctx, [&](const xml::Item& item) -> Status {
+          if (principal == nullptr) return forward(item);
+          std::optional<xml::Item> kept = access_control_.FilterItem(
+              *principal, item, &audit_, &security_denials);
+          return kept.has_value() ? forward(*kept) : Status::OK();
+        });
+    if (!st.ok()) result = st;
   }
   admission_.Release(ticket.cls);
-  if (result.ok() && principal != nullptr && sink == nullptr) {
-    ctl->SetPhase(observability::QueryPhase::kSecurityFilter);
-    // Fine-grained filtering happens last so cached plans and cached
-    // function results remain user-agnostic (paper §7).
-    xml::Sequence filtered = access_control_.FilterResult(
-        *principal, *result, &audit_, &security_denials);
-    result = std::move(filtered);
-  }
   done.outcome = result.ok() ? StatusCode::kOk : result.status().code();
   done.wall_micros = NowMicros() - t0;
-  done.rows_returned = sink != nullptr ? streamed
-                       : result.ok()   ? static_cast<int64_t>(result->size())
-                                       : 0;
+  // A failed collected execution hands the caller no items.
+  done.rows_returned = result.ok() || sink != nullptr ? returned : 0;
   // Streamed items are not retained, so their bytes_returned stays 0.
   done.bytes_returned = result.ok() ? xml::SequenceMemoryBytes(*result) : 0;
   done.peak_bytes = ctl->peak_bytes.load(std::memory_order_relaxed);

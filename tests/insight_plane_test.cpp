@@ -333,6 +333,31 @@ TEST(InsightPlaneTest, LiveQueriesVisibleDuringExecution) {
                        "live_count=0"));
 }
 
+// Live progress counts the items the caller has received. A nested
+// FLWOR's rows are part of one delivered item, not progress of their own.
+TEST(InsightPlaneTest, LiveProgressCountsDeliveredItems) {
+  ServerOptions opts;
+  opts.enable_pushdown = false;
+  InsightServer env(opts);
+  int items = 0;
+  Status st = env.platform.ExecuteStream(
+      "for $c in ns3:CUSTOMER() return <C>{"
+      "for $o in ns3:ORDER() where $o/CID eq $c/CID "
+      "return <O>{fn:data($o/OID)}</O>}</C>",
+      [&](const xml::Item&) -> Status {
+        ++items;
+        std::vector<observability::LiveQueryInfo> live =
+            env.platform.query_registry().Snapshot();
+        EXPECT_EQ(live.size(), 1u);
+        if (!live.empty()) {
+          EXPECT_EQ(live[0].rows_produced, items) << "at item " << items;
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(items, 30);
+}
+
 TEST(InsightPlaneTest, PerTenantWindowsAttributeResources) {
   InsightServer env;
   security::Principal alice{"alice", {"analyst"}};

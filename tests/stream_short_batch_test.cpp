@@ -3,12 +3,13 @@
 // consumer as a short batch, and a SQL region scan builds its row
 // elements one batch at a time. Every streamed and materialized result
 // is held byte for byte against a platform that evaluates the simplest
-// way (no pushdown, one row per batch, serial). Early delivery is
-// checked as block counts at the first sink call. A sink error or a
-// cancel mid-stream, with fetches in flight, must end with its own
-// status, deliver nothing more, and leave every gauge at zero. Streaming
-// on behalf of a principal filters each item as ExecuteAs filters its
-// result.
+// way (no pushdown, one row per batch, serial), and an interpreted
+// return costs one web-service call per result row on both paths.
+// Early delivery is checked as block counts at the first sink call. A
+// sink error or a cancel mid-stream, with fetches in flight, must end
+// with its own status, deliver nothing more, and leave every gauge at
+// zero. Streaming on behalf of a principal filters each item as
+// ExecuteAs filters its result.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "adaptors/webservice_adaptor.h"
 #include "examples/example_env.h"
 #include "xml/serializer.h"
 
@@ -49,6 +51,14 @@ constexpr const char* kOrderJoin =
 constexpr const char* kPositionalScan =
     "for $c at $p in ns3:CUSTOMER() "
     "return <P>{$p}{fn:data($c/CID)}</P>";
+// An interpreted return that calls the rating web service once per
+// customer.
+constexpr const char* kRatingReturn =
+    "for $c in ns3:CUSTOMER() return <R>{fn:data($c/CID)}{"
+    "fn:data(ns4:getRating(<ns5:getRating>"
+    "<ns5:lName>{fn:data($c/LAST_NAME)}</ns5:lName>"
+    "<ns5:ssn>{fn:data($c/SSN)}</ns5:ssn>"
+    "</ns5:getRating>)/ns5:getRatingResult)}</R>";
 
 std::unique_ptr<DataServicePlatform> MakePlatform(ServerOptions options) {
   auto platform = std::make_unique<DataServicePlatform>(std::move(options));
@@ -97,6 +107,14 @@ std::string Streamed(DataServicePlatform& platform, const std::string& q) {
   });
   EXPECT_TRUE(st.ok()) << st.ToString() << "\n" << q;
   return st.ok() ? xml::SerializeSequence(items) : "<error>";
+}
+
+// Rating web-service calls made so far.
+int64_t RatingCalls(DataServicePlatform& platform) {
+  auto* ws = dynamic_cast<adaptors::SimulatedWebService*>(
+      platform.adaptors().Find("ratingWS"));
+  EXPECT_NE(ws, nullptr);
+  return ws != nullptr ? ws->invocation_count() : -1;
 }
 
 bool IsPPk(JoinMethod m) {
@@ -164,6 +182,25 @@ TEST_P(StreamShortBatchKnobTest, StreamAndExecuteMatchReference) {
     EXPECT_EQ(Materialized(*c.platform, c.query), expected)
         << c.query << "\n" << label;
   }
+
+  // Both server paths evaluate the interpreted return once per result
+  // row, and a stream stopped at its first item made one call.
+  const std::string expected = Materialized(*reference, kRatingReturn);
+  platform->function_cache().Clear();
+  int64_t before = RatingCalls(*platform);
+  EXPECT_EQ(Streamed(*platform, kRatingReturn), expected) << label;
+  EXPECT_EQ(RatingCalls(*platform) - before, kCustomers) << label;
+  platform->function_cache().Clear();
+  before = RatingCalls(*platform);
+  EXPECT_EQ(Materialized(*platform, kRatingReturn), expected) << label;
+  EXPECT_EQ(RatingCalls(*platform) - before, kCustomers) << label;
+  platform->function_cache().Clear();
+  before = RatingCalls(*platform);
+  Status st = platform->ExecuteStream(kRatingReturn, [](const xml::Item&) {
+    return Status::InvalidArgument("stop after the first item");
+  });
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(RatingCalls(*platform) - before, 1) << label;
 }
 
 std::vector<Knobs> AllKnobs() {
