@@ -3,7 +3,7 @@
 // Source latency simulation is off and the source functions are served
 // from a warmed function cache, so the numbers isolate per-row operator
 // overhead rather than simulated network waits or per-run XML
-// materialization of the source tables:
+// construction of the source tables:
 //
 //   scan_project — a relational scan pushed through a deep pipeline of
 //                  kernel-evaluable `let` projections and a literal
@@ -15,21 +15,30 @@
 //                  product, the widest stream in the plan.
 //   group_by     — an order scan grouped by a kernel-evaluable key.
 //
-// Every width must produce byte-identical output; batch_size=1 degenerates
-// to row-at-a-time and is the baseline the speedup column divides by.
-// Timings land in BENCH_batch_width.json as rows of
-// {workload, batch_size, ms, speedup_vs_1}.
+// Every width must produce byte-identical output (the run exits 1
+// otherwise); batch_size=1 degenerates to row-at-a-time and is the
+// baseline the speedup column divides by. After a warm-up pass, each of
+// the repetitions visits every workload x width cell once, round-robin
+// (bench_util.h MeasureInterleaved), so host drift spreads over all cells.
+// BENCH_batch_width.json gets one row per cell: {workload, batch_size,
+// ms (the median), min_ms, p90_ms, spread (interquartile range / median),
+// speedup_vs_1 (of the medians)}, plus the repetition count and a host
+// block.
 //
-// --smoke shrinks the data set and the width grid for CI gates.
-
-#include <benchmark/benchmark.h>
+//   bench_batch_width [--smoke] [--reps N]
+//
+// --smoke shrinks the data set, the width grid and the repetitions for CI
+// gates. google-benchmark flags (--benchmark_*) are accepted and ignored.
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "compiler/analyzer.h"
 #include "runtime/evaluator.h"
 #include "tests/e2e_fixture.h"
@@ -66,18 +75,6 @@ const Workload kWorkloads[] = {
      8000, 400},
 };
 
-struct WidthRow {
-  std::string workload;
-  int batch_size = 0;
-  double ms = 0;
-  double speedup_vs_1 = 0;
-};
-
-std::vector<WidthRow>& Rows() {
-  static std::vector<WidthRow> rows;
-  return rows;
-}
-
 // Analyzer-only compile: no optimizer pass, so the `where` clause lowers
 // to a FilterOp instead of being folded into an introduced join.
 xquery::ExprPtr Compile(RunningExample& env, const char* query) {
@@ -97,129 +94,112 @@ xquery::ExprPtr Compile(RunningExample& env, const char* query) {
   return e;
 }
 
-double BestOf(int reps, RunningExample& env, const xquery::Expr& plan,
-              std::string* serialized) {
-  double best = -1;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto result = runtime::Evaluate(plan, env.ctx);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!result.ok()) {
-      std::fprintf(stderr, "bench: %s\n",
-                   result.status().ToString().c_str());
-      return -1;
-    }
-    *serialized = xml::SerializeSequence(*result);
-    double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (best < 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-void BM_BatchWidth(benchmark::State& state) {
-  const Workload& w = kWorkloads[state.range(0)];
-  RunningExample env(g_smoke ? w.smoke_customers : w.customers, 3);
-  xquery::ExprPtr plan = Compile(env, w.query);
-  if (plan == nullptr) {
-    state.SkipWithError("compile failed");
-    return;
-  }
-
-  // Serve the source tables from the function cache: one materialization
-  // at warm-up, cheap sequence handles afterwards, so the width sweep
-  // measures the operator pipeline rather than node construction.
-  env.cache.EnableFor("ns3:CUSTOMER", /*ttl_millis=*/3600000);
-  env.cache.EnableFor("ns3:ORDER", /*ttl_millis=*/3600000);
-  {
-    auto warm = runtime::Evaluate(*plan, env.ctx);
-    if (!warm.ok()) {
-      state.SkipWithError("warm-up failed");
-      return;
-    }
-  }
-
-  std::vector<int> widths = g_smoke
-                                ? std::vector<int>{1, 1024}
-                                : std::vector<int>{1, 4, 16, 64, 256, 1024,
-                                                   4096};
-  const int reps = g_smoke ? 1 : 3;
-
-  for (auto _ : state) {
-    std::string reference;
-    double baseline_ms = 0;
-    for (int width : widths) {
-      env.ctx.batch_size = width;
-      std::string out;
-      double ms = BestOf(reps, env, *plan, &out);
-      if (ms < 0) {
-        state.SkipWithError("evaluation failed");
-        return;
-      }
-      if (width == widths.front()) {
-        reference = out;
-        baseline_ms = ms;
-      } else if (out != reference) {
-        state.SkipWithError("batch width changed the result bytes");
-        return;
-      }
-      WidthRow row;
-      row.workload = w.name;
-      row.batch_size = width;
-      row.ms = ms;
-      row.speedup_vs_1 = ms > 0 ? baseline_ms / ms : 0;
-      Rows().push_back(row);
-      std::printf("  %-12s width=%-5d %8.3f ms  speedup_vs_1=%.2fx\n",
-                  w.name, width, ms, row.speedup_vs_1);
-    }
-    env.ctx.batch_size = 1024;
-  }
-  state.SetLabel(w.name);
-}
-
-BENCHMARK(BM_BatchWidth)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void WriteJson() {
-  const char* path = "BENCH_batch_width.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\"bench\":\"batch_width\",\"smoke\":%s,\"rows\":[",
-               g_smoke ? "true" : "false");
-  for (size_t i = 0; i < Rows().size(); ++i) {
-    const WidthRow& r = Rows()[i];
-    std::fprintf(f,
-                 "%s{\"workload\":\"%s\",\"batch_size\":%d,\"ms\":%.3f,"
-                 "\"speedup_vs_1\":%.3f}",
-                 i == 0 ? "" : ",", r.workload.c_str(), r.batch_size, r.ms,
-                 r.speedup_vs_1);
-  }
-  std::fprintf(f, "]}\n");
-  std::fclose(f);
-  std::printf("batch width grid written to %s\n", path);
-}
+struct Prepared {
+  const Workload* workload;
+  std::unique_ptr<RunningExample> env;
+  xquery::ExprPtr plan;
+  std::string reference;  // result bytes at width 1
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees (and rejects) it.
-  int out_argc = 0;
-  for (int i = 0; i < argc; ++i) {
+  int reps = 0;
+  for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       g_smoke = true;
-      continue;
+    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      reps = std::atoi(argv[++i]);
+    } else if (std::strncmp(argv[i], "--benchmark_", 12) != 0) {
+      std::fprintf(stderr, "bench_batch_width: unknown argument %s\n",
+                   argv[i]);
+      return 2;
     }
-    argv[out_argc++] = argv[i];
   }
-  benchmark::Initialize(&out_argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  WriteJson();
+  if (reps <= 0) reps = g_smoke ? 2 : 9;
+  const std::vector<int> widths =
+      g_smoke ? std::vector<int>{1, 1024}
+              : std::vector<int>{1, 4, 16, 64, 256, 1024, 4096};
+  const std::string host = bench::HostJson();
+
+  std::vector<Prepared> prepared;
+  for (const Workload& w : kWorkloads) {
+    Prepared p;
+    p.workload = &w;
+    p.env = std::make_unique<RunningExample>(
+        g_smoke ? w.smoke_customers : w.customers, 3);
+    p.plan = Compile(*p.env, w.query);
+    if (p.plan == nullptr) return 1;
+    // Serve the source tables from the function cache: the rows are read
+    // once at warm-up and shared afterwards, so the sweep measures the
+    // operator pipeline rather than source reads.
+    p.env->cache.EnableFor("ns3:CUSTOMER", /*ttl_millis=*/3600000);
+    p.env->cache.EnableFor("ns3:ORDER", /*ttl_millis=*/3600000);
+    prepared.push_back(std::move(p));
+  }
+
+  // Cells in workload-major order; the rows keep that order.
+  struct Cell {
+    Prepared* p;
+    int width;
+  };
+  std::vector<Cell> cells;
+  for (Prepared& p : prepared) {
+    for (int width : widths) cells.push_back({&p, width});
+  }
+  auto measure = [&](size_t c) -> double {
+    Prepared& p = *cells[c].p;
+    p.env->ctx.batch_size = cells[c].width;
+    auto t0 = std::chrono::steady_clock::now();
+    auto result = runtime::Evaluate(*p.plan, p.env->ctx);
+    auto t1 = std::chrono::steady_clock::now();
+    if (!result.ok()) {
+      std::fprintf(stderr, "bench: %s: %s\n", p.workload->name,
+                   result.status().ToString().c_str());
+      return -1;
+    }
+    std::string out = xml::SerializeSequence(*result);
+    if (cells[c].width == widths.front()) {
+      if (p.reference.empty()) p.reference = std::move(out);
+    } else if (out != p.reference) {
+      std::fprintf(stderr, "bench: %s: width %d changed the result bytes\n",
+                   p.workload->name, cells[c].width);
+      return -1;
+    }
+    return std::chrono::duration<double, std::milli>(t1 - t0).count();
+  };
+  std::vector<std::vector<double>> samples =
+      bench::MeasureInterleaved(cells.size(), reps, measure);
+  if (samples.empty()) return 1;
+
+  const char* path = "BENCH_batch_width.json";
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "bench: cannot write %s\n", path);
+    return 1;
+  }
+  std::fprintf(f, "{\"bench\":\"batch_width\",\"smoke\":%s,\"reps\":%d,%s,"
+               "\"rows\":[",
+               g_smoke ? "true" : "false", reps, host.c_str());
+  double baseline_ms = 0;
+  for (size_t c = 0; c < cells.size(); ++c) {
+    bench::RepeatStats s = bench::Summarize(samples[c]);
+    if (cells[c].width == widths.front()) baseline_ms = s.median;
+    double speedup = s.median > 0 ? baseline_ms / s.median : 0;
+    std::fprintf(f,
+                 "%s{\"workload\":\"%s\",\"batch_size\":%d,\"ms\":%.3f,"
+                 "\"min_ms\":%.3f,\"p90_ms\":%.3f,\"spread\":%.3f,"
+                 "\"speedup_vs_1\":%.3f}",
+                 c == 0 ? "" : ",", cells[c].p->workload->name, cells[c].width,
+                 s.median, s.min, s.p90, s.spread, speedup);
+    std::printf("  %-12s width=%-5d median %8.3f ms  min %8.3f  p90 %8.3f  "
+                "spread %5.1f%%  speedup_vs_1=%.2fx\n",
+                cells[c].p->workload->name, cells[c].width, s.median, s.min,
+                s.p90, 100 * s.spread, speedup);
+  }
+  std::fprintf(f, "]}\n");
+  std::fclose(f);
+  std::printf("batch width grid (%d interleaved repetitions) written to %s\n",
+              reps, path);
   return 0;
 }

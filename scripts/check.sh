@@ -269,7 +269,9 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 # short-batch suite), and readers scanning stored tables in place beside
 # a writer on one backend (the relational engine suite), and the
 # streaming contract with fn-bea:async/fn-bea:timeout evaluations on the
-# pool (the runtime evaluation suite).
+# pool (the runtime evaluation suite), and flat source rows building
+# their child nodes once while several threads read them (the flat row
+# suite).
 # query_trace_test is excluded: its timeout test deliberately abandons
 # an evaluation past the end of the test body, which is the documented
 # fn-bea:timeout contract, not a data race in the runtime.
@@ -283,8 +285,9 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
   join_methods_test observability_test insight_plane_test \
   batch_runtime_test plan_history_test workload_replay_test admission_test \
   server_test plan_rebind_test completion_parity_test column_pruning_test \
-  stream_short_batch_test relational_engine_test runtime_eval_test
+  stream_short_batch_test relational_engine_test runtime_eval_test \
+  flat_row_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test|plan_rebind_test|completion_parity_test|column_pruning_test|stream_short_batch_test|relational_engine_test|runtime_eval_test)$'
+  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test|plan_rebind_test|completion_parity_test|column_pruning_test|stream_short_batch_test|relational_engine_test|runtime_eval_test|flat_row_test)$'
 
 echo "== all checks passed =="

@@ -54,7 +54,7 @@ Result<xml::Sequence> RelationalAdaptor::Invoke(
     const TableDef* def = db_->catalog().FindTable(tf->second.table);
     ALDSP_ASSIGN_OR_RETURN(relational::ResultSet rs,
                            db_->ExecuteSelect(*SelectAll(*def, false, "")));
-    return runtime::RowsToItems(rs, def->name);
+    return runtime::RowsToItems(std::move(rs), def->name);
   }
   auto nf = nav_fns_.find(function);
   if (nf != nav_fns_.end()) {
@@ -64,14 +64,15 @@ Result<xml::Sequence> RelationalAdaptor::Invoke(
           " requires a single row-element argument");
     }
     const xml::NodePtr& row = args[0].front().node();
-    xml::NodePtr key = row->FirstChildNamed(nf->second.arg_child);
-    if (key == nullptr) return xml::Sequence{};  // NULL key: no related rows
+    xml::Sequence key;
+    xml::AppendChildData(*row, nf->second.arg_child, &key);
+    if (key.empty()) return xml::Sequence{};  // NULL key: no related rows
     const TableDef* def = db_->catalog().FindTable(nf->second.table);
     ALDSP_ASSIGN_OR_RETURN(
         relational::ResultSet rs,
         db_->ExecuteSelect(*SelectAll(*def, true, nf->second.table_column),
-                           {Cell::Of(key->TypedValue())}));
-    return runtime::RowsToItems(rs, def->name);
+                           {Cell::Of(key.front().atomic())}));
+    return runtime::RowsToItems(std::move(rs), def->name);
   }
   return Status::NotFound("function not registered with adaptor " +
                           source_id_ + ": " + function);

@@ -703,6 +703,7 @@ class Analyzer::Impl {
       case Builtin::kEmpty:
       case Builtin::kNot:
       case Builtin::kBoolean:
+      case Builtin::kDeepEqual:
       case Builtin::kContains:
       case Builtin::kStartsWith:
       case Builtin::kTrue:

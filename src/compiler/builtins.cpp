@@ -39,6 +39,7 @@ constexpr Entry kEntries[] = {
     {"distinct-values", Builtin::kDistinctValues, 1, 1, false},
     {"number", Builtin::kNumber, 1, 1, false},
     {"boolean", Builtin::kBoolean, 1, 1, false},
+    {"deep-equal", Builtin::kDeepEqual, 2, 2, false},
     {"abs", Builtin::kAbs, 1, 1, false},
     {"floor", Builtin::kFloor, 1, 1, false},
     {"ceiling", Builtin::kCeiling, 1, 1, false},

@@ -33,6 +33,7 @@ enum class Builtin {
   kDistinctValues,
   kNumber,
   kBoolean,
+  kDeepEqual,
   kAbs,
   kFloor,
   kCeiling,

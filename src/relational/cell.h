@@ -10,28 +10,10 @@
 
 namespace aldsp::relational {
 
-/// A nullable SQL value. NULLs are modeled explicitly here and become
-/// *missing elements* when rows cross into XML (paper §4.4: "NULLs are
-/// modeled as missing column elements, so the rows can be 'ragged'").
-struct Cell {
-  bool is_null = true;
-  xml::AtomicValue value;
-
-  static Cell Null() { return {}; }
-  static Cell Of(xml::AtomicValue v) { return {false, std::move(v)}; }
-  static Cell Int(int64_t v) { return Of(xml::AtomicValue::Integer(v)); }
-  static Cell Str(std::string v) {
-    return Of(xml::AtomicValue::String(std::move(v)));
-  }
-  static Cell Dbl(double v) { return Of(xml::AtomicValue::Double(v)); }
-  static Cell Bool(bool v) { return Of(xml::AtomicValue::Boolean(v)); }
-  static Cell Ts(int64_t epoch_seconds) {
-    return Of(xml::AtomicValue::DateTime(epoch_seconds));
-  }
-
-  std::string ToString() const { return is_null ? "NULL" : value.Lexical(); }
-};
-
+/// A nullable SQL value (xml::Cell): NULLs become *missing elements* when
+/// rows cross into XML (paper §4.4). It lives in the XML layer because a
+/// flat row node keeps its row's cells as they came from the source.
+using Cell = xml::Cell;
 using Row = std::vector<Cell>;
 
 /// SQL three-valued logic.

@@ -66,6 +66,9 @@ struct RuntimeStats {
   /// (group-by / sort / join build side) — the memory axis of the
   /// grouping and PP-k experiments.
   std::atomic<int64_t> peak_operator_bytes{0};
+  /// Flat rows that built their child nodes during a query (xml/node.h):
+  /// each is a plan step that lost the flat row form.
+  std::atomic<int64_t> row_materializations{0};
 
   /// Zeroes every counter with explicit relaxed stores: counters are
   /// independent, so readers racing a Reset see each counter either
@@ -86,6 +89,7 @@ struct RuntimeStats {
     exchange_chunks.store(0, std::memory_order_relaxed);
     parallel_let_fanouts.store(0, std::memory_order_relaxed);
     peak_operator_bytes.store(0, std::memory_order_relaxed);
+    row_materializations.store(0, std::memory_order_relaxed);
     reset_generation.fetch_add(1, std::memory_order_release);
   }
 

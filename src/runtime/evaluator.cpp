@@ -149,23 +149,14 @@ Result<bool> CompareOperandsToBool(const Sequence& l, const Sequence& r,
   return CompareAtomPair(l.front().Atomize(), r.front().Atomize(), op);
 }
 
-Item RowToItem(const relational::ResultSet& rs, size_t row,
-               const std::string& row_name) {
-  const auto& cells = rs.rows[row];
-  NodePtr el = XNode::Element(row_name);
-  for (size_t i = 0; i < cells.size() && i < rs.column_names.size(); ++i) {
-    if (cells[i].is_null) continue;  // NULL -> missing element
-    el->AddChild(XNode::TypedElement(rs.column_names[i], cells[i].value));
-  }
-  return Item(std::move(el));
-}
-
-xml::Sequence RowsToItems(const relational::ResultSet& rs,
+xml::Sequence RowsToItems(relational::ResultSet rs,
                           const std::string& row_name) {
+  auto schema = std::make_shared<const xml::RowSchema>(
+      xml::RowSchema{row_name, std::move(rs.column_names)});
   Sequence out;
   out.reserve(rs.rows.size());
-  for (size_t r = 0; r < rs.rows.size(); ++r) {
-    out.push_back(RowToItem(rs, r, row_name));
+  for (relational::Row& cells : rs.rows) {
+    out.emplace_back(XNode::Row(schema, std::move(cells)));
   }
   return out;
 }
@@ -236,8 +227,8 @@ class Evaluator {
       case ExprKind::kElementCtor:
         return EvalElementCtor(e, env, depth);
       case ExprKind::kAttributeCtor: {
-        ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0], env, depth));
-        Sequence data = xml::Atomize(v);
+        ALDSP_ASSIGN_OR_RETURN(Sequence data,
+                               EvalAtomized(*e.children[0], env, depth));
         AtomicValue value = AtomicValue::String("");
         if (data.size() == 1) {
           value = data.front().atomic();
@@ -274,8 +265,8 @@ class Evaluator {
       case ExprKind::kFunctionCall:
         return EvalFunctionCall(e, env, depth);
       case ExprKind::kCastAs: {
-        ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0], env, depth));
-        Sequence data = xml::Atomize(v);
+        ALDSP_ASSIGN_OR_RETURN(Sequence data,
+                               EvalAtomized(*e.children[0], env, depth));
         if (data.empty()) {
           if (e.target_type.allows_empty()) return Sequence{};
           return Status::RuntimeError("cast of empty sequence to " +
@@ -295,8 +286,8 @@ class Evaluator {
       }
       case ExprKind::kCastable: {
         // `x castable as T`: true iff the cast would succeed.
-        ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0], env, depth));
-        Sequence data = xml::Atomize(v);
+        ALDSP_ASSIGN_OR_RETURN(Sequence data,
+                               EvalAtomized(*e.children[0], env, depth));
         if (data.empty()) return BoolSeq(e.target_type.allows_empty());
         if (data.size() > 1) return BoolSeq(false);
         AtomicType target = xsd::AtomizedType(e.target_type);
@@ -313,7 +304,7 @@ class Evaluator {
       case ExprKind::kSqlQuery: {
         ALDSP_ASSIGN_OR_RETURN(relational::ResultSet rs,
                                RunSqlQuery(e, env, depth));
-        return RowsToItems(rs, e.sql->row_name);
+        return RowsToItems(std::move(rs), e.sql->row_name);
       }
       case ExprKind::kCustomQuery:
         return EvalCustomQuery(e, env, depth);
@@ -524,6 +515,25 @@ class Evaluator {
 
   // ----- Paths and filters ----------------------------------------------
 
+  // fn:data(e). A child step is atomized as it steps, so a step over a
+  // flat row reads the row's cells and builds no child nodes.
+  Result<Sequence> EvalAtomized(const Expr& e, const Tuple& env, int depth) {
+    if (e.kind != ExprKind::kPathStep || e.is_attribute_step) {
+      ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(e, env, depth));
+      return xml::Atomize(v);
+    }
+    ALDSP_ASSIGN_OR_RETURN(Sequence in, Eval(*e.children[0], env, depth));
+    Sequence out;
+    for (const auto& item : in) {
+      if (item.is_atomic()) {
+        return Status::RuntimeError("path step '" + e.step_name +
+                                    "' applied to an atomic value");
+      }
+      xml::AppendChildData(*item.node(), e.step_name, &out);
+    }
+    return out;
+  }
+
   Result<Sequence> EvalPathStep(const Expr& e, const Tuple& env, int depth) {
     ALDSP_ASSIGN_OR_RETURN(Sequence in, Eval(*e.children[0], env, depth));
     Sequence out;
@@ -575,19 +585,20 @@ class Evaluator {
   }
 
   Result<Sequence> EvalComparison(const Expr& e, const Tuple& env, int depth) {
-    ALDSP_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0], env, depth));
-    ALDSP_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1], env, depth));
+    ALDSP_ASSIGN_OR_RETURN(Sequence l,
+                           EvalAtomized(*e.children[0], env, depth));
+    ALDSP_ASSIGN_OR_RETURN(Sequence r,
+                           EvalAtomized(*e.children[1], env, depth));
     // The comparison itself is shared with the batch filter kernel so
     // both paths stay semantically identical.
-    return CompareAtomizedOperands(xml::Atomize(l), xml::Atomize(r), e.op,
-                                   e.general_comparison);
+    return CompareAtomizedOperands(l, r, e.op, e.general_comparison);
   }
 
   Result<Sequence> EvalArith(const Expr& e, const Tuple& env, int depth) {
-    ALDSP_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0], env, depth));
-    ALDSP_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1], env, depth));
-    Sequence la = xml::Atomize(l);
-    Sequence ra = xml::Atomize(r);
+    ALDSP_ASSIGN_OR_RETURN(Sequence la,
+                           EvalAtomized(*e.children[0], env, depth));
+    ALDSP_ASSIGN_OR_RETURN(Sequence ra,
+                           EvalAtomized(*e.children[1], env, depth));
     if (la.empty() || ra.empty()) return Sequence{};
     if (la.size() > 1 || ra.size() > 1) {
       return Status::RuntimeError("arithmetic on multi-item sequence");
@@ -699,6 +710,9 @@ class Evaluator {
     InterpreterShim(Evaluator* ev, int depth) : ev_(ev), depth_(depth) {}
     Result<Sequence> EvalExpr(const Expr& e, const Tuple& env) override {
       return ev_->Eval(e, env, depth_);
+    }
+    Result<Sequence> EvalAtomized(const Expr& e, const Tuple& env) override {
+      return ev_->EvalAtomized(e, env, depth_);
     }
     Result<relational::ResultSet> RunSqlQuery(const Expr& e,
                                               const Tuple& env) override {
@@ -926,8 +940,7 @@ class Evaluator {
     }
     std::vector<Cell> params;
     for (const auto& c : e.children) {
-      ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*c, env, depth));
-      Sequence data = xml::Atomize(v);
+      ALDSP_ASSIGN_OR_RETURN(Sequence data, EvalAtomized(*c, env, depth));
       if (data.empty()) {
         params.push_back(Cell::Null());
       } else {
@@ -1001,8 +1014,7 @@ class Evaluator {
     if (!e.custom) return Status::Internal("malformed custom query node");
     std::vector<AtomicValue> params;
     for (const auto& c : e.children) {
-      ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*c, env, depth));
-      Sequence data = xml::Atomize(v);
+      ALDSP_ASSIGN_OR_RETURN(Sequence data, EvalAtomized(*c, env, depth));
       if (data.size() != 1) {
         return Status::RuntimeError(
             "pushed filter parameter is not a single value");

@@ -71,13 +71,11 @@ Result<bool> CompareOperandsToBool(const xml::Sequence& l,
 std::string EncodeAtomic(const xml::AtomicValue& v);
 std::string EncodeAtomicSequence(const xml::Sequence& atomized);
 
-/// Converts row `row` of a relational result set into a row element named
-/// `row_name`; NULL cells become missing child elements (paper §4.4).
-xml::Item RowToItem(const relational::ResultSet& rs, size_t row,
-                    const std::string& row_name);
-
-/// RowToItem over every row of the result set.
-xml::Sequence RowsToItems(const relational::ResultSet& rs,
+/// Converts a relational result set into row elements named `row_name`,
+/// each a flat row (xml/node.h) sharing one schema and holding its row's
+/// cells, moved out of `rs`; NULL cells are missing child elements (paper
+/// §4.4).
+xml::Sequence RowsToItems(relational::ResultSet rs,
                           const std::string& row_name);
 
 }  // namespace aldsp::runtime

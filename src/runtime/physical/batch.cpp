@@ -174,8 +174,9 @@ Status KernelEvalVarRef(const Expr& e, const TupleBatch& batch,
 }
 
 // Mirrors the interpreter's EvalPathStep exactly, including the error on
-// atomic input.
-Status ApplyPathStep(const Expr& e, const Sequence& in, Sequence* out) {
+// atomic input; `atomize` mirrors its EvalAtomized.
+Status ApplyPathStep(const Expr& e, const Sequence& in, bool atomize,
+                     Sequence* out) {
   out->clear();
   for (const auto& item : in) {
     if (item.is_atomic()) {
@@ -185,7 +186,14 @@ Status ApplyPathStep(const Expr& e, const Sequence& in, Sequence* out) {
     const xml::NodePtr& node = item.node();
     if (e.is_attribute_step) {
       xml::NodePtr attr = node->AttributeNamed(e.step_name);
-      if (attr != nullptr) out->emplace_back(attr);
+      if (attr == nullptr) continue;
+      if (atomize) {
+        out->emplace_back(attr->TypedValue());
+      } else {
+        out->emplace_back(attr);
+      }
+    } else if (atomize) {
+      xml::AppendChildData(*node, e.step_name, out);
     } else {
       // Walk the child list directly instead of ChildrenNamed: the batch
       // kernel runs this once per row, and the intermediate vector the
@@ -204,7 +212,7 @@ Status ApplyPathStep(const Expr& e, const Sequence& in, Sequence* out) {
 }  // namespace
 
 Status KernelEvalRows(const Expr& e, const TupleBatch& batch,
-                      std::vector<Sequence>* out) {
+                      std::vector<Sequence>* out, bool atomize) {
   size_t n = batch.size();
   out->resize(n);
   switch (e.kind) {
@@ -213,8 +221,19 @@ Status KernelEvalRows(const Expr& e, const TupleBatch& batch,
       for (size_t i = 0; i < n; ++i) (*out)[i] = v;
       return Status::OK();
     }
-    case ExprKind::kVarRef:
-      return KernelEvalVarRef(e, batch, out);
+    case ExprKind::kVarRef: {
+      ALDSP_RETURN_NOT_OK(KernelEvalVarRef(e, batch, out));
+      if (atomize) {
+        for (Sequence& v : *out) {
+          for (const Item& item : v) {
+            if (item.is_atomic()) continue;
+            v = xml::Atomize(v);
+            break;
+          }
+        }
+      }
+      return Status::OK();
+    }
     case ExprKind::kPathStep: {
       const Expr& source = *e.children[0];
       if (source.kind == ExprKind::kVarRef) {
@@ -238,14 +257,14 @@ Status KernelEvalRows(const Expr& e, const TupleBatch& batch,
                                           source.var_name);
             }
           }
-          ALDSP_RETURN_NOT_OK(ApplyPathStep(e, *src, &(*out)[i]));
+          ALDSP_RETURN_NOT_OK(ApplyPathStep(e, *src, atomize, &(*out)[i]));
         }
         return Status::OK();
       }
-      ALDSP_RETURN_NOT_OK(KernelEvalRows(source, batch, out));
+      ALDSP_RETURN_NOT_OK(KernelEvalRows(source, batch, out, false));
       Sequence stepped;
       for (size_t i = 0; i < n; ++i) {
-        ALDSP_RETURN_NOT_OK(ApplyPathStep(e, (*out)[i], &stepped));
+        ALDSP_RETURN_NOT_OK(ApplyPathStep(e, (*out)[i], atomize, &stepped));
         (*out)[i] = std::move(stepped);
         stepped.clear();
       }

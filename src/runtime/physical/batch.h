@@ -156,9 +156,10 @@ bool KernelSupports(const xquery::Expr& e);
 /// Evaluates `e` per visible row into `out` (resized to batch.size()).
 /// Variables resolve against the batch's columns first (newest wins, the
 /// shadowing order MaterializeRow would produce), then each row's base
-/// environment chain.
+/// environment chain. With `atomize` each row gets fn:data(e), and a final
+/// child step over a flat row reads the row's cells.
 Status KernelEvalRows(const xquery::Expr& e, const TupleBatch& batch,
-                      std::vector<xml::Sequence>* out);
+                      std::vector<xml::Sequence>* out, bool atomize = false);
 
 }  // namespace aldsp::runtime::physical
 

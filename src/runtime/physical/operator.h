@@ -29,9 +29,12 @@ class ExprEvaluator {
   virtual ~ExprEvaluator() = default;
   virtual Result<xml::Sequence> EvalExpr(const xquery::Expr& e,
                                          const Tuple& env) = 0;
+  /// fn:data(e): a child step over a flat row reads the row's cells.
+  virtual Result<xml::Sequence> EvalAtomized(const xquery::Expr& e,
+                                             const Tuple& env) = 0;
   /// Runs a kSqlQuery expression's statement (with the interpreter's
   /// source bookkeeping) and returns its rows as cells, so a scan can
-  /// build row elements one batch at a time (RowToItem).
+  /// build row elements one batch at a time (xml::XNode::Row).
   virtual Result<relational::ResultSet> RunSqlQuery(const xquery::Expr& e,
                                                     const Tuple& env) = 0;
 };

@@ -255,17 +255,18 @@ class SqlRegionScanOp final : public ForScanOp {
  protected:
   Result<size_t> Bind(const Tuple& env) override {
     ALDSP_ASSIGN_OR_RETURN(rows_, eval()->RunSqlQuery(*cl().expr, env));
+    schema_ = std::make_shared<const xml::RowSchema>(xml::RowSchema{
+        cl().expr->sql->row_name, std::move(rows_.column_names)});
     return rows_.rows.size();
   }
-  // Each row is read once, so its cells go as soon as its element exists.
+  // Each row is read once, so its cells move into its element.
   Item ItemAt(size_t i) override {
-    Item item = RowToItem(rows_, i, cl().expr->sql->row_name);
-    relational::Row().swap(rows_.rows[i]);
-    return item;
+    return Item(xml::XNode::Row(schema_, std::move(rows_.rows[i])));
   }
 
  private:
   relational::ResultSet rows_;
+  std::shared_ptr<const xml::RowSchema> schema_;
 };
 
 /// `let $v := expr`: binds the full sequence without iterating it.
@@ -341,8 +342,10 @@ class FilterOp final : public PhysicalOperator {
     keep.reserve(n);
     if (kernel_) {
       const Expr& p = *cl_.expr;
-      ALDSP_RETURN_NOT_OK(KernelEvalRows(*p.children[0], *out, &lhs_));
-      ALDSP_RETURN_NOT_OK(KernelEvalRows(*p.children[1], *out, &rhs_));
+      ALDSP_RETURN_NOT_OK(
+          KernelEvalRows(*p.children[0], *out, &lhs_, /*atomize=*/true));
+      ALDSP_RETURN_NOT_OK(
+          KernelEvalRows(*p.children[1], *out, &rhs_, /*atomize=*/true));
       for (size_t i = 0; i < n; ++i) {
         ALDSP_ASSIGN_OR_RETURN(bool ok,
                                CompareOperandsToBool(lhs_[i], rhs_[i], p.op,
@@ -389,8 +392,7 @@ struct JoinMatcher {
 
   // Evaluates a key expression to its atomized value sequence.
   Result<Sequence> EvalKey(const ExprPtr& expr, const Tuple& env) const {
-    ALDSP_ASSIGN_OR_RETURN(Sequence v, eval->EvalExpr(*expr, env));
-    return xml::Atomize(v);
+    return eval->EvalAtomized(*expr, env);
   }
 
   Result<std::string> LeftKey(const Tuple& left, bool* has_empty) const {
@@ -657,15 +659,15 @@ class NestedLoopJoinOp : public JoinOpBase {
       size_t nk = cl().equi_keys.size();
       key_cols_.resize(nk);
       for (size_t k = 0; k < nk; ++k) {
-        ALDSP_RETURN_NOT_OK(
-            KernelEvalRows(*cl().equi_keys[k].first, batch, &key_cols_[k]));
+        ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl().equi_keys[k].first, batch,
+                                           &key_cols_[k], /*atomize=*/true));
       }
       std::string key;
       for (size_t i = 0; i < n; ++i) {
         key.clear();
         bool has_empty = false;
         for (size_t k = 0; k < nk; ++k) {
-          Sequence atomized = xml::Atomize(key_cols_[k][i]);
+          const Sequence& atomized = key_cols_[k][i];
           if (atomized.empty()) has_empty = true;
           key += EncodeAtomicSequence(atomized);
           key += '\x1e';
@@ -974,7 +976,7 @@ class PPkJoinOp final : public JoinOpBase {
                           static_cast<int64_t>(rs.rows.size()), micros, "",
                           roundtrip, transfer);
       }
-      result.fetched = RowsToItems(rs, spec.row_name);
+      result.fetched = RowsToItems(std::move(rs), spec.row_name);
     }
 
     // Mid-tier join of the block against the fetched rows; PP-k can use
@@ -1075,15 +1077,15 @@ class ParallelJoinProbeOp final : public ExchangeOpBase {
     size_t nk = cl_.equi_keys.size();
     std::vector<std::vector<Sequence>> key_cols(nk);
     for (size_t k = 0; k < nk; ++k) {
-      ALDSP_RETURN_NOT_OK(
-          KernelEvalRows(*cl_.equi_keys[k].first, in, &key_cols[k]));
+      ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.equi_keys[k].first, in,
+                                         &key_cols[k], /*atomize=*/true));
     }
     std::string key;
     for (size_t i = 0; i < n; ++i) {
       key.clear();
       bool has_empty = false;
       for (size_t k = 0; k < nk; ++k) {
-        Sequence atomized = xml::Atomize(key_cols[k][i]);
+        const Sequence& atomized = key_cols[k][i];
         if (atomized.empty()) has_empty = true;
         key += EncodeAtomicSequence(atomized);
         key += '\x1e';
@@ -1306,8 +1308,7 @@ class StreamGroupByOp final : public PhysicalOperator {
     std::string enc;
     std::vector<Sequence> values;
     for (const auto& gk : cl_.group_keys) {
-      ALDSP_ASSIGN_OR_RETURN(Sequence v, eval()->EvalExpr(*gk.expr, t));
-      Sequence data = xml::Atomize(v);
+      ALDSP_ASSIGN_OR_RETURN(Sequence data, eval()->EvalAtomized(*gk.expr, t));
       enc += EncodeAtomicSequence(data);
       enc += '\x1e';
       values.push_back(std::move(data));
@@ -1340,13 +1341,13 @@ class StreamGroupByOp final : public PhysicalOperator {
     if (keys_kernel_) {
       key_cols_.resize(nkeys);
       for (size_t k = 0; k < nkeys; ++k) {
-        ALDSP_RETURN_NOT_OK(
-            KernelEvalRows(*cl_.group_keys[k].expr, in_, &key_cols_[k]));
+        ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.group_keys[k].expr, in_,
+                                           &key_cols_[k], /*atomize=*/true));
       }
       for (size_t i = 0; i < n; ++i) {
         in_keys_[i].reserve(nkeys);
         for (size_t k = 0; k < nkeys; ++k) {
-          Sequence data = xml::Atomize(key_cols_[k][i]);
+          Sequence data = std::move(key_cols_[k][i]);
           in_enc_[i] += EncodeAtomicSequence(data);
           in_enc_[i] += '\x1e';
           in_keys_[i].push_back(std::move(data));
@@ -1572,8 +1573,8 @@ class OrderByOp final : public PhysicalOperator {
       if (keys_kernel_) {
         key_cols_.resize(nk);
         for (size_t k = 0; k < nk; ++k) {
-          ALDSP_RETURN_NOT_OK(
-              KernelEvalRows(*cl_.order_keys[k].expr, in, &key_cols_[k]));
+          ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.order_keys[k].expr, in,
+                                             &key_cols_[k], /*atomize=*/true));
         }
       }
       for (size_t i = 0; i < n; ++i) {
@@ -1583,11 +1584,10 @@ class OrderByOp final : public PhysicalOperator {
         for (size_t k = 0; k < nk; ++k) {
           Sequence data;
           if (keys_kernel_) {
-            data = xml::Atomize(key_cols_[k][i]);
+            data = std::move(key_cols_[k][i]);
           } else {
             ALDSP_ASSIGN_OR_RETURN(
-                Sequence v, eval()->EvalExpr(*cl_.order_keys[k].expr, row.tuple));
-            data = xml::Atomize(v);
+                data, eval()->EvalAtomized(*cl_.order_keys[k].expr, row.tuple));
           }
           bytes += xml::SequenceMemoryBytes(data);
           row.keys.push_back(std::move(data));

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "runtime/observed_cost.h"
+#include "xml/node.h"
 
 namespace aldsp::runtime {
 
@@ -50,11 +51,15 @@ QueryTrace::QueryTrace(Mode mode)
   }
 }
 
-QueryTrace::Scope::Scope(const QueryTrace* trace, int span) : trace_(trace) {
+QueryTrace::Scope::Scope(const QueryTrace* trace, int span)
+    : trace_(trace),
+      outer_row_counter_(xml::SetThreadRowMaterializationCounter(
+          &trace->row_materializations_)) {
   tls_scope_stack.emplace_back(trace, span);
 }
 
 QueryTrace::Scope::~Scope() {
+  xml::SetThreadRowMaterializationCounter(outer_row_counter_);
   // Scopes nest strictly, so the matching entry is on top.
   for (auto it = tls_scope_stack.rbegin(); it != tls_scope_stack.rend();
        ++it) {

@@ -172,6 +172,11 @@ class QueryTrace {
   int64_t CountEvents(EventKind kind) const;
   /// Total micros attributed to events of `kind`, O(1) in every mode.
   int64_t SumEventMicros(EventKind kind) const;
+  /// Flat rows that built their child nodes on a thread working for this
+  /// trace (inside a Scope), every mode.
+  int64_t RowMaterializations() const {
+    return row_materializations_.load(std::memory_order_relaxed);
+  }
   /// Sorted unique source ids touched by any recorded event (every
   /// mode). Function-cache hits count their source as touched even
   /// though no backend round trip happened.
@@ -192,7 +197,8 @@ class QueryTrace {
 
   /// RAII parent marker for the calling thread. Pass the span id that
   /// nested spans and events should attach to; -1 re-establishes the
-  /// root (used by worker threads with an empty stack).
+  /// root (used by worker threads with an empty stack). While it is open,
+  /// row materializations on the thread are charged to the trace.
   class Scope {
    public:
     Scope(const QueryTrace* trace, int span);
@@ -202,6 +208,7 @@ class QueryTrace {
 
    private:
     const QueryTrace* trace_;
+    std::atomic<int64_t>* outer_row_counter_;
   };
   /// The calling thread's innermost open span for `trace`, or -1.
   static int CurrentSpan(const QueryTrace* trace);
@@ -230,6 +237,7 @@ class QueryTrace {
   std::atomic<int64_t> event_micros_[kNumEventKinds] = {};
   mutable std::mutex sources_mutex_;
   std::set<std::string> sources_;
+  mutable std::atomic<int64_t> row_materializations_{0};
 };
 
 }  // namespace aldsp::runtime

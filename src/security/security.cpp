@@ -68,6 +68,19 @@ Status AccessControl::CheckFunctionAccess(
 
 namespace {
 
+// True when some policy names a path strictly below `path`.
+bool GovernsBelow(const std::vector<ElementPolicy>& policies,
+                  const std::string& path) {
+  for (const auto& p : policies) {
+    if (p.resource_path.size() > path.size() &&
+        p.resource_path.compare(0, path.size(), path) == 0 &&
+        p.resource_path[path.size()] == '/') {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Applies policies to `node` (whose path from the item root is `path`),
 // returning false if the node should be removed entirely.
 bool RedactNode(const NodePtr& node, const std::string& path,
@@ -85,7 +98,9 @@ bool RedactNode(const NodePtr& node, const std::string& path,
     node->SetChildren({XNode::Text(p.replacement)});
     return true;
   }
-  // Recurse into children.
+  // Recurse into children, unless no policy reaches below this node (so
+  // a flat row nobody governs keeps its cells and builds no children).
+  if (!GovernsBelow(policies, path)) return true;
   for (size_t i = node->children().size(); i > 0; --i) {
     const NodePtr& child = node->children()[i - 1];
     if (child->kind() != NodeKind::kElement) continue;

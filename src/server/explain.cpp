@@ -372,6 +372,7 @@ std::string RenderProfileText(const CompiledPlan& plan,
   os << "=== profile ===\n";
   os << "query: " << plan.text << "\n";
   RenderCompileHeader(plan, os);
+  os << "row materializations: " << trace.RowMaterializations() << "\n";
   ProfileIndex index(trace);
   auto roots = index.span_children.find(-1);
   if (roots != index.span_children.end()) {
@@ -402,6 +403,7 @@ std::string RenderProfileJson(const CompiledPlan& plan,
   AppendJsonString(os, plan.text);
   os << ",";
   RenderCompileJson(plan, os);
+  os << ",\"row_materializations\":" << trace.RowMaterializations();
   ProfileIndex index(trace);
   os << ",\"spans\":[";
   bool first = true;

@@ -735,6 +735,7 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
         });
     if (!st.ok()) result = st;
   }
+  stats_.row_materializations += trace->RowMaterializations();
   admission_.Release(ticket.cls);
   done.outcome = result.ok() ? StatusCode::kOk : result.status().code();
   done.wall_micros = NowMicros() - t0;
@@ -903,6 +904,8 @@ runtime::MetricsRegistry::Snapshot DataServicePlatform::MetricsSnapshot() {
                       stats_.streaming_groups.load());
   metrics_.SetCounter("runtime.peak_operator_bytes",
                       stats_.peak_operator_bytes.load());
+  metrics_.SetCounter("runtime.row_materializations",
+                      stats_.row_materializations.load());
   {
     std::lock_guard<std::mutex> lock(plan_cache_mutex_);
     metrics_.SetCounter("plan_cache.hits", plan_cache_hits_);

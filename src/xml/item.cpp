@@ -9,6 +9,21 @@ Sequence Atomize(const Sequence& seq) {
   return out;
 }
 
+void AppendChildData(const XNode& node, const std::string& name,
+                     Sequence* out) {
+  if (node.flat()) {
+    node.ForEachRowCell([&](const std::string& column, const AtomicValue& v) {
+      if (NameMatches(column, name)) out->emplace_back(v);
+    });
+    return;
+  }
+  for (const auto& c : node.children()) {
+    if (c->kind() == NodeKind::kElement && NameMatches(c->name(), name)) {
+      out->emplace_back(c->TypedValue());
+    }
+  }
+}
+
 Result<bool> EffectiveBooleanValue(const Sequence& seq) {
   if (seq.empty()) return false;
   const Item& first = seq.front();

@@ -47,6 +47,12 @@ using Sequence = std::vector<Item>;
 /// fn:data over a sequence.
 Sequence Atomize(const Sequence& seq);
 
+/// fn:data($node/name): appends the typed value of each child element of
+/// `node` named `name` to `out`. A flat row reads its cells and builds no
+/// child nodes.
+void AppendChildData(const XNode& node, const std::string& name,
+                     Sequence* out);
+
 /// XQuery effective boolean value. Errors on a sequence whose first item is
 /// an atomic value but which has length > 1, per the spec.
 Result<bool> EffectiveBooleanValue(const Sequence& seq);

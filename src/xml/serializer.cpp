@@ -31,6 +31,33 @@ void SerializeRec(const XNode& node, const SerializeOptions& options,
         *out += XmlEscape(a->value().Lexical());
         *out += '"';
       }
+      if (node.flat()) {
+        // The children a row's cells imply, written as the tree form
+        // would write them.
+        bool open = false;
+        node.ForEachRowCell([&](const std::string& column,
+                                const AtomicValue& v) {
+          if (!open) *out += '>';
+          open = true;
+          indent(depth + 1);
+          *out += '<';
+          *out += column;
+          *out += '>';
+          *out += XmlEscape(v.Lexical());
+          *out += "</";
+          *out += column;
+          *out += '>';
+        });
+        if (!open) {
+          *out += "/>";
+          return;
+        }
+        indent(depth);
+        *out += "</";
+        *out += node.name();
+        *out += '>';
+        break;
+      }
       if (node.children().empty()) {
         *out += "/>";
         return;

@@ -18,7 +18,16 @@ void NodeToTokens(const XNode& node, TokenVector* out) {
       for (const auto& a : node.attributes()) {
         out->push_back(Token::Attribute(a->name(), a->value()));
       }
-      for (const auto& c : node.children()) NodeToTokens(*c, out);
+      if (node.flat()) {
+        node.ForEachRowCell([out](const std::string& column,
+                                  const AtomicValue& v) {
+          out->push_back(Token::StartElement(column));
+          out->push_back(Token::Atom(v));
+          out->push_back(Token::EndElement(column));
+        });
+      } else {
+        for (const auto& c : node.children()) NodeToTokens(*c, out);
+      }
       out->push_back(Token::EndElement(node.name()));
       break;
     case NodeKind::kAttribute:

@@ -90,6 +90,29 @@ class AtomicValue {
 
 bool operator==(const AtomicValue& a, const AtomicValue& b);
 
+/// A nullable atomic value: one cell of a relational row. NULLs are
+/// modeled explicitly here and become *missing elements* when rows cross
+/// into XML (paper §4.4: "NULLs are modeled as missing column elements, so
+/// the rows can be 'ragged'").
+struct Cell {
+  bool is_null = true;
+  AtomicValue value;
+
+  static Cell Null() { return {}; }
+  static Cell Of(AtomicValue v) { return {false, std::move(v)}; }
+  static Cell Int(int64_t v) { return Of(AtomicValue::Integer(v)); }
+  static Cell Str(std::string v) {
+    return Of(AtomicValue::String(std::move(v)));
+  }
+  static Cell Dbl(double v) { return Of(AtomicValue::Double(v)); }
+  static Cell Bool(bool v) { return Of(AtomicValue::Boolean(v)); }
+  static Cell Ts(int64_t epoch_seconds) {
+    return Of(AtomicValue::DateTime(epoch_seconds));
+  }
+
+  std::string ToString() const { return is_null ? "NULL" : value.Lexical(); }
+};
+
 /// Formats epoch seconds as an xs:dateTime lexical value (UTC).
 std::string FormatDateTime(int64_t epoch_seconds);
 /// Parses an xs:dateTime lexical value ("2006-09-12T10:30:00" with optional

@@ -15,6 +15,7 @@
 #include "server/explain.h"
 #include "sql/dialect.h"
 #include "sql/pushdown.h"
+#include "tests/e2e_fixture.h"
 #include "xquery/parser.h"
 #include "xml/serializer.h"
 
@@ -112,19 +113,9 @@ std::unique_ptr<DataServicePlatform> MakePlatform(ServerOptions options) {
   return platform;
 }
 
-ServerOptions ReferenceOptions() {
-  ServerOptions options;
-  options.enable_pushdown = false;
-  options.batch_size = 1;
-  options.max_query_dop = 1;
-  return options;
-}
-
 std::string Serialized(DataServicePlatform& platform, const std::string& q,
                        const security::Principal& who = kAnalyst) {
-  auto r = platform.ExecuteAs(q, who);
-  EXPECT_TRUE(r.ok()) << r.status().ToString() << "\n" << q;
-  return r.ok() ? xml::SerializeSequence(*r) : "<error>";
+  return testing::Executed(platform, q, &who);
 }
 
 // What a plan ships from one table: the SQL of its scans and the PP-k
@@ -162,7 +153,7 @@ class ColumnPruningTest : public ::testing::Test {
  protected:
   void SetUp() override {
     platform_ = MakePlatform({});
-    reference_ = MakePlatform(ReferenceOptions());
+    reference_ = MakePlatform(testing::ReferenceOptions());
   }
 
   std::shared_ptr<const CompiledPlan> Plan(const std::string& q) {
@@ -324,7 +315,7 @@ TEST(ColumnPruningLetTest, LetBoundRowKeepsEveryColumn) {
   ServerOptions options;
   options.enable_optimizer = false;
   auto platform = MakePlatform(options);
-  auto reference = MakePlatform(ReferenceOptions());
+  auto reference = MakePlatform(testing::ReferenceOptions());
   const std::string q =
       "for $c in ns3:CUSTOMER(), $cc in ns2:CREDIT_CARD() "
       "where $c/CID eq $cc/CID let $r := $c "
@@ -360,22 +351,13 @@ TEST_F(ColumnPruningTest, ProfileByIdStillFiltersOnCidInSql) {
 
 // ----- Results across the knob space ---------------------------------------
 
-struct Knobs {
-  JoinMethod method;
-  int batch_size;
-  int dop;
-};
-
-class ColumnPruningKnobTest : public ::testing::TestWithParam<Knobs> {};
+class ColumnPruningKnobTest
+    : public ::testing::TestWithParam<testing::ServerKnobs> {};
 
 TEST_P(ColumnPruningKnobTest, ByteIdenticalToReference) {
   static const std::unique_ptr<DataServicePlatform> reference =
-      MakePlatform(ReferenceOptions());
-  ServerOptions options;
-  options.optimizer.forced_join_method = GetParam().method;
-  options.batch_size = GetParam().batch_size;
-  options.max_query_dop = GetParam().dop;
-  auto platform = MakePlatform(options);
+      MakePlatform(testing::ReferenceOptions());
+  auto platform = testing::KnobPlatform(MakePlatform, GetParam());
   for (const char* q :
        {kJoinPanel, kSmithPanel, kNoteJoin, kNoteOuterJoin, kNoteTagJoin,
         "for $c in ns3:CUSTOMER(), $cc in ns2:CREDIT_CARD() "
@@ -384,34 +366,14 @@ TEST_P(ColumnPruningKnobTest, ByteIdenticalToReference) {
     auto plan = platform->Prepare(q);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString() << "\n" << q;
     EXPECT_GT((*plan)->pushdown.columns_pruned, 0) << q;
-    EXPECT_EQ(Serialized(*platform, q), Serialized(*reference, q))
-        << q << "\nmethod " << xquery::JoinMethodName(GetParam().method)
-        << " batch " << GetParam().batch_size << " dop " << GetParam().dop;
+    testing::ExpectMatchesReference(*platform, *reference, q, &kAnalyst,
+                                    GetParam().Name());
   }
 }
 
-std::vector<Knobs> AllKnobs() {
-  std::vector<Knobs> out;
-  for (JoinMethod m :
-       {JoinMethod::kNestedLoop, JoinMethod::kIndexNestedLoop,
-        JoinMethod::kPPkNestedLoop, JoinMethod::kPPkIndexNestedLoop}) {
-    for (int width : {1, 7, 1024}) {
-      for (int dop : {1, 8}) out.push_back({m, width, dop});
-    }
-  }
-  return out;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, ColumnPruningKnobTest, ::testing::ValuesIn(AllKnobs()),
-    [](const ::testing::TestParamInfo<Knobs>& info) {
-      std::string name = xquery::JoinMethodName(info.param.method);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_w" + std::to_string(info.param.batch_size) + "_dop" +
-             std::to_string(info.param.dop);
-    });
+INSTANTIATE_TEST_SUITE_P(Matrix, ColumnPruningKnobTest,
+                         ::testing::ValuesIn(testing::ServerKnobMatrix()),
+                         testing::KnobName);
 
 // ----- Plan templates ------------------------------------------------------
 
@@ -442,7 +404,7 @@ TEST(ColumnPruningRebindTest, ReboundPrunedStatementMatchesFullCompile) {
   EXPECT_EQ(RenderPlanSnapshotText(*last), RenderPlanSnapshotText(**fresh));
   const std::string rebound_result = Serialized(*platform, texts[2]);
   EXPECT_EQ(rebound_result, Serialized(*fresh_platform, texts[2]));
-  auto reference = MakePlatform(ReferenceOptions());
+  auto reference = MakePlatform(testing::ReferenceOptions());
   EXPECT_EQ(rebound_result, Serialized(*reference, texts[2]));
   EXPECT_NE(rebound_result, "");
 }

@@ -3,6 +3,9 @@
 
 #include <memory>
 #include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
 
 #include "adaptors/external_function_adaptor.h"
 #include "adaptors/relational_adaptor.h"
@@ -12,9 +15,11 @@
 #include "runtime/context.h"
 #include "runtime/evaluator.h"
 #include "runtime/worker_pool.h"
+#include "server/server.h"
 #include "service/introspect.h"
 #include "tests/test_fixtures.h"
 #include "xml/node.h"
+#include "xml/serializer.h"
 #include "xquery/parser.h"
 
 namespace aldsp::testing {
@@ -144,6 +149,108 @@ class RunningExample {
   // and caches above are still alive (same ordering the server uses).
   runtime::WorkerPool pool;
 };
+
+// ----- Server-level knob matrix ---------------------------------------------
+
+/// One point of the server's knob space: join method, batch width, dop and
+/// PP-k prefetch depth (0 turns prefetch off). Every point must give
+/// results byte-identical to ReferenceOptions().
+struct ServerKnobs {
+  xquery::JoinMethod method;
+  int batch_size;
+  int dop;
+  int prefetch_depth;
+
+  /// "ppk_inl_w7_dop8_d4": the gtest parameter name and failure label.
+  std::string Name() const {
+    std::string name = xquery::JoinMethodName(method);
+    for (char& c : name) {
+      if (c == '-') c = '_';
+    }
+    return name + "_w" + std::to_string(batch_size) + "_dop" +
+           std::to_string(dop) + "_d" + std::to_string(prefetch_depth);
+  }
+};
+
+/// Four join methods x widths {1, 3, 7, 1024} x dop {1, 8} x depth {0, 1, 4}.
+inline std::vector<ServerKnobs> ServerKnobMatrix() {
+  using xquery::JoinMethod;
+  std::vector<ServerKnobs> out;
+  for (JoinMethod m :
+       {JoinMethod::kNestedLoop, JoinMethod::kIndexNestedLoop,
+        JoinMethod::kPPkNestedLoop, JoinMethod::kPPkIndexNestedLoop}) {
+    for (int width : {1, 3, 7, 1024}) {
+      for (int dop : {1, 8}) {
+        for (int depth : {0, 1, 4}) out.push_back({m, width, dop, depth});
+      }
+    }
+  }
+  return out;
+}
+
+inline std::string KnobName(const ::testing::TestParamInfo<ServerKnobs>& info) {
+  return info.param.Name();
+}
+
+/// The plan every knob point is held to: no pushdown, one row per batch,
+/// serial.
+inline server::ServerOptions ReferenceOptions() {
+  server::ServerOptions options;
+  options.enable_pushdown = false;
+  options.batch_size = 1;
+  options.max_query_dop = 1;
+  return options;
+}
+
+/// The platform `make(options)` builds at knob point `k`.
+template <typename Make>
+auto KnobPlatform(const Make& make, const ServerKnobs& k,
+                  bool pushdown = true) {
+  server::ServerOptions options;
+  options.optimizer.forced_join_method = k.method;
+  options.batch_size = k.batch_size;
+  options.max_query_dop = k.dop;
+  options.ppk_prefetch_depth = k.prefetch_depth;
+  options.enable_pushdown = pushdown;
+  auto platform = make(options);
+  platform->runtime_context().ppk_prefetch = k.prefetch_depth > 0;
+  return platform;
+}
+
+/// Serialized result of Execute, or of ExecuteAs when `who` is set.
+inline std::string Executed(server::DataServicePlatform& platform,
+                            const std::string& q,
+                            const security::Principal* who = nullptr) {
+  auto r = who != nullptr ? platform.ExecuteAs(q, *who) : platform.Execute(q);
+  EXPECT_TRUE(r.ok()) << r.status().ToString() << "\n" << q;
+  return r.ok() ? xml::SerializeSequence(*r) : "<error>";
+}
+
+/// Serialized items of ExecuteStream, or of ExecuteStreamAs.
+inline std::string Streamed(server::DataServicePlatform& platform,
+                            const std::string& q,
+                            const security::Principal* who = nullptr) {
+  xml::Sequence items;
+  auto sink = [&](const xml::Item& item) {
+    items.push_back(item);
+    return Status::OK();
+  };
+  Status st = who != nullptr ? platform.ExecuteStreamAs(q, *who, sink)
+                             : platform.ExecuteStream(q, sink);
+  EXPECT_TRUE(st.ok()) << st.ToString() << "\n" << q;
+  return st.ok() ? xml::SerializeSequence(items) : "<error>";
+}
+
+/// Holds both result paths of `platform` to the reference's bytes.
+inline void ExpectMatchesReference(server::DataServicePlatform& platform,
+                                   server::DataServicePlatform& reference,
+                                   const std::string& q,
+                                   const security::Principal* who,
+                                   const std::string& label) {
+  const std::string expected = Executed(reference, q, who);
+  EXPECT_EQ(Streamed(platform, q, who), expected) << q << "\n" << label;
+  EXPECT_EQ(Executed(platform, q, who), expected) << q << "\n" << label;
+}
 
 }  // namespace aldsp::testing
 

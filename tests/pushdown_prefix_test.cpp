@@ -16,6 +16,7 @@
 #include "examples/example_env.h"
 #include "optimizer/expr_utils.h"
 #include "sql/dialect.h"
+#include "tests/e2e_fixture.h"
 #include "xml/serializer.h"
 
 namespace aldsp::server {
@@ -52,12 +53,8 @@ declare function tns:enclosedCid() as element(P)* {
 
 std::unique_ptr<DataServicePlatform> MakePlatform(
     bool reference, bool optimize = true) {
-  ServerOptions options;
-  if (reference) {
-    options.enable_pushdown = false;
-    options.batch_size = 1;
-    options.max_query_dop = 1;
-  }
+  ServerOptions options =
+      reference ? testing::ReferenceOptions() : ServerOptions{};
   options.enable_optimizer = optimize;
   auto platform = std::make_unique<DataServicePlatform>(options);
   examples::WireRunningExample(*platform, kCustomers);
@@ -104,9 +101,7 @@ class PushdownPrefixTest : public ::testing::Test {
 
   std::string Run(DataServicePlatform& platform, const std::string& q,
                   const security::Principal& who) {
-    auto r = platform.ExecuteAs(q, who);
-    EXPECT_TRUE(r.ok()) << r.status().ToString() << "\n" << q;
-    return r.ok() ? xml::SerializeSequence(*r) : "<error>";
+    return testing::Executed(platform, q, &who);
   }
 
   // Runs `q` on both platforms and expects byte-identical results.

@@ -14,14 +14,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "adaptors/webservice_adaptor.h"
 #include "examples/example_env.h"
+#include "tests/e2e_fixture.h"
 #include "xml/serializer.h"
 
 namespace aldsp::server {
@@ -77,14 +80,6 @@ std::unique_ptr<DataServicePlatform> MakePlatform(ServerOptions options) {
   return platform;
 }
 
-ServerOptions ReferenceOptions() {
-  ServerOptions options;
-  options.enable_pushdown = false;
-  options.batch_size = 1;
-  options.max_query_dop = 1;
-  return options;
-}
-
 // Gives the named source a round trip that really sleeps.
 void SetRoundTrip(DataServicePlatform& platform, const std::string& source,
                   int64_t micros) {
@@ -93,21 +88,8 @@ void SetRoundTrip(DataServicePlatform& platform, const std::string& source,
   db->latency_model() = relational::LatencyModel{micros, 0, true};
 }
 
-std::string Materialized(DataServicePlatform& platform, const std::string& q) {
-  auto r = platform.Execute(q);
-  EXPECT_TRUE(r.ok()) << r.status().ToString() << "\n" << q;
-  return r.ok() ? xml::SerializeSequence(*r) : "<error>";
-}
-
-std::string Streamed(DataServicePlatform& platform, const std::string& q) {
-  xml::Sequence items;
-  Status st = platform.ExecuteStream(q, [&](const xml::Item& item) {
-    items.push_back(item);
-    return Status::OK();
-  });
-  EXPECT_TRUE(st.ok()) << st.ToString() << "\n" << q;
-  return st.ok() ? xml::SerializeSequence(items) : "<error>";
-}
+using testing::Executed;
+using testing::Streamed;
 
 // Rating web-service calls made so far.
 int64_t RatingCalls(DataServicePlatform& platform) {
@@ -134,35 +116,16 @@ bool Eventually(const std::function<bool()>& done) {
 
 // ----- Byte-identical output across the knob space -------------------------
 
-struct Knobs {
-  JoinMethod method;
-  int batch_size;
-  int dop;
-  int prefetch_depth;  // 0 turns prefetch off
-};
-
-class StreamShortBatchKnobTest : public ::testing::TestWithParam<Knobs> {};
+class StreamShortBatchKnobTest
+    : public ::testing::TestWithParam<testing::ServerKnobs> {};
 
 TEST_P(StreamShortBatchKnobTest, StreamAndExecuteMatchReference) {
   static const std::unique_ptr<DataServicePlatform> reference =
-      MakePlatform(ReferenceOptions());
-  const Knobs& k = GetParam();
-  ServerOptions options;
-  options.optimizer.forced_join_method = k.method;
-  options.batch_size = k.batch_size;
-  options.max_query_dop = k.dop;
-  options.ppk_prefetch_depth = k.prefetch_depth;
-  auto platform = MakePlatform(options);
-  platform->runtime_context().ppk_prefetch = k.prefetch_depth > 0;
-  ServerOptions no_pushdown = options;
-  no_pushdown.enable_pushdown = false;
-  auto unpushed = MakePlatform(no_pushdown);
-  unpushed->runtime_context().ppk_prefetch = k.prefetch_depth > 0;
-
-  const std::string label =
-      std::string("method ") + xquery::JoinMethodName(k.method) + " batch " +
-      std::to_string(k.batch_size) + " dop " + std::to_string(k.dop) +
-      " depth " + std::to_string(k.prefetch_depth);
+      MakePlatform(testing::ReferenceOptions());
+  const testing::ServerKnobs& k = GetParam();
+  auto platform = testing::KnobPlatform(MakePlatform, k);
+  auto unpushed = testing::KnobPlatform(MakePlatform, k, /*pushdown=*/false);
+  const std::string label = k.Name();
   struct Case {
     DataServicePlatform* platform;
     const char* query;
@@ -176,23 +139,20 @@ TEST_P(StreamShortBatchKnobTest, StreamAndExecuteMatchReference) {
       EXPECT_NE(explain->find("join[ppk"), std::string::npos)
           << c.query << "\n" << *explain;
     }
-    const std::string expected = Materialized(*reference, c.query);
-    EXPECT_EQ(Streamed(*c.platform, c.query), expected)
-        << c.query << "\n" << label;
-    EXPECT_EQ(Materialized(*c.platform, c.query), expected)
-        << c.query << "\n" << label;
+    testing::ExpectMatchesReference(*c.platform, *reference, c.query, nullptr,
+                                    label);
   }
 
   // Both server paths evaluate the interpreted return once per result
   // row, and a stream stopped at its first item made one call.
-  const std::string expected = Materialized(*reference, kRatingReturn);
+  const std::string expected = Executed(*reference, kRatingReturn);
   platform->function_cache().Clear();
   int64_t before = RatingCalls(*platform);
   EXPECT_EQ(Streamed(*platform, kRatingReturn), expected) << label;
   EXPECT_EQ(RatingCalls(*platform) - before, kCustomers) << label;
   platform->function_cache().Clear();
   before = RatingCalls(*platform);
-  EXPECT_EQ(Materialized(*platform, kRatingReturn), expected) << label;
+  EXPECT_EQ(Executed(*platform, kRatingReturn), expected) << label;
   EXPECT_EQ(RatingCalls(*platform) - before, kCustomers) << label;
   platform->function_cache().Clear();
   before = RatingCalls(*platform);
@@ -203,31 +163,9 @@ TEST_P(StreamShortBatchKnobTest, StreamAndExecuteMatchReference) {
   EXPECT_EQ(RatingCalls(*platform) - before, 1) << label;
 }
 
-std::vector<Knobs> AllKnobs() {
-  std::vector<Knobs> out;
-  for (JoinMethod m :
-       {JoinMethod::kNestedLoop, JoinMethod::kIndexNestedLoop,
-        JoinMethod::kPPkNestedLoop, JoinMethod::kPPkIndexNestedLoop}) {
-    for (int width : {1, 3, 7, 1024}) {
-      for (int dop : {1, 8}) {
-        for (int depth : {0, 1, 4}) out.push_back({m, width, dop, depth});
-      }
-    }
-  }
-  return out;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, StreamShortBatchKnobTest, ::testing::ValuesIn(AllKnobs()),
-    [](const ::testing::TestParamInfo<Knobs>& info) {
-      std::string name = xquery::JoinMethodName(info.param.method);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_w" + std::to_string(info.param.batch_size) + "_dop" +
-             std::to_string(info.param.dop) + "_d" +
-             std::to_string(info.param.prefetch_depth);
-    });
+INSTANTIATE_TEST_SUITE_P(Matrix, StreamShortBatchKnobTest,
+                         ::testing::ValuesIn(testing::ServerKnobMatrix()),
+                         testing::KnobName);
 
 TEST(StreamShortBatchTest, PositionalScanIsASqlRegion) {
   auto platform = MakePlatform({});
@@ -291,9 +229,11 @@ TEST(StreamShortBatchTest, WithDepthOneTheFirstItemPrecedesTheThirdBlock) {
 
 // ----- Error and cancel mid-stream -----------------------------------------
 
-// Depth 4 schedules all three fetches before the first item; one pool
-// thread runs them one after another, 10 ms each, so when the first item
-// reaches the sink the second fetch is running and the third is queued.
+// Depth 4 schedules all three fetches before the first item. The pool's
+// one thread is held by a gate task until the test opens it, so the
+// consumer claims the first fetch and runs it inline (Task::Wait), and
+// the second and third fetches are still queued behind the gate when the
+// first item reaches the sink, however the threads are scheduled.
 class StreamShortBatchStopTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -302,7 +242,24 @@ class StreamShortBatchStopTest : public ::testing::Test {
     options.worker_pool_size = 1;
     options.max_concurrent_queries = 2;
     platform_ = MakePlatform(options);
-    SetRoundTrip(*platform_, "billing_db", 10'000);
+    runtime::WorkerPool& pool = platform_->worker_pool();
+    gate_task_ = pool.Submit([this] {
+      std::unique_lock<std::mutex> lock(gate_mutex_);
+      gate_cv_.wait(lock, [this] { return gate_open_; });
+    });
+    ASSERT_TRUE(Eventually([&] { return pool.running_tasks() == 1; }));
+  }
+
+  void TearDown() override { OpenGate(); }
+
+  // Lets the pool thread go, and with it any fetch still queued.
+  void OpenGate() {
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex_);
+      gate_open_ = true;
+    }
+    gate_cv_.notify_all();
+    gate_task_.Wait();
   }
 
   // Fetches running or queued on the pool.
@@ -311,8 +268,10 @@ class StreamShortBatchStopTest : public ::testing::Test {
     return pool.running_tasks() + pool.queue_depth();
   }
 
-  // Every gauge a stopped stream could leave behind is back at zero.
+  // Every gauge a stopped stream could leave behind is back at zero once
+  // the gate is open.
   void ExpectDrained() {
+    OpenGate();
     EXPECT_EQ(platform_->query_registry().live_count(), 0);
     AdmissionSnapshot admission = platform_->admission().Snapshot();
     EXPECT_EQ(admission.running, 0);
@@ -325,23 +284,30 @@ class StreamShortBatchStopTest : public ::testing::Test {
   }
 
   std::unique_ptr<DataServicePlatform> platform_;
+  runtime::WorkerPool::Task gate_task_;
+  std::mutex gate_mutex_;
+  std::condition_variable gate_cv_;
+  bool gate_open_ = false;
 };
 
 TEST_F(StreamShortBatchStopTest, SinkErrorAfterFirstItemStopsTheStream) {
   int items = 0;
   int64_t blocks_at_error = -1;
   int64_t in_flight_at_error = -1;
+  int64_t queued_at_error = -1;
   const int64_t before = platform_->stats().ppk_blocks.load();
   Status st = platform_->ExecuteStream(kJoinPanel, [&](const xml::Item&) {
     ++items;
     blocks_at_error = platform_->stats().ppk_blocks.load() - before;
     in_flight_at_error = FetchesInFlight();
+    queued_at_error = platform_->worker_pool().queue_depth();
     return Status::InvalidArgument("consumer is full");
   });
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   EXPECT_EQ(items, 1);
   EXPECT_EQ(blocks_at_error, 3);
   EXPECT_GT(in_flight_at_error, 0);
+  EXPECT_EQ(queued_at_error, 2);
   ExpectDrained();
 }
 
@@ -349,9 +315,11 @@ TEST_F(StreamShortBatchStopTest, CancelAfterFirstItemStopsTheStream) {
   int items = 0;
   uint64_t cancelled_id = 0;
   int64_t in_flight_at_cancel = -1;
+  int64_t queued_at_cancel = -1;
   Status st = platform_->ExecuteStream(kJoinPanel, [&](const xml::Item&) {
     if (++items == 1) {
       in_flight_at_cancel = FetchesInFlight();
+      queued_at_cancel = platform_->worker_pool().queue_depth();
       auto live = platform_->query_registry().Snapshot();
       EXPECT_EQ(live.size(), 1u);
       if (!live.empty()) {
@@ -365,6 +333,7 @@ TEST_F(StreamShortBatchStopTest, CancelAfterFirstItemStopsTheStream) {
   EXPECT_NE(cancelled_id, 0u);
   EXPECT_EQ(items, 1);
   EXPECT_GT(in_flight_at_cancel, 0);
+  EXPECT_EQ(queued_at_cancel, 2);
   ExpectDrained();
 }
 
