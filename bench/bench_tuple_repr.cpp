@@ -137,7 +137,9 @@ AtomicValue FieldValue(int row, size_t field) {
 
 void BM_BatchConstructRowTuples(benchmark::State& state) {
   std::vector<std::string> names;
-  for (size_t f = 0; f < kFields; ++f) names.push_back("f" + std::to_string(f));
+  for (size_t f = 0; f < kFields; ++f) {
+    names.push_back(std::string("f").append(std::to_string(f)));
+  }
   for (auto _ : state) {
     std::vector<runtime::Tuple> rows;
     rows.reserve(kRows);
@@ -159,7 +161,8 @@ void BM_BatchConstructColumnar(benchmark::State& state) {
     TupleBatch batch;
     for (int r = 0; r < kRows; ++r) batch.AddRow(runtime::Tuple{});
     for (size_t f = 0; f < kFields; ++f) {
-      BatchColumn* col = batch.AddColumn("f" + std::to_string(f));
+      BatchColumn* col =
+          batch.AddColumn(std::string("f").append(std::to_string(f)));
       for (int r = 0; r < kRows; ++r) col->AppendAtomic(FieldValue(r, f));
     }
     benchmark::DoNotOptimize(batch.size());

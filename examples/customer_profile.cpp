@@ -16,14 +16,18 @@ using namespace aldsp;
 
 namespace {
 
-void PrintSqlRegions(const xquery::ExprPtr& e, int depth = 0) {
+// `slots`: the literal values a rebound plan carries (null for a plan
+// compiled in full).
+void PrintSqlRegions(const xquery::ExprPtr& e, const xquery::SlotValues* slots,
+                     int depth = 0) {
   if (e->kind == xquery::ExprKind::kSqlQuery && e->sql && e->sql->select) {
-    auto text = sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle);
+    auto text =
+        sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle, slots);
     std::printf("  [SQL -> %s] %s\n", e->sql->source.c_str(),
                 text.ok() ? text->c_str() : "<render error>");
   }
   xquery::ForEachChildSlot(*e, [&](xquery::ExprPtr& c) {
-    if (c) PrintSqlRegions(c, depth + 1);
+    if (c) PrintSqlRegions(c, slots, depth + 1);
   });
 }
 
@@ -68,7 +72,7 @@ int main() {
               static_cast<long long>((*plan)->pushdown_micros));
   std::printf("  SQL regions generated:\n");
   xquery::ExprPtr root = (*plan)->plan;
-  PrintSqlRegions(root);
+  PrintSqlRegions(root, (*plan)->literals.get());
 
   // --- 4. An ad hoc grouping query (the §3.1 FLWGOR extension) --------
   std::printf("\n== FLWGOR: customer ids per last name ==\n");

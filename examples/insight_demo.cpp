@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
   // --- 1. One fingerprint, many literals --------------------------------
   std::fprintf(out, "== running the workload ==\n");
   for (const char* cid : {"CUST001", "CUST002", "CUST003", "CUST004"}) {
-    std::string q = "for $c in ns3:CUSTOMER() where $c/CID eq \"" +
-                    std::string(cid) + "\" return fn:data($c/LAST_NAME)";
+    std::string q = "for $c in ns3:CUSTOMER() where $c/CID eq \"";
+    q += cid;
+    q += "\" return fn:data($c/LAST_NAME)";
     if (auto r = aldsp.Execute(q); !r.ok()) {
       std::fprintf(stderr, "execute failed: %s\n", r.status().ToString().c_str());
       return 1;

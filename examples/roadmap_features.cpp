@@ -35,7 +35,8 @@ int main() {
   static const char* kDepts[] = {"eng", "sales", "hr", "legal"};
   for (int i = 1; i <= 200; ++i) {
     directory->AddEntry(
-        {{"UID", xml::AtomicValue::String("u" + std::to_string(i))},
+        {{"UID",
+          xml::AtomicValue::String(std::string("u").append(std::to_string(i)))},
          {"DEPT", xml::AtomicValue::String(kDepts[i % 4])},
          {"LEVEL", xml::AtomicValue::Integer(i % 10)}});
   }

@@ -67,7 +67,7 @@ int main() {
   std::printf("== audit log ==\n");
   for (const auto& e : aldsp.audit_log().Events()) {
     std::printf("  #%lld %-14s user=%-4s %s\n",
-                static_cast<long long>(e.sequence), e.category.c_str(),
+                static_cast<long long>(e.seq), e.category.c_str(),
                 e.user.c_str(), e.detail.c_str());
   }
   return 0;

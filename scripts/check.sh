@@ -10,7 +10,14 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier-1: release build + ctest =="
 cmake -B "$repo/build" -S "$repo" >/dev/null
-cmake --build "$repo/build" -j "$jobs"
+# A compiler warning fails the gate. Only what this run recompiles can
+# print one, so a clean build tree checks every file.
+cmake --build "$repo/build" -j "$jobs" 2>&1 | tee "$repo/build/build.log"
+if grep -q "warning:" "$repo/build/build.log"; then
+  echo "the release build printed compiler warnings:" >&2
+  grep "warning:" "$repo/build/build.log" >&2
+  exit 1
+fi
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 # Running-example pushdown: tns:getProfileByID's key predicate must reach

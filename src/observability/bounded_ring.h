@@ -50,6 +50,11 @@ class BoundedRing {
     return next_seq_;
   }
   size_t capacity() const { return capacity_; }
+  /// Entries retained now.
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ring_.size();
+  }
 
   /// Drops the retained entries; sequence numbering continues. `reset`
   /// runs under the lock, for state the owner's stamps read.

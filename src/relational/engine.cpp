@@ -154,8 +154,12 @@ class Executor {
                            const std::vector<Row>**)>;
 
   Executor(TableLookup lookup, const std::vector<Cell>* params,
-           SourceStats* stats)
-      : lookup_(std::move(lookup)), params_(params), stats_(stats) {}
+           SourceStats* stats,
+           const std::vector<xml::AtomicValue>* literals = nullptr)
+      : lookup_(std::move(lookup)),
+        params_(params),
+        literals_(literals),
+        stats_(stats) {}
 
   Result<ResultSet> Run(const SelectStmt& stmt) {
     ALDSP_ASSIGN_OR_RETURN(Relation rel, ExecSelect(stmt, nullptr));
@@ -533,7 +537,7 @@ class Executor {
                                     ".\"" + e.column + "\"");
       }
       case SqlExpr::Kind::kLiteral:
-        return e.literal;
+        return LiteralCell(e, literals_);
       case SqlExpr::Kind::kParam: {
         if (params_ == nullptr || e.param_index < 0 ||
             e.param_index >= static_cast<int>(params_->size())) {
@@ -582,7 +586,7 @@ class Executor {
         return Cell::Bool(e.negated);
       }
       case SqlExpr::Kind::kExists: {
-        Executor sub(lookup_, params_, stats_);
+        Executor sub(lookup_, params_, stats_, literals_);
         ALDSP_ASSIGN_OR_RETURN(Relation rel,
                                sub.ExecSelect(*e.subquery, &f));
         return Cell::Bool(!rel.owned.empty());
@@ -750,6 +754,7 @@ class Executor {
 
   TableLookup lookup_;
   const std::vector<Cell>* params_;
+  const std::vector<xml::AtomicValue>* literals_;
   SourceStats* stats_;
 };
 
@@ -859,11 +864,12 @@ Database::TableLookup Database::ReadTables() const {
   };
 }
 
-Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
-                                          const std::vector<Cell>& params) {
+Result<ResultSet> Database::ExecuteSelect(
+    const SelectStmt& stmt, const std::vector<Cell>& params,
+    const std::vector<xml::AtomicValue>* literals) {
   return RunStatement<ResultSet>(
       [&](int64_t* sleep_micros) -> Result<ResultSet> {
-        Executor exec(ReadTables(), &params, &stats_);
+        Executor exec(ReadTables(), &params, &stats_, literals);
         ALDSP_ASSIGN_OR_RETURN(ResultSet rs, exec.Run(stmt));
         ChargeRows(rs.rows.size(), sleep_micros);
         return rs;

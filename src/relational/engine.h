@@ -66,8 +66,12 @@ class Database {
   /// Bulk load; validates arity and column types, enforcing NOT NULL.
   Status InsertRow(const std::string& table, Row row);
 
-  Result<ResultSet> ExecuteSelect(const SelectStmt& stmt,
-                                  const std::vector<Cell>& params = {});
+  /// Runs a SELECT with `params` bound to its ? placeholders and its
+  /// slotted literals read from `literals` (see LiteralCell): the values
+  /// of the query text a shared plan serves, or null.
+  Result<ResultSet> ExecuteSelect(
+      const SelectStmt& stmt, const std::vector<Cell>& params = {},
+      const std::vector<xml::AtomicValue>* literals = nullptr);
   Result<int64_t> ExecuteUpdate(const UpdateStmt& stmt,
                                 const std::vector<Cell>& params = {});
   Result<int64_t> ExecuteInsert(const InsertStmt& stmt,

@@ -186,20 +186,23 @@ const char* FuncName(SqlFunc f) {
   return "?";
 }
 
-void WriteExpr(const SqlExpr& e, std::ostringstream& os);
+using Slots = std::vector<xml::AtomicValue>;
 
-void WriteSelect(const SelectStmt& s, std::ostringstream& os) {
+void WriteExpr(const SqlExpr& e, const Slots* slots, std::ostringstream& os);
+
+void WriteSelect(const SelectStmt& s, const Slots* slots,
+                 std::ostringstream& os) {
   os << "SELECT ";
   if (s.distinct) os << "DISTINCT ";
   for (size_t i = 0; i < s.items.size(); ++i) {
     if (i > 0) os << ", ";
-    WriteExpr(*s.items[i].expr, os);
+    WriteExpr(*s.items[i].expr, slots, os);
     if (!s.items[i].output_name.empty()) os << " AS " << s.items[i].output_name;
   }
   os << " FROM ";
   if (s.from.derived) {
     os << "(";
-    WriteSelect(*s.from.derived, os);
+    WriteSelect(*s.from.derived, slots, os);
     os << ")";
   } else {
     os << "\"" << s.from.table_name << "\"";
@@ -209,7 +212,7 @@ void WriteSelect(const SelectStmt& s, std::ostringstream& os) {
     os << (j.kind == JoinKind::kInner ? " JOIN " : " LEFT OUTER JOIN ");
     if (j.right.derived) {
       os << "(";
-      WriteSelect(*j.right.derived, os);
+      WriteSelect(*j.right.derived, slots, os);
       os << ")";
     } else {
       os << "\"" << j.right.table_name << "\"";
@@ -217,29 +220,29 @@ void WriteSelect(const SelectStmt& s, std::ostringstream& os) {
     if (!j.right.alias.empty()) os << " " << j.right.alias;
     if (j.condition) {
       os << " ON ";
-      WriteExpr(*j.condition, os);
+      WriteExpr(*j.condition, slots, os);
     }
   }
   if (s.where) {
     os << " WHERE ";
-    WriteExpr(*s.where, os);
+    WriteExpr(*s.where, slots, os);
   }
   if (!s.group_by.empty()) {
     os << " GROUP BY ";
     for (size_t i = 0; i < s.group_by.size(); ++i) {
       if (i > 0) os << ", ";
-      WriteExpr(*s.group_by[i], os);
+      WriteExpr(*s.group_by[i], slots, os);
     }
   }
   if (s.having) {
     os << " HAVING ";
-    WriteExpr(*s.having, os);
+    WriteExpr(*s.having, slots, os);
   }
   if (!s.order_by.empty()) {
     os << " ORDER BY ";
     for (size_t i = 0; i < s.order_by.size(); ++i) {
       if (i > 0) os << ", ";
-      WriteExpr(*s.order_by[i].expr, os);
+      WriteExpr(*s.order_by[i].expr, slots, os);
       if (s.order_by[i].descending) os << " DESC";
     }
   }
@@ -248,51 +251,53 @@ void WriteSelect(const SelectStmt& s, std::ostringstream& os) {
   }
 }
 
-void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
+void WriteExpr(const SqlExpr& e, const Slots* slots, std::ostringstream& os) {
   switch (e.kind) {
     case SqlExpr::Kind::kColumn:
       if (!e.table_alias.empty()) os << e.table_alias << ".";
       os << "\"" << e.column << "\"";
       break;
-    case SqlExpr::Kind::kLiteral:
-      if (e.literal.is_null) {
+    case SqlExpr::Kind::kLiteral: {
+      const Cell literal = LiteralCell(e, slots);
+      if (literal.is_null) {
         os << "NULL";
-      } else if (e.literal.value.is_string()) {
-        os << "'" << e.literal.value.Lexical() << "'";
+      } else if (literal.value.is_string()) {
+        os << "'" << literal.value.Lexical() << "'";
       } else {
-        os << e.literal.ToString();
+        os << literal.ToString();
       }
       break;
+    }
     case SqlExpr::Kind::kParam:
       os << "?";
       break;
     case SqlExpr::Kind::kBinary:
       os << "(";
-      WriteExpr(*e.args[0], os);
+      WriteExpr(*e.args[0], slots, os);
       os << " " << e.op << " ";
-      WriteExpr(*e.args[1], os);
+      WriteExpr(*e.args[1], slots, os);
       os << ")";
       break;
     case SqlExpr::Kind::kNot:
       os << "NOT (";
-      WriteExpr(*e.args[0], os);
+      WriteExpr(*e.args[0], slots, os);
       os << ")";
       break;
     case SqlExpr::Kind::kIsNull:
-      WriteExpr(*e.args[0], os);
+      WriteExpr(*e.args[0], slots, os);
       os << (e.negated ? " IS NOT NULL" : " IS NULL");
       break;
     case SqlExpr::Kind::kCase:
       os << "CASE";
       for (const auto& [c, r] : e.whens) {
         os << " WHEN ";
-        WriteExpr(*c, os);
+        WriteExpr(*c, slots, os);
         os << " THEN ";
-        WriteExpr(*r, os);
+        WriteExpr(*r, slots, os);
       }
       if (e.else_expr) {
         os << " ELSE ";
-        WriteExpr(*e.else_expr, os);
+        WriteExpr(*e.else_expr, slots, os);
       }
       os << " END";
       break;
@@ -300,7 +305,7 @@ void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
       os << FuncName(e.func) << "(";
       for (size_t i = 0; i < e.args.size(); ++i) {
         if (i > 0) os << ", ";
-        WriteExpr(*e.args[i], os);
+        WriteExpr(*e.args[i], slots, os);
       }
       os << ")";
       break;
@@ -310,26 +315,26 @@ void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
         os << "*";
       } else {
         if (e.distinct) os << "DISTINCT ";
-        WriteExpr(*e.args[0], os);
+        WriteExpr(*e.args[0], slots, os);
       }
       os << ")";
       break;
     case SqlExpr::Kind::kInList:
-      WriteExpr(*e.args[0], os);
+      WriteExpr(*e.args[0], slots, os);
       os << (e.negated ? " NOT IN (" : " IN (");
       for (size_t i = 1; i < e.args.size(); ++i) {
         if (i > 1) os << ", ";
-        WriteExpr(*e.args[i], os);
+        WriteExpr(*e.args[i], slots, os);
       }
       os << ")";
       break;
     case SqlExpr::Kind::kExists:
       os << "EXISTS(";
-      WriteSelect(*e.subquery, os);
+      WriteSelect(*e.subquery, slots, os);
       os << ")";
       break;
     case SqlExpr::Kind::kLike:
-      WriteExpr(*e.args[0], os);
+      WriteExpr(*e.args[0], slots, os);
       os << " LIKE '" << e.op << "'";
       break;
   }
@@ -337,15 +342,22 @@ void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
 
 }  // namespace
 
-std::string DebugString(const SqlExpr& expr) {
+Cell LiteralCell(const SqlExpr& e, const std::vector<xml::AtomicValue>* slots) {
+  if (slots == nullptr || e.literal_slot < 0) return e.literal;
+  return Cell::Of((*slots)[static_cast<size_t>(e.literal_slot)]);
+}
+
+std::string DebugString(const SqlExpr& expr,
+                        const std::vector<xml::AtomicValue>* slots) {
   std::ostringstream os;
-  WriteExpr(expr, os);
+  WriteExpr(expr, slots, os);
   return os.str();
 }
 
-std::string DebugString(const SelectStmt& stmt) {
+std::string DebugString(const SelectStmt& stmt,
+                        const std::vector<xml::AtomicValue>* slots) {
   std::ostringstream os;
-  WriteSelect(stmt, os);
+  WriteSelect(stmt, slots, os);
   return os.str();
 }
 

@@ -54,7 +54,7 @@ struct SqlExpr {
   // kLiteral
   Cell literal;
   /// Slot of the query literal this value was translated from (see
-  /// xquery::Expr::literal_slot), or -1.
+  /// xquery::Expr::literal_slot), or -1. Read through LiteralCell.
   int literal_slot = -1;
 
   // kParam
@@ -168,10 +168,19 @@ struct DeleteStmt {
   SqlExprPtr where;
 };
 
-/// Debug rendering (dialect-neutral); the per-vendor writers live in
+/// The cell literal `e` holds in a statement executing with `slots`, the
+/// literal values of the query text it serves (xquery::SlotValues): the
+/// slot's value when there are values and `e` is slotted, else
+/// `e.literal`.
+Cell LiteralCell(const SqlExpr& e, const std::vector<xml::AtomicValue>* slots);
+
+/// Debug rendering (dialect-neutral), with slotted literals read from
+/// `slots` (see LiteralCell); the per-vendor writers live in
 /// src/sql/dialect.h.
-std::string DebugString(const SqlExpr& expr);
-std::string DebugString(const SelectStmt& stmt);
+std::string DebugString(const SqlExpr& expr,
+                        const std::vector<xml::AtomicValue>* slots = nullptr);
+std::string DebugString(const SelectStmt& stmt,
+                        const std::vector<xml::AtomicValue>* slots = nullptr);
 
 }  // namespace aldsp::relational
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/status.h"
 #include "compiler/function_table.h"
@@ -15,6 +16,7 @@
 #include "runtime/observed_cost.h"
 #include "runtime/query_trace.h"
 #include "runtime/tuple_repr.h"
+#include "xml/value.h"
 
 namespace aldsp::runtime {
 
@@ -145,6 +147,14 @@ struct RuntimeContext {
   /// valid until the last task finishes.
   observability::QueryControl* exec = nullptr;
   std::shared_ptr<observability::QueryControl> exec_owner;
+
+  /// Literal values of the query text a rebound plan serves, indexed by
+  /// literal slot (xquery::SlotValues); null for a plan compiled from its
+  /// own text. Slotted literals of the shared template tree read their
+  /// values here (xquery::LiteralValue, relational::LiteralCell). Shared
+  /// ownership for the same reason as trace_owner: an abandoned timeout
+  /// task may still read them after the query returns.
+  std::shared_ptr<const std::vector<xml::AtomicValue>> literals;
 
   /// Per-source health scoreboard with circuit breaking (optional,
   /// server-owned). The evaluator gates every source interaction through

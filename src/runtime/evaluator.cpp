@@ -206,7 +206,7 @@ class Evaluator {
     }
     switch (e.kind) {
       case ExprKind::kLiteral:
-        return Sequence{Item(e.literal)};
+        return Sequence{Item(xquery::LiteralValue(e, ctx_.literals.get()))};
       case ExprKind::kEmptySequence:
         return Sequence{};
       case ExprKind::kSequence:
@@ -959,7 +959,7 @@ class Evaluator {
     int64_t sim_mark = VirtualLatencyMark(db);
     auto t0 = std::chrono::steady_clock::now();
     Result<relational::ResultSet> executed =
-        db->ExecuteSelect(*spec->select, params);
+        db->ExecuteSelect(*spec->select, params, ctx_.literals.get());
     int64_t micros = MicrosSince(t0) + VirtualLatencyDelta(db, sim_mark);
     NoteSourceOutcome(ctx_, spec->source, executed.ok(), micros);
     if (!executed.ok()) return executed.status();
@@ -978,7 +978,8 @@ class Evaluator {
       SplitSourceMicros(db, static_cast<int64_t>(rs.rows.size()), micros,
                         &roundtrip, &transfer);
       ctx_.trace->AddEvent(QueryTrace::EventKind::kSql, spec->source,
-                           relational::DebugString(*spec->select),
+                           relational::DebugString(*spec->select,
+                                                   ctx_.literals.get()),
                            static_cast<int64_t>(rs.rows.size()), micros,
                            bare_scan ? s.from.table_name : "", roundtrip,
                            transfer);

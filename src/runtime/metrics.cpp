@@ -214,7 +214,7 @@ std::string PromName(const std::string& name) {
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
+  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out = "_" + out;
   return out;
 }
 

@@ -212,12 +212,13 @@ Status ApplyPathStep(const Expr& e, const Sequence& in, bool atomize,
 }  // namespace
 
 Status KernelEvalRows(const Expr& e, const TupleBatch& batch,
-                      std::vector<Sequence>* out, bool atomize) {
+                      std::vector<Sequence>* out, bool atomize,
+                      const xquery::SlotValues* slots) {
   size_t n = batch.size();
   out->resize(n);
   switch (e.kind) {
     case ExprKind::kLiteral: {
-      Sequence v{Item(e.literal)};
+      Sequence v{Item(xquery::LiteralValue(e, slots))};
       for (size_t i = 0; i < n; ++i) (*out)[i] = v;
       return Status::OK();
     }
@@ -261,7 +262,7 @@ Status KernelEvalRows(const Expr& e, const TupleBatch& batch,
         }
         return Status::OK();
       }
-      ALDSP_RETURN_NOT_OK(KernelEvalRows(source, batch, out, false));
+      ALDSP_RETURN_NOT_OK(KernelEvalRows(source, batch, out, false, slots));
       Sequence stepped;
       for (size_t i = 0; i < n; ++i) {
         ALDSP_RETURN_NOT_OK(ApplyPathStep(e, (*out)[i], atomize, &stepped));

@@ -157,9 +157,11 @@ bool KernelSupports(const xquery::Expr& e);
 /// Variables resolve against the batch's columns first (newest wins, the
 /// shadowing order MaterializeRow would produce), then each row's base
 /// environment chain. With `atomize` each row gets fn:data(e), and a final
-/// child step over a flat row reads the row's cells.
+/// child step over a flat row reads the row's cells. Slotted literals read
+/// their values from `slots` (xquery::LiteralValue).
 Status KernelEvalRows(const xquery::Expr& e, const TupleBatch& batch,
-                      std::vector<xml::Sequence>* out, bool atomize = false);
+                      std::vector<xml::Sequence>* out, bool atomize = false,
+                      const xquery::SlotValues* slots = nullptr);
 
 }  // namespace aldsp::runtime::physical
 

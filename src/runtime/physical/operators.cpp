@@ -292,7 +292,8 @@ class LetBindOp final : public PhysicalOperator {
     out->Compact();
     size_t n = out->size();
     if (kernel_) {
-      ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.expr, *out, &vals_));
+      ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.expr, *out, &vals_, false,
+                                         ctx()->literals.get()));
     } else {
       vals_.resize(n);
       for (size_t i = 0; i < n; ++i) {
@@ -343,9 +344,11 @@ class FilterOp final : public PhysicalOperator {
     if (kernel_) {
       const Expr& p = *cl_.expr;
       ALDSP_RETURN_NOT_OK(
-          KernelEvalRows(*p.children[0], *out, &lhs_, /*atomize=*/true));
+          KernelEvalRows(*p.children[0], *out, &lhs_, /*atomize=*/true,
+                         ctx()->literals.get()));
       ALDSP_RETURN_NOT_OK(
-          KernelEvalRows(*p.children[1], *out, &rhs_, /*atomize=*/true));
+          KernelEvalRows(*p.children[1], *out, &rhs_, /*atomize=*/true,
+                         ctx()->literals.get()));
       for (size_t i = 0; i < n; ++i) {
         ALDSP_ASSIGN_OR_RETURN(bool ok,
                                CompareOperandsToBool(lhs_[i], rhs_[i], p.op,
@@ -660,7 +663,8 @@ class NestedLoopJoinOp : public JoinOpBase {
       key_cols_.resize(nk);
       for (size_t k = 0; k < nk; ++k) {
         ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl().equi_keys[k].first, batch,
-                                           &key_cols_[k], /*atomize=*/true));
+                                           &key_cols_[k], /*atomize=*/true,
+                                           ctx()->literals.get()));
       }
       std::string key;
       for (size_t i = 0; i < n; ++i) {
@@ -952,7 +956,7 @@ class PPkJoinOp final : public JoinOpBase {
       int64_t sim_mark = VirtualLatencyMark(db);
       auto t0 = std::chrono::steady_clock::now();
       Result<relational::ResultSet> executed =
-          db->ExecuteSelect(*select, params);
+          db->ExecuteSelect(*select, params, ctx()->literals.get());
       int64_t micros = MicrosSince(t0) + VirtualLatencyDelta(db, sim_mark);
       if (ctx()->health != nullptr) {
         if (executed.ok()) {
@@ -972,7 +976,8 @@ class PPkJoinOp final : public JoinOpBase {
         SplitSourceMicros(db, static_cast<int64_t>(rs.rows.size()), micros,
                           &roundtrip, &transfer);
         trace()->AddEvent(QueryTrace::EventKind::kPPkFetch, spec.source,
-                          relational::DebugString(*select),
+                          relational::DebugString(*select,
+                                                  ctx()->literals.get()),
                           static_cast<int64_t>(rs.rows.size()), micros, "",
                           roundtrip, transfer);
       }
@@ -1078,7 +1083,8 @@ class ParallelJoinProbeOp final : public ExchangeOpBase {
     std::vector<std::vector<Sequence>> key_cols(nk);
     for (size_t k = 0; k < nk; ++k) {
       ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.equi_keys[k].first, in,
-                                         &key_cols[k], /*atomize=*/true));
+                                         &key_cols[k], /*atomize=*/true,
+                                         ctx()->literals.get()));
     }
     std::string key;
     for (size_t i = 0; i < n; ++i) {
@@ -1342,7 +1348,8 @@ class StreamGroupByOp final : public PhysicalOperator {
       key_cols_.resize(nkeys);
       for (size_t k = 0; k < nkeys; ++k) {
         ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.group_keys[k].expr, in_,
-                                           &key_cols_[k], /*atomize=*/true));
+                                           &key_cols_[k], /*atomize=*/true,
+                                           ctx()->literals.get()));
       }
       for (size_t i = 0; i < n; ++i) {
         in_keys_[i].reserve(nkeys);
@@ -1574,7 +1581,8 @@ class OrderByOp final : public PhysicalOperator {
         key_cols_.resize(nk);
         for (size_t k = 0; k < nk; ++k) {
           ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.order_keys[k].expr, in,
-                                             &key_cols_[k], /*atomize=*/true));
+                                             &key_cols_[k], /*atomize=*/true,
+                                             ctx()->literals.get()));
         }
       }
       for (size_t i = 0; i < n; ++i) {
@@ -1661,7 +1669,8 @@ class ReturnOp final : public PhysicalOperator {
         }
         in_.Compact();
         if (kernel_) {
-          ALDSP_RETURN_NOT_OK(KernelEvalRows(*ret_, in_, &kernel_vals_));
+          ALDSP_RETURN_NOT_OK(KernelEvalRows(*ret_, in_, &kernel_vals_, false,
+                                             ctx()->literals.get()));
         }
         continue;
       }

@@ -10,34 +10,23 @@ using xml::XNode;
 
 void AuditLog::Record(const std::string& category, const std::string& user,
                       const std::string& detail) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back({next_sequence_++, category, user, detail});
+  ring_.Append({0, category, user, detail});
 }
 
 std::vector<AuditLog::Event> AuditLog::Events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
+  return ring_.Records();
 }
 
 std::vector<AuditLog::Event> AuditLog::EventsInCategory(
     const std::string& category) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Event> out;
-  for (const auto& e : events_) {
-    if (e.category == category) out.push_back(e);
+  for (auto& e : ring_.Records()) {
+    if (e.category == category) out.push_back(std::move(e));
   }
   return out;
 }
 
-size_t AuditLog::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
-}
-
-void AuditLog::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.clear();
-}
+size_t AuditLog::size() const { return ring_.size(); }
 
 void AccessControl::AddFunctionAcl(FunctionAcl acl) {
   function_acls_.push_back(std::move(acl));
@@ -67,6 +56,21 @@ Status AccessControl::CheckFunctionAccess(
 }
 
 namespace {
+
+// True when some policy on the subtree rooted at `root` (an item's root
+// element name) denies `principal`: only then can RedactNode change the
+// item.
+bool MayRedact(const std::vector<ElementPolicy>& policies,
+               const std::string& root, const Principal& principal) {
+  for (const auto& p : policies) {
+    const std::string& path = p.resource_path;
+    const bool under_root =
+        path.compare(0, root.size(), root) == 0 &&
+        (path.size() == root.size() || path[root.size()] == '/');
+    if (under_root && !principal.HasAnyRole(p.allowed_roles)) return true;
+  }
+  return false;
+}
 
 // True when some policy names a path strictly below `path`.
 bool GovernsBelow(const std::vector<ElementPolicy>& policies,
@@ -124,8 +128,10 @@ std::optional<xml::Item> AccessControl::FilterItem(const Principal& principal,
       item.node()->kind() != NodeKind::kElement) {
     return item;
   }
+  std::string root_path = xml::LocalName(item.node()->name());
+  // Nothing this principal may not see: the item itself, uncopied.
+  if (!MayRedact(element_policies_, root_path, principal)) return item;
   NodePtr copy = item.node()->Clone();
-  std::string root_path = xml::LocalName(copy->name());
   if (!RedactNode(copy, root_path, element_policies_, principal, audit,
                   redactions)) {
     return std::nullopt;

@@ -1,15 +1,15 @@
 #ifndef ALDSP_SECURITY_SECURITY_H_
 #define ALDSP_SECURITY_SECURITY_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "observability/bounded_ring.h"
 #include "xml/item.h"
 
 namespace aldsp::security {
@@ -50,27 +50,32 @@ struct FunctionAcl {
 };
 
 /// Auditing security service (paper §7): records security decisions and
-/// operational events for administrative monitoring.
+/// operational events for administrative monitoring. Retains the newest
+/// `capacity` events; older ones are evicted but still counted.
 class AuditLog {
  public:
   struct Event {
-    int64_t sequence;
+    int64_t seq = 0;       // stamped on Record, increasing
     std::string category;  // "access-denied", "redaction", "query", ...
     std::string user;
     std::string detail;
   };
 
+  explicit AuditLog(size_t capacity = 1024) : ring_(capacity) {}
+
   void Record(const std::string& category, const std::string& user,
               const std::string& detail);
+  /// The retained events, oldest first.
   std::vector<Event> Events() const;
   std::vector<Event> EventsInCategory(const std::string& category) const;
+  /// Retained events.
   size_t size() const;
-  void Clear();
+  /// Every event ever recorded, evicted or not.
+  int64_t total_recorded() const { return ring_.total_appended(); }
+  void Clear() { ring_.Clear(); }
 
  private:
-  mutable std::mutex mutex_;
-  std::vector<Event> events_;
-  std::atomic<int64_t> next_sequence_{1};
+  observability::BoundedRing<Event> ring_;
 };
 
 /// The fine-grained access control service. Fine-grained filtering is

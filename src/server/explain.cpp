@@ -43,11 +43,13 @@ std::vector<runtime::physical::ExplainNode> DescribeFLWOR(
   return nodes;
 }
 
-std::string ExprLabel(const Expr& e) {
+// `slots` are the literal values of the text a rebound plan serves (null
+// for a plan compiled in full); slotted literals render with them.
+std::string ExprLabel(const Expr& e, const xquery::SlotValues* slots) {
   switch (e.kind) {
     case ExprKind::kSqlQuery:
       return "sql[" + e.sql->source + "] " +
-             relational::DebugString(*e.sql->select);
+             relational::DebugString(*e.sql->select, slots);
     case ExprKind::kCustomQuery: {
       std::string label =
           "custom-pushdown[" + e.custom->source + "] " + e.custom->function;
@@ -61,7 +63,7 @@ std::string ExprLabel(const Expr& e) {
     case ExprKind::kVarRef:
       return "$" + e.var_name;
     case ExprKind::kLiteral:
-      return "literal " + e.literal.Lexical();
+      return "literal " + xquery::LiteralValue(e, slots).Lexical();
     case ExprKind::kElementCtor:
       return "element <" + e.ctor_name + ">";
     case ExprKind::kAttributeCtor:
@@ -80,36 +82,37 @@ std::string ExprLabel(const Expr& e) {
 
 void RenderExprText(const Expr& e, const std::string& indent,
                     const runtime::physical::BuildOptions& opts,
-                    std::ostream& os) {
-  os << indent << ExprLabel(e) << "\n";
+                    const xquery::SlotValues* slots, std::ostream& os) {
+  os << indent << ExprLabel(e, slots) << "\n";
   if (e.kind == ExprKind::kFLWOR) {
     for (const auto& n : DescribeFLWOR(e, opts)) {
       os << indent << "  " << PlanNodeLabel(n) << "\n";
       if (n.expr != nullptr) {
-        RenderExprText(*n.expr, indent + "    ", opts, os);
+        RenderExprText(*n.expr, indent + "    ", opts, slots, os);
       }
       if (n.condition != nullptr) {
         os << indent << "    on\n";
-        RenderExprText(*n.condition, indent + "      ", opts, os);
+        RenderExprText(*n.condition, indent + "      ", opts, slots, os);
       }
       if (n.ppk != nullptr) {
         os << indent << "    ppk-fetch[" << n.ppk->source << "] "
-           << relational::DebugString(*n.ppk->select_template) << " + "
+           << relational::DebugString(*n.ppk->select_template, slots)
+           << " + "
            << n.ppk->in_alias << "." << n.ppk->in_column << " IN (...)\n";
       }
     }
     return;
   }
   for (const auto& c : e.children) {
-    if (c) RenderExprText(*c, indent + "  ", opts, os);
+    if (c) RenderExprText(*c, indent + "  ", opts, slots, os);
   }
 }
 
 void RenderExprJson(const Expr& e,
                     const runtime::physical::BuildOptions& opts,
-                    std::ostream& os) {
+                    const xquery::SlotValues* slots, std::ostream& os) {
   os << "{\"label\":";
-  AppendJsonString(os, ExprLabel(e));
+  AppendJsonString(os, ExprLabel(e, slots));
   os << ",\"kind\":";
   AppendJsonString(os, xquery::ExprKindName(e.kind));
   os << ",\"children\":[";
@@ -120,7 +123,7 @@ void RenderExprJson(const Expr& e,
     os << "{\"label\":";
     AppendJsonString(os, label);
     os << ",\"children\":[";
-    if (child != nullptr) RenderExprJson(*child, opts, os);
+    if (child != nullptr) RenderExprJson(*child, opts, slots, os);
     os << "]}";
   };
   if (e.kind == ExprKind::kFLWOR) {
@@ -132,7 +135,7 @@ void RenderExprJson(const Expr& e,
       if (!c) continue;
       if (!first) os << ",";
       first = false;
-      RenderExprJson(*c, opts, os);
+      RenderExprJson(*c, opts, slots, os);
     }
   }
   os << "]}";
@@ -318,7 +321,9 @@ std::string RenderPlanText(const CompiledPlan& plan,
   os << "=== plan ===\n";
   os << "query: " << plan.text << "\n";
   RenderCompileHeader(plan, os);
-  if (plan.plan != nullptr) RenderExprText(*plan.plan, "", opts, os);
+  if (plan.plan != nullptr) {
+    RenderExprText(*plan.plan, "", opts, plan.literals.get(), os);
+  }
   return os.str();
 }
 
@@ -340,7 +345,8 @@ std::string RenderPlanSnapshotText(const CompiledPlan& plan) {
     os << "\n";
   }
   if (plan.plan != nullptr) {
-    RenderExprText(*plan.plan, "", runtime::physical::BuildOptions{}, os);
+    RenderExprText(*plan.plan, "", runtime::physical::BuildOptions{},
+                   plan.literals.get(), os);
   }
   return os.str();
 }
@@ -354,7 +360,7 @@ std::string RenderPlanJson(const CompiledPlan& plan,
   RenderCompileJson(plan, os);
   os << ",\"plan\":";
   if (plan.plan != nullptr) {
-    RenderExprJson(*plan.plan, opts, os);
+    RenderExprJson(*plan.plan, opts, plan.literals.get(), os);
   } else {
     os << "null";
   }

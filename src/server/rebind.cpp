@@ -73,24 +73,6 @@ void VisitLiterals(Expr& e, ExprFn& on_expr, SqlFn& on_sql) {
   });
 }
 
-bool HasSlots(SelectStmt& s) {
-  bool found = false;
-  auto note = [&](SqlExpr& lit) { found |= lit.literal_slot >= 0; };
-  VisitSelect(s, note);
-  return found;
-}
-
-relational::SelectPtr ReboundSelect(const SelectStmt& s,
-                                    const std::vector<AtomicValue>& literals) {
-  relational::SelectPtr copy = s.Clone();
-  auto patch = [&](SqlExpr& lit) {
-    if (lit.literal_slot < 0) return;
-    lit.literal = relational::Cell::Of(literals[lit.literal_slot]);
-  };
-  VisitSelect(*copy, patch);
-  return copy;
-}
-
 bool SameLiteral(const AtomicValue& a, const AtomicValue& b) {
   return a.type() == b.type() && a.Lexical() == b.Lexical();
 }
@@ -154,7 +136,7 @@ bool AllSlotsDiffer(const std::vector<AtomicValue>& a,
   return true;
 }
 
-std::string LiteralDigest(const Expr& plan) {
+std::string LiteralDigest(const Expr& plan, const xquery::SlotValues* slots) {
   std::string out;
   auto append = [&](int slot, char tag, const std::string& lexical) {
     out += std::to_string(slot);
@@ -163,72 +145,20 @@ std::string LiteralDigest(const Expr& plan) {
     out += '\0';
   };
   auto on_expr = [&](Expr& lit) {
-    append(lit.literal_slot, static_cast<char>(lit.literal.type()),
-           lit.literal.Lexical());
+    const AtomicValue& value = xquery::LiteralValue(lit, slots);
+    append(lit.literal_slot, static_cast<char>(value.type()), value.Lexical());
   };
   auto on_sql = [&](SqlExpr& lit) {
-    if (lit.literal.is_null) {
+    const relational::Cell cell = relational::LiteralCell(lit, slots);
+    if (cell.is_null) {
       append(lit.literal_slot, 'N', "");
     } else {
-      append(lit.literal_slot, static_cast<char>(lit.literal.value.type()),
-             lit.literal.value.Lexical());
+      append(lit.literal_slot, static_cast<char>(cell.value.type()),
+             cell.value.Lexical());
     }
   };
   VisitLiterals(const_cast<Expr&>(plan), on_expr, on_sql);
   return out;
-}
-
-// Path copying: a node is copied (shallowly) only when something below it
-// changes, so the rebound plan shares every slot-free subtree with the
-// template. Compiled plans are never mutated, so the sharing is safe.
-xquery::ExprPtr RebindLiterals(const xquery::ExprPtr& e,
-                               const std::vector<AtomicValue>& literals) {
-  if (e->kind == ExprKind::kLiteral) {
-    if (e->literal_slot < 0) return e;
-    auto copy = std::make_shared<Expr>(*e);
-    copy->literal = literals[e->literal_slot];
-    return copy;
-  }
-  // Rebound child slots, by their position in the ForEachChildSlot order.
-  std::vector<std::pair<size_t, xquery::ExprPtr>> children;
-  size_t position = 0;
-  Expr& node = const_cast<Expr&>(*e);  // read only
-  xquery::ForEachChildSlot(node, [&](xquery::ExprPtr& c) {
-    xquery::ExprPtr r = RebindLiterals(c, literals);
-    if (r != c) children.emplace_back(position, std::move(r));
-    ++position;
-  });
-  relational::SelectPtr select;
-  if (node.sql && node.sql->select && HasSlots(*node.sql->select)) {
-    select = ReboundSelect(*node.sql->select, literals);
-  }
-  std::vector<std::pair<size_t, std::shared_ptr<xquery::PPkFetchSpec>>>
-      fetches;
-  for (size_t i = 0; i < node.clauses.size(); ++i) {
-    const auto& fetch = node.clauses[i].ppk_fetch;
-    if (fetch && fetch->select_template && HasSlots(*fetch->select_template)) {
-      auto spec = std::make_shared<xquery::PPkFetchSpec>(*fetch);
-      spec->select_template = ReboundSelect(*fetch->select_template, literals);
-      fetches.emplace_back(i, std::move(spec));
-    }
-  }
-  if (children.empty() && select == nullptr && fetches.empty()) return e;
-
-  auto copy = std::make_shared<Expr>(node);
-  size_t next = 0;
-  position = 0;
-  xquery::ForEachChildSlot(*copy, [&](xquery::ExprPtr& c) {
-    if (next < children.size() && children[next].first == position) {
-      c = std::move(children[next++].second);
-    }
-    ++position;
-  });
-  if (select != nullptr) {
-    copy->sql = std::make_shared<xquery::SqlQuerySpec>(*node.sql);
-    copy->sql->select = std::move(select);
-  }
-  for (auto& [i, spec] : fetches) copy->clauses[i].ppk_fetch = std::move(spec);
-  return copy;
 }
 
 }  // namespace aldsp::server

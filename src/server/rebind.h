@@ -14,8 +14,10 @@ namespace aldsp::server {
 /// numbers a query's literals (Expr::literal_slot); analysis, the
 /// optimizer's clones and substitutions, and pushdown's translation into
 /// SQL carry the slot along. A compiled plan whose every slot survives as
-/// a literal can serve another text of the same statement shape: clone it
-/// and write the new text's values into the slotted literals.
+/// a literal can serve another text of the same statement shape: the
+/// rebound plan shares the template's tree and carries only the new
+/// text's values, which every slotted literal reads when it executes or
+/// renders (xquery::LiteralValue, relational::LiteralCell).
 
 /// The literal values of a freshly parsed query, indexed by slot.
 std::vector<xml::AtomicValue> SlotLiterals(const xquery::Expr& parsed);
@@ -36,23 +38,19 @@ std::string ShapeKey(uint64_t statement_fp,
 bool SlotsSurvive(const xquery::Expr& plan,
                   const std::vector<xml::AtomicValue>& literals);
 
-/// Every literal of `plan`, slotted or not, with its slot and type, in
-/// walk order (XQuery literals, and the literal cells of pushed SQL
-/// selects and PP-k fetch templates). A template is verified only when
-/// this and the EXPLAIN snapshot of the candidate rebound to a second
-/// text both equal those of that text's fresh plan.
-std::string LiteralDigest(const xquery::Expr& plan);
+/// Every literal of `plan` executing with `slots`, slotted or not, with
+/// its slot, type and value, in walk order (XQuery literals, and the
+/// literal cells of pushed SQL selects and PP-k fetch templates). A
+/// template is verified only when this and the EXPLAIN snapshot of the
+/// candidate read with a second text's values both equal those of that
+/// text's fresh plan.
+std::string LiteralDigest(const xquery::Expr& plan,
+                          const xquery::SlotValues* slots);
 
 /// True when no slot holds the same value in `a` and `b`: only such a
 /// pair of texts can show that a plan depends on nothing but its slots.
 bool AllSlotsDiffer(const std::vector<xml::AtomicValue>& a,
                     const std::vector<xml::AtomicValue>& b);
-
-/// `plan` with every slotted literal set to `literals`: the nodes on the
-/// paths to slotted literals (and SQL selects holding one) are copied,
-/// every other subtree is shared with `plan`.
-xquery::ExprPtr RebindLiterals(const xquery::ExprPtr& plan,
-                               const std::vector<xml::AtomicValue>& literals);
 
 }  // namespace aldsp::server
 

@@ -53,6 +53,7 @@ void CollectCalledFunctions(const xquery::ExprPtr& e,
 DataServicePlatform::DataServicePlatform(ServerOptions options)
     : options_(std::move(options)),
       view_cache_(options_.view_plan_cache_size),
+      audit_(options_.audit_log_capacity),
       health_(options_.circuit_breaker),
       exec_audit_(options_.audit_log_capacity),
       slow_queries_(options_.slow_query_log_capacity),
@@ -337,15 +338,18 @@ void DataServicePlatform::LearnTemplate(
     if (!AllSlotsDiffer(t.literals, literals)) return;
     candidate = t.plan;
   }
-  // Verify outside the lock: the candidate rebound to this text must
-  // render exactly the plan the full compile produced and hold the same
-  // literals everywhere, including the clause keys EXPLAIN does not show.
+  // Verify outside the lock: the candidate read with this text's values
+  // must render exactly the plan the full compile produced and hold the
+  // same literals everywhere, including the clause keys EXPLAIN does not
+  // show.
   CompiledPlan rebound = *candidate;
   rebound.text = plan->text;
-  rebound.plan = RebindLiterals(candidate->plan, literals);
+  rebound.literals =
+      std::make_shared<const xquery::SlotValues>(std::move(literals));
   const bool match =
       RenderPlanSnapshotText(rebound) == RenderPlanSnapshotText(*plan) &&
-      LiteralDigest(*rebound.plan) == LiteralDigest(*plan->plan);
+      LiteralDigest(*rebound.plan, rebound.literals.get()) ==
+          LiteralDigest(*plan->plan, nullptr);
   std::lock_guard<std::mutex> lock(plan_cache_mutex_);
   auto it = plan_templates_.find(shape);
   // Evicted, cleared or replaced while verifying: nothing to update.
@@ -389,9 +393,12 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Prepare(
   std::shared_ptr<const CompiledPlan> plan;
   if (std::shared_ptr<const CompiledPlan> tmpl =
           shape.empty() ? nullptr : VerifiedTemplate(shape, advice)) {
+    // The rebound plan shares the template's tree and owns only its text
+    // and its literal values.
     auto rebound = std::make_shared<CompiledPlan>(*tmpl);
     rebound->text = query;
-    rebound->plan = RebindLiterals(tmpl->plan, literals);
+    rebound->literals =
+        std::make_shared<const xquery::SlotValues>(std::move(literals));
     rebound->rebound = true;
     rebound->parse_micros = t1 - t0;
     rebound->analyze_micros = 0;
@@ -694,12 +701,14 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
   if (trace == nullptr) trace = MakeObservedTrace(plan);
   // A context copy carries the trace; trace_owner keeps it alive for any
   // evaluation a fn-bea:timeout abandons on a pool thread. The control
-  // block rides along the same way (exec/exec_owner).
+  // block rides along the same way (exec/exec_owner), and so do a rebound
+  // plan's literal values, which such an evaluation may still read.
   runtime::RuntimeContext ctx = ctx_;
   ctx.trace = trace.get();
   ctx.trace_owner = trace;
   ctx.exec = ctl.get();
   ctx.exec_owner = ctl;
+  ctx.literals = plan.literals;
   const int root = trace->BeginSpan("query", plan.text);
   const int64_t t0 = NowMicros();
   // Admission wait: arrival at the execution surface to evaluation start.

@@ -65,10 +65,14 @@ struct CompiledPlan {
   /// True when Prepare built this plan by rebinding a verified template
   /// of the same statement shape to this text's literals instead of
   /// compiling it: parse_micros is the real parse, bind_micros the rest
-  /// (shape key, template lookup, rebinding the literals), and
-  /// analyze/optimize/pushdown are 0.
+  /// (shape key and template lookup), and analyze/optimize/pushdown are 0.
   bool rebound = false;
   int64_t bind_micros = 0;
+  /// A rebound plan's own literal values, by slot. `plan` is then the
+  /// template's tree, shared, and each slotted literal in it reads its
+  /// value here when the plan executes or renders (xquery::LiteralValue).
+  /// Null for a plan compiled in full, whose tree holds its own values.
+  std::shared_ptr<const xquery::SlotValues> literals;
 };
 
 struct ServerOptions {
@@ -95,7 +99,8 @@ struct ServerOptions {
 
   // ----- Always-on observability plane ---------------------------------
 
-  /// Retained execution audit records (bounded ring).
+  /// Retained records of each audit ring: the execution audit and the
+  /// security audit log (redactions, denials, updates, cancels).
   size_t audit_log_capacity = 1024;
   /// Retained slow-query captures (bounded ring).
   size_t slow_query_log_capacity = 64;

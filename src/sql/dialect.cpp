@@ -62,7 +62,9 @@ namespace {
 
 class Writer {
  public:
-  explicit Writer(SqlDialect dialect) : dialect_(dialect) {}
+  explicit Writer(SqlDialect dialect,
+                  const std::vector<xml::AtomicValue>* slots = nullptr)
+      : dialect_(dialect), slots_(slots) {}
 
   Result<std::string> Select(const SelectStmt& s) {
     std::ostringstream os;
@@ -131,6 +133,13 @@ class Writer {
     return WriteSelectCore(s, os, /*with_order=*/true);
   }
 
+  // "c<n>", the name of an unnamed select item by its 1-based position.
+  // Appended rather than concatenated: GCC 12 reports a spurious
+  // -Wrestrict for a literal plus a temporary string.
+  static std::string PositionalName(size_t n) {
+    return std::string("c").append(std::to_string(n));
+  }
+
   // The Table 2(i) shape: two nested derived tables around ROWNUM.
   Status WriteOraclePagination(const SelectStmt& s, std::ostringstream& os) {
     SelectStmt inner = s;
@@ -139,10 +148,10 @@ class Writer {
     std::vector<std::string> names;
     for (size_t i = 0; i < s.items.size(); ++i) {
       names.push_back(s.items[i].output_name.empty()
-                          ? "c" + std::to_string(i + 1)
+                          ? PositionalName(i + 1)
                           : s.items[i].output_name);
     }
-    std::string rn = "c" + std::to_string(s.items.size() + 1);
+    std::string rn = PositionalName(s.items.size() + 1);
     os << "SELECT ";
     for (size_t i = 0; i < names.size(); ++i) {
       if (i > 0) os << ", ";
@@ -168,7 +177,7 @@ class Writer {
     std::vector<std::string> names;
     for (size_t i = 0; i < s.items.size(); ++i) {
       names.push_back(s.items[i].output_name.empty()
-                          ? "c" + std::to_string(i + 1)
+                          ? PositionalName(i + 1)
                           : s.items[i].output_name);
     }
     std::string rn = "rn";
@@ -266,14 +275,15 @@ class Writer {
         if (!e.table_alias.empty()) os << e.table_alias << ".";
         os << Ident(e.column);
         return Status::OK();
-      case SqlExpr::Kind::kLiteral:
-        if (e.literal.is_null) {
+      case SqlExpr::Kind::kLiteral: {
+        const relational::Cell literal = relational::LiteralCell(e, slots_);
+        if (literal.is_null) {
           os << "NULL";
-        } else if (e.literal.value.type() == xml::AtomicType::kBoolean) {
+        } else if (literal.value.type() == xml::AtomicType::kBoolean) {
           // Booleans as 1/0 keeps every dialect happy.
-          os << (e.literal.value.AsBoolean() ? "1" : "0");
-        } else if (e.literal.value.is_string()) {
-          std::string v = e.literal.value.Lexical();
+          os << (literal.value.AsBoolean() ? "1" : "0");
+        } else if (literal.value.is_string()) {
+          std::string v = literal.value.Lexical();
           std::string escaped;
           for (char c : v) {
             escaped += c;
@@ -281,9 +291,10 @@ class Writer {
           }
           os << "'" << escaped << "'";
         } else {
-          os << e.literal.ToString();
+          os << literal.ToString();
         }
         return Status::OK();
+      }
       case SqlExpr::Kind::kParam:
         os << "?";
         return Status::OK();
@@ -321,7 +332,7 @@ class Writer {
       case SqlExpr::Kind::kFunc:
         return WriteFunc(e, os);
       case SqlExpr::Kind::kAggregate: {
-        const char* name;
+        const char* name = "";
         switch (e.agg) {
           case SqlAgg::kCountStar:
           case SqlAgg::kCount:
@@ -433,12 +444,14 @@ class Writer {
   }
 
   SqlDialect dialect_;
+  const std::vector<xml::AtomicValue>* slots_;
 };
 
 }  // namespace
 
-Result<std::string> RenderSql(const SelectStmt& stmt, SqlDialect dialect) {
-  Writer w(dialect);
+Result<std::string> RenderSql(const SelectStmt& stmt, SqlDialect dialect,
+                              const std::vector<xml::AtomicValue>* slots) {
+  Writer w(dialect, slots);
   return w.Select(stmt);
 }
 

@@ -35,9 +35,11 @@ DialectCapabilities CapabilitiesOf(SqlDialect d);
 /// / range_count) renders as Oracle ROWNUM nesting (the Table 2(i)
 /// shape), DB2/SQL Server ROW_NUMBER() wrappers; requesting pagination
 /// from a dialect without support is an error (the analyzer must keep
-/// subsequence in the mid-tier instead).
-Result<std::string> RenderSql(const relational::SelectStmt& stmt,
-                              SqlDialect dialect);
+/// subsequence in the mid-tier instead). Slotted literals read their
+/// values from `slots` (see relational::LiteralCell).
+Result<std::string> RenderSql(
+    const relational::SelectStmt& stmt, SqlDialect dialect,
+    const std::vector<xml::AtomicValue>* slots = nullptr);
 
 /// Renders UPDATE / INSERT / DELETE statements (the update
 /// decomposition's output, §6).

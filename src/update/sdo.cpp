@@ -67,9 +67,11 @@ Result<NodePtr> ResolvePath(const NodePtr& root, const ObjectPath& path) {
     size_t idx = static_cast<size_t>(seg.index - 1);
     if (matches.empty() || idx >= matches.size()) {
       return Status::NotFound("no element at path segment " + seg.name +
-                              (seg.has_index
-                                   ? "[" + std::to_string(seg.index) + "]"
-                                   : "") +
+                              (seg.has_index ? std::string("[")
+                                                   .append(std::to_string(
+                                                       seg.index))
+                                                   .append("]")
+                                             : std::string()) +
                               " under <" + cur->name() + ">");
     }
     cur = matches[idx];

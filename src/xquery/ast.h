@@ -193,8 +193,9 @@ struct Expr {
   xml::AtomicValue literal;
   /// Pre-order number of this literal among the literals of a query text
   /// (assigned by ParseExpression; -1 for module literals and literals a
-  /// rewrite created). A plan compiled from one text is rebound to another
-  /// text of the same shape by patching the literals slot by slot.
+  /// rewrite created). A plan compiled from one text serves another text
+  /// of the same shape by reading that text's value for each slot (see
+  /// LiteralValue).
   int literal_slot = -1;
 
   // kVarRef
@@ -250,6 +251,21 @@ struct Expr {
   // kError
   std::string error_message;
 };
+
+/// The literal values of one query text, indexed by Expr::literal_slot.
+/// A plan rebound to another text of its statement shape shares its
+/// template's tree and carries that text's values.
+using SlotValues = std::vector<xml::AtomicValue>;
+
+/// The value literal `e` has in a plan executing with `slots`: the slot's
+/// value when the plan carries values and `e` is slotted, else e.literal.
+/// Every reader of a literal after compilation goes through here.
+inline const xml::AtomicValue& LiteralValue(const Expr& e,
+                                            const SlotValues* slots) {
+  return slots != nullptr && e.literal_slot >= 0
+             ? (*slots)[static_cast<size_t>(e.literal_slot)]
+             : e.literal;
+}
 
 // ----- Factories ------------------------------------------------------
 

@@ -126,11 +126,14 @@ struct Shipped {
   std::vector<std::vector<std::string>> fetch_columns;
 };
 
+// `slots`: the literal values a rebound plan carries (null for a plan
+// compiled in full).
 void Collect(const ExprPtr& e, const std::string& table,
-             sql::SqlDialect dialect, Shipped* out) {
+             sql::SqlDialect dialect, Shipped* out,
+             const xquery::SlotValues* slots = nullptr) {
   if (e->kind == ExprKind::kSqlQuery && e->sql && e->sql->select &&
       e->sql->select->from.table_name == table) {
-    auto text = sql::RenderSql(*e->sql->select, dialect);
+    auto text = sql::RenderSql(*e->sql->select, dialect, slots);
     out->scans.push_back(text.ok() ? *text : text.status().ToString());
   }
   for (const auto& cl : e->clauses) {
@@ -138,14 +141,15 @@ void Collect(const ExprPtr& e, const std::string& table,
         cl.ppk_fetch->select_template->from.table_name != table) {
       continue;
     }
-    auto text = sql::RenderSql(*cl.ppk_fetch->select_template, dialect);
+    auto text =
+        sql::RenderSql(*cl.ppk_fetch->select_template, dialect, slots);
     out->fetches.push_back(text.ok() ? *text : text.status().ToString());
     std::vector<std::string> names;
     for (const auto& col : cl.ppk_fetch->columns) names.push_back(col.name);
     out->fetch_columns.push_back(std::move(names));
   }
   xquery::ForEachChildSlot(*e, [&](ExprPtr& c) {
-    if (c) Collect(c, table, dialect, out);
+    if (c) Collect(c, table, dialect, out, slots);
   });
 }
 
@@ -165,7 +169,9 @@ class ColumnPruningTest : public ::testing::Test {
   Shipped Ship(const std::string& q, const std::string& table,
                sql::SqlDialect dialect = sql::SqlDialect::kOracle) {
     Shipped out;
-    if (auto plan = Plan(q)) Collect(plan->plan, table, dialect, &out);
+    if (auto plan = Plan(q)) {
+      Collect(plan->plan, table, dialect, &out, plan->literals.get());
+    }
     return out;
   }
 

@@ -27,7 +27,8 @@ class CustomPushdownTest : public ::testing::Test {
     static const char* kDepts[] = {"eng", "sales", "hr"};
     for (int i = 1; i <= 60; ++i) {
       directory_->AddEntry(
-          {{"UID", AtomicValue::String("u" + std::to_string(i))},
+          {{"UID",
+            AtomicValue::String(std::string("u").append(std::to_string(i)))},
            {"DEPT", AtomicValue::String(kDepts[i % 3])},
            {"LEVEL", AtomicValue::Integer(i % 10)}});
     }

@@ -528,7 +528,9 @@ TEST(CancelMidStreamTest, CancelLandsWithinOneBatchAtDop8) {
       *plan, env.ctx, [&](const xml::Item&) -> Status {
         ++delivered;
         if (ctl->IsCancelled()) ++delivered_after_cancel;
-        if (delivered == 3) EXPECT_TRUE(registry.Cancel(ctl->query_id));
+        if (delivered == 3) {
+          EXPECT_TRUE(registry.Cancel(ctl->query_id));
+        }
         return Status::OK();
       });
 

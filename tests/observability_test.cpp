@@ -266,7 +266,7 @@ TEST(ExecutionAuditLogTest, BoundedRingAndJsonl) {
   ExecutionAuditLog log(/*capacity=*/3);
   for (int i = 0; i < 5; ++i) {
     observability::QueryCompletion r;
-    r.text = "q" + std::to_string(i);
+    r.text = std::string("q").append(std::to_string(i));
     r.rows_returned = i;
     log.Append(r);
   }

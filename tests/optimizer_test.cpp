@@ -248,7 +248,9 @@ TEST(OptimizerTest, ClusteringDetectionOnPrimaryKey) {
                              "group $c as $p by $c/LAST_NAME as $k "
                              "return <G>{$k, fn:count($p)}</G>");
   for (const auto& cl : e2->clauses) {
-    if (cl.kind == Clause::Kind::kGroupBy) EXPECT_FALSE(cl.pre_clustered);
+    if (cl.kind == Clause::Kind::kGroupBy) {
+      EXPECT_FALSE(cl.pre_clustered);
+    }
   }
 }
 

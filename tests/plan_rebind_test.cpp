@@ -1,12 +1,19 @@
 // The plan cache's template tier: a text miss whose statement shape has a
-// verified plan template is rebound (the template cloned, the new text's
-// literals patched in) instead of compiled. These tests hold every
-// rebound plan to a fresh compile of the same text on a second platform
-// set up the same way: byte-identical EXPLAIN snapshot and result.
+// verified plan template is rebound (the template's tree shared, the new
+// text's literal values carried beside it) instead of compiled. These
+// tests hold every rebound plan to a fresh compile of the same text on a
+// second platform set up the same way: byte-identical EXPLAIN snapshot
+// and result.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +26,51 @@
 #include "sql/dialect.h"
 #include "tests/test_fixtures.h"
 #include "xml/serializer.h"
+
+// Live heap bytes of the whole process, so a test can weigh what a cached
+// plan retains. Every scalar new and delete goes to malloc() and free(),
+// so memory from one variant may be released through another under the
+// sanitizers. Out of line, so the compiler does not pair an inlined
+// malloc() or free() with the new and delete at call sites
+// (-Wmismatched-new-delete).
+namespace {
+std::atomic<int64_t> g_live_heap_bytes{0};
+
+void* CountedAlloc(std::size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) {
+    g_live_heap_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                                std::memory_order_relaxed);
+  }
+  return p;
+}
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  g_live_heap_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                              std::memory_order_relaxed);
+  std::free(p);
+}
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                            const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  CountedFree(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  CountedFree(p);
+}
 
 namespace aldsp::server {
 namespace {
@@ -59,7 +111,8 @@ std::unique_ptr<DataServicePlatform> MakePlatform(
       "corp_ldap", "PERSON", std::set<std::string>{"eq", "le", "ge"});
   static const char* kDepts[] = {"eng", "sales", "hr"};
   for (int i = 1; i <= 30; ++i) {
-    directory->AddEntry({{"UID", AtomicValue::String("u" + std::to_string(i))},
+    directory->AddEntry({{"UID", AtomicValue::String(std::string("u").append(
+                                     std::to_string(i)))},
                          {"DEPT", AtomicValue::String(kDepts[i % 3])},
                          {"LEVEL", AtomicValue::Integer(i % 10)}});
   }
@@ -436,15 +489,18 @@ TEST(PlanRebindTest, CallMethodCompilesTwiceThenRebinds) {
 // than a whole-region push. Neither that nor the let-constructor
 // navigation reads the key's value: one shape still compiles twice and
 // rebinds every later text, and a rebound plan's SQL carries its own key.
-std::string CustomerSqlOf(const xquery::ExprPtr& e) {
+// `slots`: the literal values a rebound plan carries.
+std::string CustomerSqlOf(const xquery::ExprPtr& e,
+                          const xquery::SlotValues* slots) {
   std::string out;
   if (e->kind == xquery::ExprKind::kSqlQuery && e->sql && e->sql->select &&
       e->sql->select->from.table_name == "CUSTOMER") {
-    auto text = sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle);
+    auto text =
+        sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle, slots);
     if (text.ok()) out += *text;
   }
   xquery::ForEachChildSlot(*e, [&](xquery::ExprPtr& c) {
-    if (c) out += CustomerSqlOf(c);
+    if (c) out += CustomerSqlOf(c, slots);
   });
   return out;
 }
@@ -474,10 +530,9 @@ void ExpectKeyedShapeRebinds(int n, std::string (*text)(const std::string&)) {
   EXPECT_EQ(platform->plan_cache_misses(), n);
   EXPECT_EQ(platform->plan_cache_rebinds(), n - 2);
   EXPECT_TRUE(last->rebound);
-  EXPECT_NE(CustomerSqlOf(last->plan).find("WHERE (t1.\"CID\" = '" + cid +
-                                           "')"),
-            std::string::npos)
-      << CustomerSqlOf(last->plan);
+  const std::string sql = CustomerSqlOf(last->plan, last->literals.get());
+  EXPECT_NE(sql.find("WHERE (t1.\"CID\" = '" + cid + "')"), std::string::npos)
+      << sql;
   auto rebound = platform->ExecutePlan(*last);
   ASSERT_TRUE(rebound.ok()) << rebound.status().ToString();
   EXPECT_EQ(xml::SerializeSequence(*rebound),
@@ -540,6 +595,220 @@ TEST(PlanRebindTest, TemplatesShareTheTextCacheCapacity) {
   ASSERT_TRUE(platform->Prepare("tns:getProfileByID(\"CUST001\")", &hit).ok());
   EXPECT_FALSE(hit);
   EXPECT_EQ(platform->plan_cache_rebinds(), 2);
+}
+
+// ----- A rebound plan is a view of its template ----------------------------
+
+std::string Cid(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "CUST%03d", i);
+  return buf;
+}
+
+std::string ProfileById(const std::string& cid) {
+  return "tns:getProfileByID(\"" + cid + "\")";
+}
+
+std::string CustomerSummary(const std::string& cid) {
+  return "for $c in ns3:CUSTOMER() where $c/CID eq \"" + cid +
+         "\" return <C>{fn:data($c/LAST_NAME)}"
+         "{fn:count(ns3:getORDER($c))}</C>";
+}
+
+std::string CardsAbove(int limit) {
+  return "for $c in ns3:CUSTOMER(), $cc in ns2:CREDIT_CARD() "
+         "where $c/CID eq $cc/CID and $cc/LIMIT_AMT gt " +
+         std::to_string(limit) +
+         " return <CO>{fn:data($c/CID)}{fn:data($cc/CCN)}</CO>";
+}
+
+TEST(PlanRebindTest, ReboundPlanSharesTheTemplateTree) {
+  for (auto* text : {&ProfileById, &CustomerSummary}) {
+    auto platform = MakeRunningExample(100);
+    auto first = MustPrepare(*platform, text(Cid(1)));
+    auto second = MustPrepare(*platform, text(Cid(2)));
+    auto third = MustPrepare(*platform, text(Cid(3)));
+    ASSERT_TRUE(first != nullptr && second != nullptr && third != nullptr);
+    ASSERT_TRUE(third->rebound) << text(Cid(3));
+    // The first text's plan is the template: the rebound plan shares its
+    // tree and owns only its literal values.
+    EXPECT_EQ(third->plan, first->plan);
+    EXPECT_EQ(first->literals, nullptr);
+    EXPECT_EQ(second->literals, nullptr);
+    ASSERT_NE(third->literals, nullptr);
+    ASSERT_EQ(third->literals->size(), 1u);
+    EXPECT_EQ((*third->literals)[0].Lexical(), "CUST003");
+  }
+}
+
+// Heap a cached rebound text retains: its text-cache entry (the key, the
+// plan record, its text and literal values, the LRU slot).
+int64_t RetainedBytesPerReboundText(std::string (*text)(const std::string&)) {
+  auto platform = MakeRunningExample(100);
+  for (int i = 1; i <= 3; ++i) MustPrepare(*platform, text(Cid(i)));
+  EXPECT_EQ(platform->plan_cache_rebinds(), 1);
+  constexpr int kTexts = 64;
+  std::vector<std::string> texts;
+  for (int i = 4; i < 4 + kTexts; ++i) texts.push_back(text(Cid(i)));
+  const int64_t before = g_live_heap_bytes.load();
+  for (const std::string& t : texts) MustPrepare(*platform, t);
+  const int64_t after = g_live_heap_bytes.load();
+  EXPECT_EQ(platform->plan_cache_rebinds(), 1 + kTexts);
+  return (after - before) / kTexts;
+}
+
+TEST(PlanRebindTest, CachedReboundTextRetainsUnderOneKilobyte) {
+  const int64_t summary = RetainedBytesPerReboundText(&CustomerSummary);
+  const int64_t profile = RetainedBytesPerReboundText(&ProfileById);
+  std::printf("heap per cached rebound text: customer_summary %lld B, "
+              "getProfileByID %lld B\n",
+              static_cast<long long>(summary), static_cast<long long>(profile));
+  EXPECT_GT(summary, 0);
+  EXPECT_LE(summary, 1024);
+  EXPECT_GT(profile, 0);
+  EXPECT_LE(profile, 1024);
+}
+
+// EXPLAIN, PROFILE and the Chrome trace of a rebound plan render its own
+// literal (`own`); the template's (`tmpl`, from the first text) appears
+// nowhere. `in_sql`: the literal is pushed into the SQL the plan issues,
+// so the profile's SQL events and the Chrome trace show it too.
+void ExpectRenderingsShowOwnLiteral(const std::vector<std::string>& texts,
+                                    const std::string& own,
+                                    const std::string& tmpl, bool in_sql) {
+  ASSERT_EQ(texts.size(), 3u);
+  auto platform = MakePlatform();
+  for (const auto& t : texts) MustPrepare(*platform, t);
+  auto plan = MustPrepare(*platform, texts[2]);
+  ASSERT_TRUE(plan != nullptr && plan->rebound) << texts[2];
+  auto check = [&](const std::string& what, const std::string& out,
+                   bool shows_own) {
+    if (shows_own) {
+      EXPECT_NE(out.find(own), std::string::npos) << what << "\n" << out;
+    }
+    EXPECT_EQ(out.find(tmpl), std::string::npos) << what << "\n" << out;
+  };
+  check("snapshot", RenderPlanSnapshotText(*plan), true);
+  auto explain = platform->Explain(texts[2]);
+  ASSERT_TRUE(explain.ok());
+  check("explain", *explain, true);
+  auto json = platform->ExplainJson(texts[2]);
+  ASSERT_TRUE(json.ok());
+  check("explain json", *json, true);
+  auto run = platform->ExecuteProfiled(texts[2]);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(run->plan->rebound);
+  std::string sql_events;
+  for (const auto& ev : run->trace->events()) {
+    if (ev.kind == runtime::QueryTrace::EventKind::kSql ||
+        ev.kind == runtime::QueryTrace::EventKind::kPPkFetch) {
+      sql_events += ev.detail + "\n";
+    }
+  }
+  check("sql events", sql_events, in_sql);
+  check("profile", RenderProfileText(*run->plan, *run->trace), in_sql);
+  check("chrome trace", RenderChromeTrace(*run->trace), in_sql);
+}
+
+TEST(PlanRebindTest, RenderingsShowTheReboundPlansOwnLiteral) {
+  ExpectRenderingsShowOwnLiteral(
+      {ProfileById("CUST001"), ProfileById("CUST002"), ProfileById("CUST007")},
+      "= 'CUST007'", "CUST001", /*in_sql=*/true);
+  // A PP-k join whose slotted limit stays a mid-tier filter.
+  ExpectRenderingsShowOwnLiteral(
+      {CardsAbove(1357), CardsAbove(2468), CardsAbove(7000)}, "literal 7000",
+      "1357", /*in_sql=*/false);
+}
+
+// Eight threads each execute their own text of one shape, all rebound
+// from one template; each must get its fresh-compile result.
+void ExpectConcurrentReboundTextsMatchFreshCompiles(
+    const std::vector<std::string>& texts) {
+  constexpr int kThreads = 8;
+  constexpr int kRuns = 4;
+  ASSERT_EQ(texts.size(), 2u + kThreads);
+  auto platform = MakePlatform();
+  auto reference = MakePlatform();
+  for (const auto& t : texts) MustPrepare(*platform, t);
+  EXPECT_EQ(platform->plan_cache_rebinds(), kThreads);
+  std::vector<std::string> expected(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    reference->ClearPlanCache();
+    expected[t] = Serialized(*reference, texts[2 + t]);
+  }
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRuns; ++i) {
+        auto r = platform->Execute(texts[2 + t]);
+        got[t].push_back(r.ok() ? xml::SerializeSequence(*r) : "<error>");
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (const auto& g : got[t]) EXPECT_EQ(g, expected[t]) << texts[2 + t];
+  }
+  // Every execution was a text-cache hit on a rebound plan.
+  EXPECT_EQ(platform->plan_cache_rebinds(), kThreads);
+}
+
+TEST(PlanRebindTest, ConcurrentExecutionsOfReboundTextsOfOneShape) {
+  std::vector<std::string> by_id;
+  for (int i : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
+    by_id.push_back(ProfileById(Cid(i)));
+  }
+  ExpectConcurrentReboundTextsMatchFreshCompiles(by_id);
+  std::vector<std::string> cards;
+  for (int limit : {500, 2500, 100, 1000, 1500, 3000, 4000, 5000, 6000, 7000}) {
+    cards.push_back(CardsAbove(limit));
+  }
+  ExpectConcurrentReboundTextsMatchFreshCompiles(cards);
+}
+
+// fn-bea:timeout abandons its primary on the deadline, and the primary
+// runs on after the query returns. Its second statement reads a slotted
+// key only after the first statement's round trip, by which time the
+// rebound plan and its template have left the cache and every caller's
+// hands: the abandoned task must still read the rebound text's values.
+TEST(PlanRebindTest, AbandonedTimeoutReadsItsOwnLiteralsAfterTheQueryReturns) {
+  const relational::LatencyModel slow{100 * 1000, 0, true};
+  auto platform = MakePlatform({}, slow);
+  auto text = [](int i) {
+    return "fn-bea:timeout(fn:count(ns3:CUSTOMER()[CID eq \"" + Cid(i) +
+           "\"]) + fn:count(ns3:ORDER()[CID eq \"" + Cid(i + 10) +
+           "\"]), " + std::to_string(i) + ", \"late" + std::to_string(i) +
+           "\")";
+  };
+  MustPrepare(*platform, text(1));
+  MustPrepare(*platform, text(2));
+  std::shared_ptr<runtime::QueryTrace> trace;
+  {
+    auto run = platform->ExecuteProfiled(text(3));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->plan->rebound);
+    EXPECT_EQ(xml::SerializeSequence(run->result), "late3");
+    trace = run->trace;
+  }
+  platform->ClearPlanCache();
+  // The abandoned primary finishes two round trips later.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (trace->CountEvents(runtime::QueryTrace::EventKind::kSql) < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::string sql;
+  for (const auto& ev : trace->events()) {
+    if (ev.kind == runtime::QueryTrace::EventKind::kSql) {
+      sql += ev.detail + "\n";
+    }
+  }
+  EXPECT_NE(sql.find("'CUST003'"), std::string::npos) << sql;
+  EXPECT_NE(sql.find("'CUST013'"), std::string::npos) << sql;
+  EXPECT_EQ(sql.find("CUST001"), std::string::npos) << sql;
+  EXPECT_EQ(sql.find("CUST011"), std::string::npos) << sql;
 }
 
 // ----- Concurrency ---------------------------------------------------------

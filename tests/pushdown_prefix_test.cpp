@@ -136,18 +136,25 @@ class PushdownPrefixTest : public ::testing::Test {
   std::string CustomerSql(const std::string& q) {
     auto plan = Plan(q);
     std::string out;
-    if (plan != nullptr) CollectCustomerSql(plan->plan, &out);
+    if (plan != nullptr) {
+      CollectCustomerSql(plan->plan, plan->literals.get(), &out);
+    }
     return out;
   }
 
-  static void CollectCustomerSql(const xquery::ExprPtr& e, std::string* out) {
+  // `slots`: the literal values a rebound plan carries (null for a plan
+  // compiled in full).
+  static void CollectCustomerSql(const xquery::ExprPtr& e,
+                                 const xquery::SlotValues* slots,
+                                 std::string* out) {
     if (e->kind == xquery::ExprKind::kSqlQuery && e->sql && e->sql->select &&
         e->sql->select->from.table_name == "CUSTOMER") {
-      auto text = sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle);
+      auto text =
+          sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle, slots);
       if (text.ok()) *out += *text + "\n";
     }
     xquery::ForEachChildSlot(*e, [&](xquery::ExprPtr& c) {
-      if (c) CollectCustomerSql(c, out);
+      if (c) CollectCustomerSql(c, slots, out);
     });
   }
 

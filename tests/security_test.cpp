@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "security/security.h"
 #include "server/server.h"
 #include "tests/test_fixtures.h"
@@ -78,6 +80,71 @@ TEST(AccessControlTest, WholeItemRemoval) {
   EXPECT_EQ(ac.FilterResult(Admin(), MakeProfiles()).size(), 2u);
 }
 
+// The §7 policies: SSN for admins only (removed), RATING for analysts
+// only (replaced).
+void AddSection7Policies(AccessControl* ac) {
+  ac->AddElementPolicy(
+      {"PROFILE/SSN", {"admin"}, RedactionAction::kRemove, {}});
+  ac->AddElementPolicy({"PROFILE/RATING",
+                        {"analyst"},
+                        RedactionAction::kReplace,
+                        xml::AtomicValue::Integer(-1)});
+}
+
+TEST(AccessControlTest, NothingToRedactReturnsTheItemUncopied) {
+  AccessControl ac;
+  AddSection7Policies(&ac);
+  xml::Sequence in = MakeProfiles();
+  const std::string before = xml::SerializeSequence(in);
+  AuditLog audit;
+  // Admin() holds every role both policies allow.
+  int64_t redactions = 0;
+  std::optional<xml::Item> kept = ac.FilterItem(Admin(), in[0], &audit,
+                                                &redactions);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->node(), in[0].node());
+  EXPECT_EQ(redactions, 0);
+  EXPECT_EQ(audit.size(), 0u);
+  // A clerk gets a redacted copy; the original stays untouched.
+  kept = ac.FilterItem(Clerk(), in[0], &audit, &redactions);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_NE(kept->node(), in[0].node());
+  EXPECT_EQ(redactions, 2);
+  EXPECT_EQ(kept->node()->FirstChildNamed("SSN"), nullptr);
+  EXPECT_EQ(
+      kept->node()->FirstChildNamed("RATING")->TypedValue().AsInteger(), -1);
+  EXPECT_EQ(xml::SerializeSequence(in), before);
+  // An analyst without admin may see the rating, not the SSN.
+  kept = ac.FilterItem({"carol", {"analyst"}}, in[1], &audit, &redactions);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_NE(kept->node(), in[1].node());
+  EXPECT_EQ(redactions, 3);
+  // A policy on another root cannot touch a PROFILE item.
+  AccessControl other;
+  other.AddElementPolicy({"ORDER/AMOUNT", {"admin"}, RedactionAction::kRemove,
+                          {}});
+  kept = other.FilterItem(Clerk(), in[0]);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->node(), in[0].node());
+}
+
+TEST(AuditLogTest, RetainsTheNewestEventsAndCountsAll) {
+  AccessControl ac;
+  ac.AddElementPolicy({"PROFILE/SSN", {"admin"}, RedactionAction::kRemove, {}});
+  AuditLog audit(4);
+  int64_t redactions = 0;
+  for (int i = 0; i < 5; ++i) {
+    ac.FilterResult(Clerk(), MakeProfiles(), &audit, &redactions);
+  }
+  EXPECT_EQ(redactions, 10);
+  EXPECT_EQ(audit.size(), 4u);
+  EXPECT_EQ(audit.total_recorded(), 10);
+  auto events = audit.EventsInCategory("redaction");
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.front().seq, 6);
+  EXPECT_EQ(events.back().seq, 9);
+}
+
 TEST(AuditLogTest, RecordsSequencedEvents) {
   AuditLog audit;
   audit.Record("query", "alice", "q1");
@@ -86,7 +153,7 @@ TEST(AuditLogTest, RecordsSequencedEvents) {
   EXPECT_EQ(audit.size(), 3u);
   auto queries = audit.EventsInCategory("query");
   ASSERT_EQ(queries.size(), 2u);
-  EXPECT_LT(queries[0].sequence, queries[1].sequence);
+  EXPECT_LT(queries[0].seq, queries[1].seq);
   audit.Clear();
   EXPECT_EQ(audit.size(), 0u);
 }

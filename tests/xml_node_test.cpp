@@ -127,11 +127,13 @@ TEST(ParserTest, RejectsMalformedXml) {
 class RandomTreeProperty : public ::testing::TestWithParam<uint32_t> {
  protected:
   NodePtr RandomTree(std::mt19937& rng, int depth) {
-    NodePtr el = XNode::Element("E" + std::to_string(rng() % 5));
+    NodePtr el =
+        XNode::Element(std::string("E").append(std::to_string(rng() % 5)));
     if (rng() % 3 == 0) {
       el->AddAttribute(XNode::Attribute(
-          "a" + std::to_string(rng() % 3),
-          AtomicValue::String("v<&>" + std::to_string(rng() % 100))));
+          std::string("a").append(std::to_string(rng() % 3)),
+          AtomicValue::String(
+              std::string("v<&>").append(std::to_string(rng() % 100)))));
     }
     int children = static_cast<int>(rng() % 4);
     for (int i = 0; i < children; ++i) {
