@@ -2,13 +2,12 @@
 // join grid: the same streamed plan runs (a) bare — no trace, no health
 // board, the pre-observability path, (b) under the counters-mode
 // QueryTrace plus the source-health board (the always-on configuration),
-// (c) under a full span/event trace (the slow-query / PROFILE
-// configuration), and (d) under a timeline trace (full plus timestamps,
-// lanes and queue-wait attribution — the EXPLAIN ANALYZE / Chrome-export
-// configuration). The acceptance criteria are counters-mode overhead
-// under 5% of bare wall clock and timeline within 10% of full; full
-// tracing is allowed to cost more than counters since only promoted
-// slow queries and explicit profiling pay it.
+// and (c) under a timeline trace (the span/event trace with timestamps,
+// lanes and queue-wait attribution — the slow-query / PROFILE / Chrome
+// export configuration). The acceptance criterion is counters-mode
+// overhead under 5% of bare wall clock; timeline tracing is allowed to
+// cost more since only promoted slow queries and explicit profiling pay
+// it.
 // Results land in BENCH_observability_overhead.json.
 
 #include <benchmark/benchmark.h>
@@ -73,12 +72,10 @@ struct GridRow {
   double counters_ms = 0;
   double journal_ms = 0;
   double insight_ms = 0;
-  double full_ms = 0;
   double timeline_ms = 0;
   double counters_overhead_pct = 0;
   double journal_overhead_pct = 0;
   double insight_overhead_pct = 0;
-  double full_overhead_pct = 0;
   double timeline_overhead_pct = 0;
 };
 
@@ -217,14 +214,12 @@ void BM_ObservabilityOverhead(benchmark::State& state) {
   row.roundtrip_us = roundtrip;
   for (auto _ : state) {
     runtime::QueryTrace::Mode counters = runtime::QueryTrace::Mode::kCounters;
-    runtime::QueryTrace::Mode full = runtime::QueryTrace::Mode::kFull;
     runtime::QueryTrace::Mode timeline = runtime::QueryTrace::Mode::kTimeline;
     row.bare_ms = BestOf(env, *plan, nullptr, nullptr, &row.rows);
     row.counters_ms = BestOf(env, *plan, &counters, &health, &row.rows);
     row.journal_ms = JournalBestOf(env, *plan, &health, &journal, &row.rows);
     row.insight_ms = InsightBestOf(env, *plan, &health, &registry, &stats,
                                    &history, &row.rows);
-    row.full_ms = BestOf(env, *plan, &full, &health, &row.rows);
     row.timeline_ms = BestOf(env, *plan, &timeline, &health, &row.rows);
   }
   if (row.bare_ms > 0) {
@@ -234,7 +229,6 @@ void BM_ObservabilityOverhead(benchmark::State& state) {
         100.0 * (row.journal_ms - row.counters_ms) / row.bare_ms;
     row.insight_overhead_pct =
         100.0 * (row.insight_ms - row.bare_ms) / row.bare_ms;
-    row.full_overhead_pct = 100.0 * (row.full_ms - row.bare_ms) / row.bare_ms;
     row.timeline_overhead_pct =
         100.0 * (row.timeline_ms - row.bare_ms) / row.bare_ms;
   }
@@ -245,7 +239,6 @@ void BM_ObservabilityOverhead(benchmark::State& state) {
   state.counters["counters_ms"] = row.counters_ms;
   state.counters["journal_ms"] = row.journal_ms;
   state.counters["insight_ms"] = row.insight_ms;
-  state.counters["full_ms"] = row.full_ms;
   state.counters["timeline_ms"] = row.timeline_ms;
   state.counters["counters_overhead_pct"] = row.counters_overhead_pct;
   state.counters["insight_overhead_pct"] = row.insight_overhead_pct;
@@ -277,29 +270,25 @@ void WriteGrid() {
                  "%s{\"roundtrip_us\":%lld,\"k\":%d,\"result_rows\":%lld,"
                  "\"bare_ms\":%.3f,\"counters_ms\":%.3f,\"journal_ms\":%.3f,"
                  "\"insight_ms\":%.3f,"
-                 "\"full_ms\":%.3f,\"timeline_ms\":%.3f,"
+                 "\"timeline_ms\":%.3f,"
                  "\"counters_overhead_pct\":%.2f,"
                  "\"journal_overhead_pct\":%.2f,"
                  "\"insight_overhead_pct\":%.2f,"
-                 "\"full_overhead_pct\":%.2f,"
                  "\"timeline_overhead_pct\":%.2f}",
                  i == 0 ? "" : ",", static_cast<long long>(r.roundtrip_us),
                  r.k, static_cast<long long>(r.rows), r.bare_ms,
-                 r.counters_ms, r.journal_ms, r.insight_ms, r.full_ms,
-                 r.timeline_ms, r.counters_overhead_pct,
-                 r.journal_overhead_pct, r.insight_overhead_pct,
-                 r.full_overhead_pct, r.timeline_overhead_pct);
+                 r.counters_ms, r.journal_ms, r.insight_ms, r.timeline_ms,
+                 r.counters_overhead_pct, r.journal_overhead_pct,
+                 r.insight_overhead_pct, r.timeline_overhead_pct);
   }
   double counters_sum = 0;
   double journal_sum = 0;
   double insight_sum = 0;
-  double full_sum = 0;
   double timeline_sum = 0;
   for (const GridRow& r : Rows()) {
     counters_sum += r.counters_overhead_pct;
     journal_sum += r.journal_overhead_pct;
     insight_sum += r.insight_overhead_pct;
-    full_sum += r.full_overhead_pct;
     timeline_sum += r.timeline_overhead_pct;
   }
   double n = Rows().empty() ? 1.0 : static_cast<double>(Rows().size());
@@ -307,10 +296,9 @@ void WriteGrid() {
                "],\"mean_counters_overhead_pct\":%.2f,"
                "\"mean_journal_overhead_pct\":%.2f,"
                "\"mean_insight_overhead_pct\":%.2f,"
-               "\"mean_full_overhead_pct\":%.2f,"
                "\"mean_timeline_overhead_pct\":%.2f}\n",
                counters_sum / n, journal_sum / n, insight_sum / n,
-               full_sum / n, timeline_sum / n);
+               timeline_sum / n);
   std::printf("overhead grid written to %s\n", path);
   std::fclose(f);
 }

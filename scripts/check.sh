@@ -10,9 +10,11 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier-1: release build + ctest =="
 cmake -B "$repo/build" -S "$repo" >/dev/null
-# A compiler warning fails the gate. Only what this run recompiles can
-# print one, so a clean build tree checks every file.
-cmake --build "$repo/build" -j "$jobs" 2>&1 | tee "$repo/build/build.log"
+# A compiler warning fails the gate. Only what a build recompiles can
+# print one, so this build starts clean: every translation unit
+# recompiles and every file's warnings reach the log.
+cmake --build "$repo/build" -j "$jobs" --clean-first 2>&1 |
+  tee "$repo/build/build.log"
 if grep -q "warning:" "$repo/build/build.log"; then
   echo "the release build printed compiler warnings:" >&2
   grep "warning:" "$repo/build/build.log" >&2

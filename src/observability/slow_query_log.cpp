@@ -31,7 +31,7 @@ int64_t SlowQueryLog::Append(const QueryCompletion& completion,
     record.trace_json = std::move(trace_json);
   } else {
     // First slow sighting: keep the cheap counter summary and promote the
-    // statement so its next run executes under a full trace.
+    // statement so its next run executes under a timeline trace.
     std::ostringstream os;
     os << "counters: rows=" << completion.rows_returned
        << " sql_pushdowns=" << completion.sql_pushdowns

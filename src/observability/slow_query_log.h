@@ -40,7 +40,7 @@ class SlowQueryLog {
   explicit SlowQueryLog(size_t capacity = 64) : ring_(capacity) {}
 
   /// True if `statement_key` has already been seen slow (its next
-  /// execution should run with a full trace).
+  /// execution should run with a timeline trace).
   bool IsPromoted(uint64_t statement_key) const;
   void Promote(uint64_t statement_key);
 

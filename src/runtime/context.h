@@ -184,21 +184,11 @@ struct RuntimeContext {
   /// partitioned join probes). 1 = serial execution; the server wires
   /// this to its worker-pool size by default.
   int max_query_dop = 1;
-  /// Minimum estimated upstream rows before the planner inserts an
-  /// exchange above a join probe or for-scan.
-  int64_t parallel_row_threshold = 64;
-  /// Tuples per exchange chunk (0 = auto). Chunks are whole TupleBatches
-  /// in the vectorized runtime; this bounds their row count so small
-  /// latency-bound streams still fan out across workers.
-  int exchange_chunk_size = 0;
   /// Rows per TupleBatch flowing between physical operators (the
   /// vectorized runtime's unit of work: virtual dispatch, trace timing
   /// and cancellation polls amortize over this many rows). Clamped to
   /// [1, 16384] at Open; 1 degenerates to row-at-a-time execution.
   int batch_size = 1024;
-  /// Ordered mode: exchange gather preserves input order (deterministic
-  /// results). False allows chunks to interleave as they complete.
-  bool exchange_ordered = true;
 };
 
 }  // namespace aldsp::runtime

@@ -189,11 +189,11 @@ void NoteSourceOutcome(const RuntimeContext& ctx, const std::string& source,
 }
 
 // True when the attached trace will replay its source observations into
-// the observed-cost model at completion (FeedObservedCost): only full
-// and timeline traces keep the event list that replay walks. With a
+// the observed-cost model at completion (FeedObservedCost): only a
+// timeline trace keeps the event list that replay walks. With a
 // counters-mode trace (or none) observations must be recorded inline.
 bool TraceReplaysObservations(const RuntimeContext& ctx) {
-  return ctx.trace != nullptr && ctx.trace->keeps_events();
+  return ctx.trace != nullptr && ctx.trace->has_timeline();
 }
 
 class Evaluator {
@@ -724,18 +724,6 @@ class Evaluator {
     int depth_;
   };
 
-  // Planner knobs from the runtime context: the server wires DOP to its
-  // pool size, embedders and tests get the serial defaults.
-  physical::BuildOptions PlanOptions() const {
-    physical::BuildOptions opts;
-    opts.max_dop = ctx_.max_query_dop;
-    opts.parallel_row_threshold = ctx_.parallel_row_threshold;
-    opts.exchange_chunk_size = ctx_.exchange_chunk_size;
-    opts.ordered = ctx_.exchange_ordered;
-    opts.batch_size = ctx_.batch_size;
-    return opts;
-  }
-
   /// The one FLWOR drive loop: lowers `e` into an operator tree, pulls
   /// its root `max_rows` rows at a time (0 pulls full batches) and hands
   /// each result item to `deliver`. The loop reads the return operator's
@@ -758,7 +746,7 @@ class Evaluator {
     InterpreterShim shim(this, depth);
     physical::ExecEnv xenv{&ctx_, &shim, env};
     std::unique_ptr<physical::PhysicalOperator> plan =
-        physical::BuildPlan(e, PlanOptions());
+        physical::BuildPlan(e, physical::BuildOptionsFor(ctx_));
     Status result = [&]() -> Status {
       ALDSP_RETURN_NOT_OK(plan->Open(&xenv));
       physical::TupleBatch batch;
@@ -911,7 +899,7 @@ class Evaluator {
                            fn.is_relational() ? fn.Property("table") : "",
                            roundtrip, transfer);
     }
-    // A full trace replays its events into the observed-cost model at
+    // A timeline trace replays its events into the observed-cost model at
     // completion (FeedObservedCost), so inline recording would double
     // count; the always-on counters trace keeps no events, so the inline
     // path must still feed the model.
@@ -984,7 +972,7 @@ class Evaluator {
                            bare_scan ? s.from.table_name : "", roundtrip,
                            transfer);
     }
-    // Only a full trace replays observations at completion; under the
+    // Only a timeline trace replays observations at completion; under the
     // counters trace (or none) the model is fed inline.
     if (!TraceReplaysObservations(ctx_) && ctx_.observed != nullptr) {
       int64_t roundtrip = -1;

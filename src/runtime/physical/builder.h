@@ -16,19 +16,12 @@ namespace aldsp::runtime::physical {
 /// sort fallback), OrderBy — capped by Return, which evaluates the return
 /// expression per tuple and binds it to kResultBinding.
 ///
-/// Planner-time parallelism knobs, derived from the RuntimeContext (the
-/// evaluator) or ServerOptions (EXPLAIN). The defaults build the serial
-/// plan, so existing callers are unchanged.
+/// Planner-time knobs, derived from the RuntimeContext (BuildOptionsFor:
+/// the evaluator, and EXPLAIN through the server's context). The defaults
+/// build the serial plan.
 struct BuildOptions {
   /// Maximum degree of parallelism; <= 1 disables exchange insertion.
   int max_dop = 1;
-  /// Minimum estimated upstream cardinality before an exchange pays off.
-  /// Unknown estimates (-1) never parallelize.
-  int64_t parallel_row_threshold = 64;
-  /// Tuples per exchange chunk; 0 picks a default.
-  int exchange_chunk_size = 0;
-  /// Ordered gather (deterministic results) vs completion order.
-  bool ordered = true;
   /// Rows per TupleBatch (the vectorized runtime's unit of work). Purely
   /// descriptive at build time — execution clamps the RuntimeContext's
   /// knob at Open — but EXPLAIN reports it so plans show their batch
@@ -36,13 +29,20 @@ struct BuildOptions {
   int batch_size = 1024;
 };
 
+/// The options of the plan `ctx` executes, so EXPLAIN describes the tree
+/// the evaluator runs.
+inline BuildOptions BuildOptionsFor(const RuntimeContext& ctx) {
+  return BuildOptions{ctx.max_query_dop, ctx.batch_size};
+}
+
 /// Pure lowering: no RuntimeContext and no source access, so EXPLAIN can
 /// build (and describe) the exact tree that would execute. `flwor` must
 /// outlive the returned tree.
 ///
 /// With `opts.max_dop > 1` the builder additionally inserts exchange
-/// operators above NL/INL join probe sides, non-leading for-scans, and
-/// independent let groups when the optimizer's cardinality annotations
+/// operators above NL/INL join probe sides and non-leading for-scans
+/// whose estimated upstream reaches 64 rows, and fans out independent
+/// let groups, when the optimizer's cardinality annotations
 /// (Clause::estimated_rows / parallel_group) say the parallelism pays.
 std::unique_ptr<PhysicalOperator> BuildPlan(const xquery::Expr& flwor,
                                             const BuildOptions& opts);

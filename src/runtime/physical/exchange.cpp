@@ -1,29 +1,26 @@
 #include "runtime/physical/exchange.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <utility>
 
 namespace aldsp::runtime::physical {
 
 namespace {
-constexpr int kDefaultChunkSize = 8;
+constexpr int kChunkSize = 8;
 }  // namespace
 
 ExchangeOpBase::ExchangeOpBase(std::unique_ptr<PhysicalOperator> input,
                                std::string label, std::string span_detail,
-                               int dop, int chunk_size, bool ordered)
+                               int dop)
     : PhysicalOperator(std::move(input), std::move(label),
                        std::move(span_detail)),
-      dop_(std::max(1, dop)),
-      chunk_size_(chunk_size > 0 ? chunk_size : kDefaultChunkSize),
-      ordered_(ordered) {
+      dop_(std::max(1, dop)) {
   scatter_explain_.label = "exchange[scatter]";
-  scatter_explain_.detail = "chunk=" + std::to_string(chunk_size_);
+  scatter_explain_.detail = "chunk=" + std::to_string(kChunkSize);
 }
 
 ExchangeOpBase::~ExchangeOpBase() {
-  // Subclass destructors have already drained (ProcessTuple is theirs);
+  // Subclass destructors have already drained (ProcessBatch is theirs);
   // this is the safety net for the base-only window state.
   if (group_.has_value()) group_->CancelAndWait();
 }
@@ -34,8 +31,7 @@ void ExchangeOpBase::Describe(std::vector<ExplainNode>* out) const {
   if (!explain().label.empty()) out->push_back(explain());
   ExplainNode gather;
   gather.label = "exchange[gather]";
-  gather.detail = "dop=" + std::to_string(dop_) +
-                  (ordered_ ? " ordered" : " unordered");
+  gather.detail = "dop=" + std::to_string(dop_) + " ordered";
   out->push_back(std::move(gather));
 }
 
@@ -57,7 +53,7 @@ Status ExchangeOpBase::FillWindow() {
     // latency-bound streams still fan out across workers instead of
     // collapsing into one context-sized batch.
     ALDSP_ASSIGN_OR_RETURN(bool more,
-                           input()->NextBatch(&chunk->in, chunk_size_));
+                           input()->NextBatch(&chunk->in, kChunkSize));
     if (!more) {
       input_done_ = true;
       break;
@@ -85,7 +81,7 @@ void ExchangeOpBase::Submit(std::unique_ptr<Chunk> chunk) {
   c->task = group_->Submit([this, c, tr, sp, task_span, enqueue_rel] {
     // Worker threads start with an empty scope stack; re-establish the
     // chunk's task span (or the exchange span) so events recorded by
-    // ProcessTuple attach where they would have inline.
+    // ProcessBatch attach where they would have inline.
     std::optional<QueryTrace::Scope> scope;
     if (tr != nullptr) scope.emplace(tr, task_span >= 0 ? task_span : sp);
     int64_t run_begin = 0;
@@ -102,7 +98,6 @@ void ExchangeOpBase::Submit(std::unique_ptr<Chunk> chunk) {
                          tr->NowRelMicros() - run_begin);
       tr->EndSpan(task_span);
     }
-    c->done.store(true, std::memory_order_release);
   });
   window_.push_back(std::move(chunk));
 }
@@ -121,15 +116,6 @@ void ExchangeOpBase::AwaitChunk(Chunk* chunk) {
   }
 }
 
-Status ExchangeOpBase::ProcessBatch(const TupleBatch& in,
-                                    std::vector<Tuple>* out) {
-  size_t n = in.size();
-  for (size_t i = 0; i < n; ++i) {
-    ALDSP_RETURN_NOT_OK(ProcessTuple(in.MaterializeRow(i), out));
-  }
-  return Status::OK();
-}
-
 Result<bool> ExchangeOpBase::NextBatchImpl(TupleBatch* out) {
   int target = batch_target();
   while (static_cast<int>(out->size()) < target) {
@@ -141,20 +127,10 @@ Result<bool> ExchangeOpBase::NextBatchImpl(TupleBatch* out) {
     ready_pos_ = 0;
     ALDSP_RETURN_NOT_OK(FillWindow());
     if (window_.empty()) return !out->empty();
-    // Ordered gather takes the oldest chunk (deterministic output order);
-    // unordered prefers any chunk that already finished.
-    size_t pick = 0;
-    if (!ordered_) {
-      for (size_t i = 0; i < window_.size(); ++i) {
-        if (window_[i]->done.load(std::memory_order_acquire)) {
-          pick = i;
-          break;
-        }
-      }
-    }
-    AwaitChunk(window_[pick].get());
-    std::unique_ptr<Chunk> finished = std::move(window_[pick]);
-    window_.erase(window_.begin() + static_cast<std::ptrdiff_t>(pick));
+    // The gather takes the oldest chunk: output keeps input order.
+    AwaitChunk(window_.front().get());
+    std::unique_ptr<Chunk> finished = std::move(window_.front());
+    window_.pop_front();
     ALDSP_RETURN_NOT_OK(finished->status);
     ready_ = std::move(finished->out);
     // Top the window back up before draining the finished chunk, so

@@ -1,7 +1,6 @@
 #ifndef ALDSP_RUNTIME_PHYSICAL_EXCHANGE_H_
 #define ALDSP_RUNTIME_PHYSICAL_EXCHANGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -16,7 +15,7 @@ namespace aldsp::runtime::physical {
 
 /// Encapsulated Volcano-style exchange (Graefe's model): one operator
 /// that scatters its input into chunks run as WorkerPool tasks, applies
-/// a subclass-defined per-tuple transform on worker threads, and gathers
+/// a subclass-defined per-batch transform on worker threads, and gathers
 /// the results back onto the driving thread. The rest of the plan is
 /// oblivious — upstream is pulled only by the driving thread, and
 /// downstream sees an ordinary Next stream.
@@ -27,9 +26,8 @@ namespace aldsp::runtime::physical {
 /// blocks on a chunk via Task::Wait, which claims unstarted tasks and
 /// runs them inline — so a saturated or size-1 pool degrades to serial
 /// execution instead of deadlocking, even with exchanges nested under
-/// worker tasks. In ordered mode chunks emit strictly in input order
-/// (deterministic results); unordered mode emits whichever chunk
-/// finished first.
+/// worker tasks. Chunks emit strictly in input order, so results are
+/// deterministic and identical to the serial plan's.
 ///
 /// Tracing: each chunk runs under a "task[exchange]" span (queue wait
 /// split out via SetSpanQueueMicros), and every blocking gather emits a
@@ -43,7 +41,7 @@ class ExchangeOpBase : public PhysicalOperator {
  public:
   /// Descriptor access for the builder: the scatter side of the pair
   /// (the work node itself is explain(), the gather side is synthesized
-  /// by Describe from dop/ordered).
+  /// by Describe from dop).
   ExplainNode& scatter_explain() { return scatter_explain_; }
 
   /// Emits input, exchange[scatter], the work node, exchange[gather].
@@ -51,8 +49,7 @@ class ExchangeOpBase : public PhysicalOperator {
 
  protected:
   ExchangeOpBase(std::unique_ptr<PhysicalOperator> input, std::string label,
-                 std::string span_detail, int dop, int chunk_size,
-                 bool ordered);
+                 std::string span_detail, int dop);
   ~ExchangeOpBase() override;
 
   Status OpenImpl() final;
@@ -63,24 +60,19 @@ class ExchangeOpBase : public PhysicalOperator {
   /// (e.g. materializing a join build side). Default no-op.
   virtual Status OpenShared() { return Status::OK(); }
 
-  /// The parallel work: transforms one input tuple into zero or more
+  /// The parallel work: transforms one chunk-batch into zero or more
   /// output tuples. Runs on worker threads, possibly several at once —
   /// implementations may only touch state that is immutable after
   /// OpenShared plus the thread-safe runtime services (evaluator, stats,
-  /// trace).
-  virtual Status ProcessTuple(const Tuple& in, std::vector<Tuple>* out) = 0;
-
-  /// The parallel work over one whole chunk-batch. The default loops
-  /// ProcessTuple over materialized rows; subclasses with a columnar
-  /// kernel (the partitioned join probe) override it. Same threading
-  /// contract as ProcessTuple. The worker polls cancellation once per
-  /// chunk-batch before calling this.
-  virtual Status ProcessBatch(const TupleBatch& in, std::vector<Tuple>* out);
+  /// trace). The worker polls cancellation once per chunk-batch before
+  /// calling this.
+  virtual Status ProcessBatch(const TupleBatch& in,
+                              std::vector<Tuple>* out) = 0;
 
   int dop() const { return dop_; }
 
   /// Concrete subclasses call this first in their destructor: in-flight
-  /// chunks invoke the subclass's ProcessTuple, so they must drain before
+  /// chunks invoke the subclass's ProcessBatch, so they must drain before
   /// the derived object starts tearing down (the base destructor would
   /// run too late).
   void DrainForDestruction() {
@@ -90,13 +82,12 @@ class ExchangeOpBase : public PhysicalOperator {
  private:
   struct Chunk {
     /// Scattered unit of work: one whole TupleBatch (the upstream pull is
-    /// NextBatch capped at chunk_size_, so chunk granularity — and with
-    /// it the exchange_chunks stat and fan-out behavior — is bounded by
-    /// the chunk size, not the context batch size).
+    /// NextBatch capped at the chunk size, so chunk granularity — and
+    /// with it the exchange_chunks stat and fan-out behavior — is bounded
+    /// by the chunk size, not the context batch size).
     TupleBatch in;
     std::vector<Tuple> out;
     Status status;
-    std::atomic<bool> done{false};
     WorkerPool::Task task;
     int task_span = -1;
   };
@@ -109,8 +100,6 @@ class ExchangeOpBase : public PhysicalOperator {
   void AwaitChunk(Chunk* chunk);
 
   int dop_;
-  int chunk_size_;
-  bool ordered_;
   std::optional<WorkerPool::TaskGroup> group_;
   std::deque<std::unique_ptr<Chunk>> window_;
   bool input_done_ = false;

@@ -119,6 +119,7 @@ class PhysicalOperator {
 
   PhysicalOperator* input() { return input_.get(); }
   const PhysicalOperator* input() const { return input_.get(); }
+  const ExecEnv& env() const { return *env_; }
   const RuntimeContext* ctx() const { return env_->ctx; }
   ExprEvaluator* eval() const { return env_->eval; }
   const Tuple& base_env() const { return env_->base_env; }

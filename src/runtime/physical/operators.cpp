@@ -51,6 +51,34 @@ int OrderCompareKeys(const Sequence& a, const Sequence& b) {
   return static_cast<int>(va.type()) - static_cast<int>(vb.type());
 }
 
+/// The one way an operator evaluates an expression over a batch: the
+/// batch kernel when the expression's shape allows it, else the
+/// interpreter over each visible row. `out` gets one value per visible
+/// row; with `atomize` each value is fn:data of the expression.
+Status EvalColumn(const ExecEnv& env, const Expr& e, const TupleBatch& batch,
+                  bool atomize, std::vector<Sequence>* out) {
+  if (KernelSupports(e)) {
+    return KernelEvalRows(e, batch, out, atomize, env.ctx->literals.get());
+  }
+  out->resize(batch.size());
+  for (size_t i = 0; i < out->size(); ++i) {
+    Tuple row = batch.MaterializeRow(i);
+    ALDSP_ASSIGN_OR_RETURN((*out)[i], atomize
+                                          ? env.eval->EvalAtomized(e, row)
+                                          : env.eval->EvalExpr(e, row));
+  }
+  return Status::OK();
+}
+
+/// Appends one atomized key value to a composite hash key; an empty
+/// value sets `*has_empty` (an empty equi key matches nothing).
+void AppendKeyPart(const Sequence& value, std::string* key,
+                   bool* has_empty = nullptr) {
+  if (value.empty() && has_empty != nullptr) *has_empty = true;
+  *key += EncodeAtomicSequence(value);
+  *key += '\x1e';
+}
+
 }  // namespace
 
 // ----- PhysicalOperator base ---------------------------------------------
@@ -270,9 +298,7 @@ class SqlRegionScanOp final : public ForScanOp {
 };
 
 /// `let $v := expr`: binds the full sequence without iterating it.
-/// Batch-native: appends one column per input batch — via the expression
-/// kernel when the binding shape supports it, else the interpreter over
-/// materialized rows.
+/// Batch-native: appends one column per input batch.
 class LetBindOp final : public PhysicalOperator {
  public:
   LetBindOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
@@ -280,45 +306,28 @@ class LetBindOp final : public PhysicalOperator {
       : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
-  Status OpenImpl() override {
-    kernel_ = cl_.expr != nullptr && KernelSupports(*cl_.expr);
-    return Status::OK();
-  }
-
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     ALDSP_ASSIGN_OR_RETURN(bool more, input()->NextBatch(out, batch_target()));
     if (!more) return false;
     // Columns must align with physical rows before one is appended.
     out->Compact();
-    size_t n = out->size();
-    if (kernel_) {
-      ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.expr, *out, &vals_, false,
-                                         ctx()->literals.get()));
-    } else {
-      vals_.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        Tuple t = out->MaterializeRow(i);
-        ALDSP_ASSIGN_OR_RETURN(Sequence v, eval()->EvalExpr(*cl_.expr, t));
-        vals_[i] = std::move(v);
-      }
-    }
+    ALDSP_RETURN_NOT_OK(EvalColumn(env(), *cl_.expr, *out, false, &vals_));
     BatchColumn* col = out->AddColumn(cl_.var);
-    for (size_t i = 0; i < n; ++i) col->AppendSeq(std::move(vals_[i]));
+    for (Sequence& v : vals_) col->AppendSeq(std::move(v));
     return true;
   }
 
  private:
   const Clause& cl_;
-  bool kernel_ = false;
   std::vector<Sequence> vals_;
 };
 
 /// `where expr`: passes tuples whose effective boolean value is true.
 /// Batch-native: marks dropped rows in the batch's selection vector
-/// instead of copying survivors. Comparison predicates over
-/// kernel-evaluable operands run as a batch kernel (operand extraction
-/// plus the interpreter's shared comparison routine, no per-row tuple
-/// materialization); anything else falls back to the interpreter.
+/// instead of copying survivors. A comparison evaluates its operands as
+/// two atomized columns and compares them with the interpreter's shared
+/// routine (what the interpreter's comparison does per row); any other
+/// predicate is one column and its effective boolean value.
 class FilterOp final : public PhysicalOperator {
  public:
   FilterOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
@@ -326,42 +335,28 @@ class FilterOp final : public PhysicalOperator {
       : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
-  Status OpenImpl() override {
-    const Expr* p = cl_.expr.get();
-    kernel_ = p != nullptr && p->kind == ExprKind::kComparison &&
-              p->children.size() == 2 && p->children[0] != nullptr &&
-              p->children[1] != nullptr && KernelSupports(*p->children[0]) &&
-              KernelSupports(*p->children[1]);
-    return Status::OK();
-  }
-
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     ALDSP_ASSIGN_OR_RETURN(bool more, input()->NextBatch(out, batch_target()));
     if (!more) return false;
-    size_t n = out->size();
-    std::vector<uint32_t> keep;
-    keep.reserve(n);
-    if (kernel_) {
-      const Expr& p = *cl_.expr;
-      ALDSP_RETURN_NOT_OK(
-          KernelEvalRows(*p.children[0], *out, &lhs_, /*atomize=*/true,
-                         ctx()->literals.get()));
-      ALDSP_RETURN_NOT_OK(
-          KernelEvalRows(*p.children[1], *out, &rhs_, /*atomize=*/true,
-                         ctx()->literals.get()));
-      for (size_t i = 0; i < n; ++i) {
-        ALDSP_ASSIGN_OR_RETURN(bool ok,
-                               CompareOperandsToBool(lhs_[i], rhs_[i], p.op,
-                                                     p.general_comparison));
-        if (ok) keep.push_back(static_cast<uint32_t>(out->PhysicalIndex(i)));
-      }
+    const Expr& p = *cl_.expr;
+    const bool comparison = p.kind == ExprKind::kComparison;
+    if (comparison) {
+      ALDSP_RETURN_NOT_OK(EvalColumn(env(), *p.children[0], *out, true, &lhs_));
+      ALDSP_RETURN_NOT_OK(EvalColumn(env(), *p.children[1], *out, true, &rhs_));
     } else {
-      for (size_t i = 0; i < n; ++i) {
-        Tuple t = out->MaterializeRow(i);
-        ALDSP_ASSIGN_OR_RETURN(Sequence c, eval()->EvalExpr(*cl_.expr, t));
-        ALDSP_ASSIGN_OR_RETURN(bool ok, xml::EffectiveBooleanValue(c));
-        if (ok) keep.push_back(static_cast<uint32_t>(out->PhysicalIndex(i)));
+      ALDSP_RETURN_NOT_OK(EvalColumn(env(), p, *out, false, &lhs_));
+    }
+    std::vector<uint32_t> keep;
+    keep.reserve(out->size());
+    for (size_t i = 0; i < out->size(); ++i) {
+      bool ok = false;
+      if (comparison) {
+        ALDSP_ASSIGN_OR_RETURN(ok, CompareOperandsToBool(lhs_[i], rhs_[i], p.op,
+                                                         p.general_comparison));
+      } else {
+        ALDSP_ASSIGN_OR_RETURN(ok, xml::EffectiveBooleanValue(lhs_[i]));
       }
+      if (ok) keep.push_back(static_cast<uint32_t>(out->PhysicalIndex(i)));
     }
     // A batch where nothing survives still returns true: empty batches
     // are legal mid-stream, and downstream avoids any copy for the
@@ -372,7 +367,6 @@ class FilterOp final : public PhysicalOperator {
 
  private:
   const Clause& cl_;
-  bool kernel_ = false;
   std::vector<Sequence> lhs_, rhs_;
 };
 
@@ -380,22 +374,33 @@ class FilterOp final : public PhysicalOperator {
 
 using JoinIndex = std::unordered_map<std::string, std::vector<size_t>>;
 
+/// A join's right side: its items, their bytes, and for the index
+/// methods a hash index on the right equi keys. NL/INL build it once per
+/// join, PP-k once per fetched block; it is immutable once built, so
+/// concurrent probes share it.
+struct JoinBuild {
+  Sequence items;
+  JoinIndex index;
+  bool indexed = false;
+  int64_t bytes = 0;
+};
+
 /// The join micro-kernel shared by the serial join repertoire and the
-/// parallel probe exchange: equi-key encoding, residual conditions, and
-/// the per-left probe (including the left-outer null row). All methods
-/// are const over immutable state, so several worker threads may probe
-/// at once (the evaluator already supports concurrent EvalExpr — the
-/// async fan-out relies on it).
+/// parallel probe exchange: equi-key encoding, residual conditions, the
+/// build step, and the probes (including the left-outer null row). All
+/// methods are const over immutable state, so several worker threads may
+/// probe at once (the evaluator already supports concurrent EvalExpr —
+/// the async fan-out relies on it).
 struct JoinMatcher {
   const Clause* cl = nullptr;
   JoinMethod method = JoinMethod::kNestedLoop;
-  const RuntimeContext* ctx = nullptr;
-  ExprEvaluator* eval = nullptr;
-  Tuple base_env;
+  // A copy: prefetch and exchange workers read it, and the original is a
+  // local of the evaluator's drive loop, beside the locals it writes.
+  ExecEnv env;
 
   // Evaluates a key expression to its atomized value sequence.
-  Result<Sequence> EvalKey(const ExprPtr& expr, const Tuple& env) const {
-    return eval->EvalAtomized(*expr, env);
+  Result<Sequence> EvalKey(const ExprPtr& expr, const Tuple& row) const {
+    return env.eval->EvalAtomized(*expr, row);
   }
 
   Result<std::string> LeftKey(const Tuple& left, bool* has_empty) const {
@@ -403,22 +408,18 @@ struct JoinMatcher {
     *has_empty = false;
     for (const auto& [le, re] : cl->equi_keys) {
       ALDSP_ASSIGN_OR_RETURN(Sequence k, EvalKey(le, left));
-      if (k.empty()) *has_empty = true;
-      key += EncodeAtomicSequence(k);
-      key += '\x1e';
+      AppendKeyPart(k, &key, has_empty);
     }
     return key;
   }
 
   Result<std::string> RightKey(const Item& item, bool* has_empty) const {
-    Tuple env = base_env.Bind(cl->var, Sequence{item});
+    Tuple row = env.base_env.Bind(cl->var, Sequence{item});
     std::string key;
     *has_empty = false;
     for (const auto& [le, re] : cl->equi_keys) {
-      ALDSP_ASSIGN_OR_RETURN(Sequence k, EvalKey(re, env));
-      if (k.empty()) *has_empty = true;
-      key += EncodeAtomicSequence(k);
-      key += '\x1e';
+      ALDSP_ASSIGN_OR_RETURN(Sequence k, EvalKey(re, row));
+      AppendKeyPart(k, &key, has_empty);
     }
     return key;
   }
@@ -427,7 +428,7 @@ struct JoinMatcher {
   Result<bool> Residual(const Tuple& joined) const {
     if (!cl->condition) return true;
     ALDSP_ASSIGN_OR_RETURN(Sequence c,
-                           eval->EvalExpr(*cl->condition, joined));
+                           env.eval->EvalExpr(*cl->condition, joined));
     return xml::EffectiveBooleanValue(c);
   }
 
@@ -442,42 +443,54 @@ struct JoinMatcher {
     return true;
   }
 
-  // Joins one left tuple against a set of right items using the current
-  // method (NL or INL), appending matches (and the outer-join null row).
-  Status JoinOneLeft(const Tuple& left, const Sequence& right,
-                     std::vector<Tuple>* out,
-                     const JoinIndex* index = nullptr) const {
-    bool matched = false;
-    auto try_item = [&](const Item& item) -> Status {
-      Tuple joined = left.Bind(cl->var, Sequence{item});
-      if (ctx->stats != nullptr) ctx->stats->join_probe_rows += 1;
-      if (index == nullptr &&
-          (method == JoinMethod::kNestedLoop ||
-           method == JoinMethod::kPPkNestedLoop)) {
-        ALDSP_ASSIGN_OR_RETURN(bool em, EquiMatch(joined));
-        if (!em) return Status::OK();
+  /// The build step: wraps `items` as a right side, indexing them on
+  /// their equi keys when the method probes by index.
+  Result<JoinBuild> Build(Sequence items) const {
+    JoinBuild b;
+    b.items = std::move(items);
+    b.bytes = static_cast<int64_t>(xml::SequenceMemoryBytes(b.items));
+    b.indexed = method == JoinMethod::kIndexNestedLoop ||
+                method == JoinMethod::kPPkIndexNestedLoop;
+    if (b.indexed) {
+      for (size_t i = 0; i < b.items.size(); ++i) {
+        bool has_empty;
+        ALDSP_ASSIGN_OR_RETURN(std::string key,
+                               RightKey(b.items[i], &has_empty));
+        if (!has_empty) b.index[key].push_back(i);
       }
+    }
+    return b;
+  }
+
+  /// The NL/INL build: materializes the right side over the FLWOR's base
+  /// environment.
+  Result<JoinBuild> BuildRight() const {
+    ALDSP_ASSIGN_OR_RETURN(Sequence items,
+                           env.eval->EvalExpr(*cl->expr, env.base_env));
+    return Build(std::move(items));
+  }
+
+  // Joins one left tuple against a right side: an indexed side looks the
+  // left key's bucket up, any other is scanned with the equi keys
+  // verified per item. Appends matches (and the outer-join null row).
+  Status JoinOneLeft(const Tuple& left, const JoinBuild& right,
+                     std::vector<Tuple>* out) const {
+    if (right.indexed) {
+      bool has_empty;
+      ALDSP_ASSIGN_OR_RETURN(std::string key, LeftKey(left, &has_empty));
+      return JoinMatchedItems(left, right, Bucket(right, key, has_empty),
+                              out);
+    }
+    bool matched = false;
+    for (const auto& item : right.items) {
+      Tuple joined = left.Bind(cl->var, Sequence{item});
+      if (env.ctx->stats != nullptr) env.ctx->stats->join_probe_rows += 1;
+      ALDSP_ASSIGN_OR_RETURN(bool em, EquiMatch(joined));
+      if (!em) continue;
       ALDSP_ASSIGN_OR_RETURN(bool ok, Residual(joined));
       if (ok) {
         matched = true;
         out->push_back(std::move(joined));
-      }
-      return Status::OK();
-    };
-    if (index != nullptr) {
-      bool has_empty;
-      ALDSP_ASSIGN_OR_RETURN(std::string key, LeftKey(left, &has_empty));
-      if (!has_empty) {
-        auto it = index->find(key);
-        if (it != index->end()) {
-          for (size_t i : it->second) {
-            ALDSP_RETURN_NOT_OK(try_item(right[i]));
-          }
-        }
-      }
-    } else {
-      for (const auto& item : right) {
-        ALDSP_RETURN_NOT_OK(try_item(item));
       }
     }
     if (!matched && cl->left_outer) {
@@ -486,18 +499,26 @@ struct JoinMatcher {
     return Status::OK();
   }
 
-  // Index probe for one left tuple whose bucket was already resolved
-  // (the batch probe computes left keys columnar, so this is JoinOneLeft's
-  // index path minus the per-left key recompute). `rows` may be null for
-  // a key miss / empty key: only the outer null row can result.
-  Status JoinMatchedItems(const Tuple& left, const Sequence& right,
+  // The index bucket for a left key, or null for a miss / empty key.
+  static const std::vector<size_t>* Bucket(const JoinBuild& right,
+                                           const std::string& key,
+                                           bool has_empty) {
+    if (has_empty) return nullptr;
+    auto it = right.index.find(key);
+    return it == right.index.end() ? nullptr : &it->second;
+  }
+
+  // Joins one left tuple against its resolved index bucket. `rows` may
+  // be null for a key miss / empty key: only the outer null row can
+  // result.
+  Status JoinMatchedItems(const Tuple& left, const JoinBuild& right,
                           const std::vector<size_t>* rows,
                           std::vector<Tuple>* out) const {
     bool matched = false;
     if (rows != nullptr) {
       for (size_t i : *rows) {
-        Tuple joined = left.Bind(cl->var, Sequence{right[i]});
-        if (ctx->stats != nullptr) ctx->stats->join_probe_rows += 1;
+        Tuple joined = left.Bind(cl->var, Sequence{right.items[i]});
+        if (env.ctx->stats != nullptr) env.ctx->stats->join_probe_rows += 1;
         ALDSP_ASSIGN_OR_RETURN(bool ok, Residual(joined));
         if (ok) {
           matched = true;
@@ -507,6 +528,40 @@ struct JoinMatcher {
     }
     if (!matched && cl->left_outer) {
       out->push_back(left.Bind(cl->var, Sequence{}));
+    }
+    return Status::OK();
+  }
+
+  /// The NL/INL batch probe. An indexed right side takes the left keys
+  /// as columns and joins only rows whose bucket hits (or every row of a
+  /// left-outer join); a row that misses never materializes a tuple. NL
+  /// joins each row against every right item.
+  Status ProbeBatch(const TupleBatch& in, const JoinBuild& right,
+                    std::vector<Tuple>* out) const {
+    size_t n = in.size();
+    if (!right.indexed) {
+      for (size_t i = 0; i < n; ++i) {
+        ALDSP_RETURN_NOT_OK(JoinOneLeft(in.MaterializeRow(i), right, out));
+      }
+      return Status::OK();
+    }
+    size_t nk = cl->equi_keys.size();
+    std::vector<std::vector<Sequence>> key_cols(nk);
+    for (size_t k = 0; k < nk; ++k) {
+      ALDSP_RETURN_NOT_OK(EvalColumn(env, *cl->equi_keys[k].first, in,
+                                     /*atomize=*/true, &key_cols[k]));
+    }
+    std::string key;
+    for (size_t i = 0; i < n; ++i) {
+      key.clear();
+      bool has_empty = false;
+      for (size_t k = 0; k < nk; ++k) {
+        AppendKeyPart(key_cols[k][i], &key, &has_empty);
+      }
+      const std::vector<size_t>* rows = Bucket(right, key, has_empty);
+      if (rows == nullptr && !cl->left_outer) continue;
+      ALDSP_RETURN_NOT_OK(
+          JoinMatchedItems(in.MaterializeRow(i), right, rows, out));
     }
     return Status::OK();
   }
@@ -528,7 +583,7 @@ class JoinOpBase : public PhysicalOperator {
 
  protected:
   Status OpenImpl() override {
-    matcher_.emplace(JoinMatcher{&cl_, method_, ctx(), eval(), base_env()});
+    matcher_ = JoinMatcher{&cl_, method_, env()};
     return Status::OK();
   }
 
@@ -597,36 +652,15 @@ class JoinOpBase : public PhysicalOperator {
   }
 
   const TupleBatch& left_batch() const { return left_batch_; }
-
-  Result<Sequence> EvalKey(const ExprPtr& expr, const Tuple& env) {
-    return matcher_->EvalKey(expr, env);
-  }
-
-  Result<std::string> RightKey(const Item& item, bool* has_empty) {
-    return matcher_->RightKey(item, has_empty);
-  }
-
-  Status JoinOneLeft(const Tuple& left, const Sequence& right,
-                     std::vector<Tuple>* out,
-                     const JoinIndex* index = nullptr) {
-    return matcher_->JoinOneLeft(left, right, out, index);
-  }
-
-  Status JoinMatchedItems(const Tuple& left, const Sequence& right,
-                          const std::vector<size_t>* rows,
-                          std::vector<Tuple>* out) {
-    return matcher_->JoinMatchedItems(left, right, rows, out);
-  }
-
+  const JoinMatcher& matcher() const { return matcher_; }
   const Clause& cl() const { return cl_; }
-  JoinMethod method() const { return method_; }
 
  private:
   const Clause& cl_;
   JoinMethod method_;
   std::vector<Tuple> pending_;
   size_t pending_pos_ = 0;
-  std::optional<JoinMatcher> matcher_;
+  JoinMatcher matcher_;
   TupleBatch left_batch_;
   size_t left_pos_ = 0;
   bool left_done_ = false;
@@ -634,93 +668,25 @@ class JoinOpBase : public PhysicalOperator {
 
 /// Nested loop and index nested loop joins: the right side materializes
 /// once (INL also builds a hash index on the equi keys), then each left
-/// tuple probes it.
+/// batch probes it.
 class NestedLoopJoinOp : public JoinOpBase {
  public:
   using JoinOpBase::JoinOpBase;
 
  protected:
-  Status OpenImpl() override {
-    ALDSP_RETURN_NOT_OK(JoinOpBase::OpenImpl());
-    keys_kernel_ = !cl().equi_keys.empty();
-    for (const auto& [le, re] : cl().equi_keys) {
-      if (le == nullptr || !KernelSupports(*le)) keys_kernel_ = false;
-    }
-    return Status::OK();
-  }
-
   Result<bool> Refill() override {
-    ALDSP_RETURN_NOT_OK(EnsureRightMaterialized());
+    if (!right_.has_value()) {
+      ALDSP_ASSIGN_OR_RETURN(right_, matcher().BuildRight());
+      NoteOperatorBytes(right_->bytes);
+    }
     ALDSP_ASSIGN_OR_RETURN(bool more, NextLeftBatch());
     if (!more) return false;
-    const TupleBatch& batch = left_batch();
-    size_t n = batch.size();
-    if (method() == JoinMethod::kIndexNestedLoop && keys_kernel_) {
-      // Columnar probe: the left key expressions evaluate once per batch
-      // through the kernel; a row whose bucket misses (and isn't outer)
-      // never materializes a left tuple at all.
-      size_t nk = cl().equi_keys.size();
-      key_cols_.resize(nk);
-      for (size_t k = 0; k < nk; ++k) {
-        ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl().equi_keys[k].first, batch,
-                                           &key_cols_[k], /*atomize=*/true,
-                                           ctx()->literals.get()));
-      }
-      std::string key;
-      for (size_t i = 0; i < n; ++i) {
-        key.clear();
-        bool has_empty = false;
-        for (size_t k = 0; k < nk; ++k) {
-          const Sequence& atomized = key_cols_[k][i];
-          if (atomized.empty()) has_empty = true;
-          key += EncodeAtomicSequence(atomized);
-          key += '\x1e';
-        }
-        const std::vector<size_t>* rows = nullptr;
-        if (!has_empty) {
-          auto it = index_.find(key);
-          if (it != index_.end()) rows = &it->second;
-        }
-        if (rows == nullptr && !cl().left_outer) continue;
-        ALDSP_RETURN_NOT_OK(JoinMatchedItems(batch.MaterializeRow(i),
-                                             right_items_, rows, pending()));
-      }
-      return true;
-    }
-    const auto* idx =
-        method() == JoinMethod::kIndexNestedLoop ? &index_ : nullptr;
-    for (size_t i = 0; i < n; ++i) {
-      ALDSP_RETURN_NOT_OK(
-          JoinOneLeft(batch.MaterializeRow(i), right_items_, pending(), idx));
-    }
+    ALDSP_RETURN_NOT_OK(matcher().ProbeBatch(left_batch(), *right_, pending()));
     return true;
   }
 
  private:
-  Status EnsureRightMaterialized() {
-    if (right_ready_) return Status::OK();
-    ALDSP_ASSIGN_OR_RETURN(Sequence items,
-                           eval()->EvalExpr(*cl().expr, base_env()));
-    right_items_ = std::move(items);
-    NoteOperatorBytes(
-        static_cast<int64_t>(xml::SequenceMemoryBytes(right_items_)));
-    if (method() == JoinMethod::kIndexNestedLoop) {
-      for (size_t i = 0; i < right_items_.size(); ++i) {
-        bool has_empty;
-        ALDSP_ASSIGN_OR_RETURN(std::string key,
-                               RightKey(right_items_[i], &has_empty));
-        if (!has_empty) index_[key].push_back(i);
-      }
-    }
-    right_ready_ = true;
-    return Status::OK();
-  }
-
-  bool right_ready_ = false;
-  bool keys_kernel_ = false;
-  Sequence right_items_;
-  std::unordered_map<std::string, std::vector<size_t>> index_;
-  std::vector<std::vector<Sequence>> key_cols_;
+  std::optional<JoinBuild> right_;
 };
 
 /// INL is NL with the index switched on; a distinct type keeps the
@@ -785,9 +751,9 @@ class PPkJoinOp final : public JoinOpBase {
       // No prefetch: read and fetch inline under the join span.
       ALDSP_ASSIGN_OR_RETURN(PendingBlock block, ReadBlock());
       if (block.lefts.empty()) return false;
-      Result<Fetched> fetched = FetchBlock(std::move(block.params));
-      if (!fetched.ok()) return fetched.status();
-      return JoinBlock(block.lefts, fetched.value());
+      ALDSP_ASSIGN_OR_RETURN(JoinBuild fetched,
+                             FetchBlock(std::move(block.params)));
+      return JoinBlock(block.lefts, fetched);
     }
     ALDSP_RETURN_NOT_OK(FillPipeline());
     if (inflight_.empty()) return false;
@@ -804,7 +770,7 @@ class PPkJoinOp final : public JoinOpBase {
     // Top the pipeline back up before joining, so the next round trips
     // overlap this block's mid-tier join work.
     ALDSP_RETURN_NOT_OK(FillPipeline());
-    Result<Fetched>& r = *f.slot;
+    Result<JoinBuild>& r = *f.slot;
     if (!r.ok()) return r.status();
     return JoinBlock(f.lefts, r.value());
   }
@@ -817,17 +783,9 @@ class PPkJoinOp final : public JoinOpBase {
     std::vector<Cell> params;
   };
 
-  /// The fetch task's product.
-  struct Fetched {
-    Sequence fetched;
-    JoinIndex index;
-    bool index_built = false;
-    int64_t fetched_bytes = 0;
-  };
-
   struct Inflight {
     std::vector<Tuple> lefts;
-    std::shared_ptr<Result<Fetched>> slot;
+    std::shared_ptr<Result<JoinBuild>> slot;
     WorkerPool::Task task;
     int task_span = -1;
   };
@@ -854,7 +812,7 @@ class PPkJoinOp final : public JoinOpBase {
     std::unordered_map<std::string, bool> seen;
     for (const auto& left : block.lefts) {
       ALDSP_ASSIGN_OR_RETURN(Sequence key,
-                             EvalKey(cl().equi_keys[0].first, left));
+                             matcher().EvalKey(cl().equi_keys[0].first, left));
       if (key.empty()) continue;
       const AtomicValue& v = key.front().atomic();
       if (seen.emplace(EncodeAtomic(v), true).second) {
@@ -878,7 +836,7 @@ class PPkJoinOp final : public JoinOpBase {
   void SchedulePrefetch(PendingBlock block) {
     Inflight f;
     f.lefts = std::move(block.lefts);
-    f.slot = std::make_shared<Result<Fetched>>(Fetched{});
+    f.slot = std::make_shared<Result<JoinBuild>>(JoinBuild{});
     QueryTrace* tr = trace();
     int sp = span();
     // In timeline mode each prefetch gets its own task span under the
@@ -908,7 +866,7 @@ class PPkJoinOp final : public JoinOpBase {
       if (task_span >= 0) {
         tr->AddSpanMetrics(
             task_span,
-            slot->ok() ? static_cast<int64_t>(slot->value().fetched.size())
+            slot->ok() ? static_cast<int64_t>(slot->value().items.size())
                        : 0,
             tr->NowRelMicros() - run_begin);
         tr->EndSpan(task_span);
@@ -917,11 +875,11 @@ class PPkJoinOp final : public JoinOpBase {
     inflight_.push_back(std::move(f));
   }
 
-  /// Runs the block's parameterized fetch and builds the mid-tier index.
-  /// Called inline (depth 0) or on a pool thread; touches only
-  /// thread-safe services plus the immutable clause/matcher state.
-  Result<Fetched> FetchBlock(std::vector<Cell> params) {
-    Fetched result;
+  /// Runs the block's parameterized fetch and builds the mid-tier join's
+  /// right side. Called inline (depth 0) or on a pool thread; touches
+  /// only thread-safe services plus the immutable clause/matcher state.
+  Result<JoinBuild> FetchBlock(std::vector<Cell> params) {
+    Sequence fetched;
     // Prefetch tasks may still be queued (or running) when the query is
     // cancelled; skip the source round trip instead of paying for it.
     ALDSP_RETURN_NOT_OK(CheckCancelled(ctx()->exec));
@@ -981,30 +939,18 @@ class PPkJoinOp final : public JoinOpBase {
                           static_cast<int64_t>(rs.rows.size()), micros, "",
                           roundtrip, transfer);
       }
-      result.fetched = RowsToItems(std::move(rs), spec.row_name);
+      fetched = RowsToItems(std::move(rs), spec.row_name);
     }
-
     // Mid-tier join of the block against the fetched rows; PP-k can use
     // any join method for this step (paper §5.2) — here NL or INL.
-    if (method() == JoinMethod::kPPkIndexNestedLoop) {
-      for (size_t i = 0; i < result.fetched.size(); ++i) {
-        bool has_empty;
-        ALDSP_ASSIGN_OR_RETURN(std::string key,
-                               RightKey(result.fetched[i], &has_empty));
-        if (!has_empty) result.index[key].push_back(i);
-      }
-      result.index_built = true;
-    }
-    result.fetched_bytes =
-        static_cast<int64_t>(xml::SequenceMemoryBytes(result.fetched));
-    return result;
+    return matcher().Build(std::move(fetched));
   }
 
-  Result<bool> JoinBlock(const std::vector<Tuple>& lefts, const Fetched& fr) {
-    NoteOperatorBytes(fr.fetched_bytes);
-    const JoinIndex* idx = fr.index_built ? &fr.index : nullptr;
+  Result<bool> JoinBlock(const std::vector<Tuple>& lefts,
+                         const JoinBuild& fetched) {
+    NoteOperatorBytes(fetched.bytes);
     for (const auto& left : lefts) {
-      ALDSP_RETURN_NOT_OK(JoinOneLeft(left, fr.fetched, pending(), idx));
+      ALDSP_RETURN_NOT_OK(matcher().JoinOneLeft(left, fetched, pending()));
     }
     return true;
   }
@@ -1026,17 +972,17 @@ class PPkJoinOp final : public JoinOpBase {
 
 /// Partitioned NL/INL join probe: the right side materializes once on
 /// the driving thread (OpenShared), then chunks of left tuples probe it
-/// concurrently on worker threads. Build side and index are immutable
-/// during the probe, and the JoinMatcher is a const kernel, so chunks
-/// share them without locks.
+/// concurrently on worker threads. Build side and probe are the serial
+/// join's (JoinMatcher::BuildRight / ProbeBatch): the build side is
+/// immutable during the probe and the matcher is a const kernel, so
+/// chunks share them without locks.
 class ParallelJoinProbeOp final : public ExchangeOpBase {
  public:
   ParallelJoinProbeOp(std::unique_ptr<PhysicalOperator> input,
                       const Clause& cl, JoinMethod method, std::string label,
-                      std::string span_detail, int dop, int chunk_size,
-                      bool ordered)
+                      std::string span_detail, int dop)
       : ExchangeOpBase(std::move(input), std::move(label),
-                       std::move(span_detail), dop, chunk_size, ordered),
+                       std::move(span_detail), dop),
         cl_(cl),
         method_(method) {}
 
@@ -1044,105 +990,51 @@ class ParallelJoinProbeOp final : public ExchangeOpBase {
 
  protected:
   Status OpenShared() override {
-    matcher_.emplace(JoinMatcher{&cl_, method_, ctx(), eval(), base_env()});
-    ALDSP_ASSIGN_OR_RETURN(Sequence items,
-                           eval()->EvalExpr(*cl_.expr, base_env()));
-    right_items_ = std::move(items);
-    NoteOperatorBytes(
-        static_cast<int64_t>(xml::SequenceMemoryBytes(right_items_)));
-    if (method_ == JoinMethod::kIndexNestedLoop) {
-      for (size_t i = 0; i < right_items_.size(); ++i) {
-        bool has_empty;
-        ALDSP_ASSIGN_OR_RETURN(std::string key,
-                               matcher_->RightKey(right_items_[i], &has_empty));
-        if (!has_empty) index_[key].push_back(i);
-      }
-      keys_kernel_ = !cl_.equi_keys.empty();
-      for (const auto& [le, re] : cl_.equi_keys) {
-        if (le == nullptr || !KernelSupports(*le)) keys_kernel_ = false;
-      }
-    }
+    matcher_ = JoinMatcher{&cl_, method_, env()};
+    ALDSP_ASSIGN_OR_RETURN(right_, matcher_.BuildRight());
+    NoteOperatorBytes(right_.bytes);
     return Status::OK();
   }
 
-  Status ProcessTuple(const Tuple& in, std::vector<Tuple>* out) override {
-    const JoinIndex* idx =
-        method_ == JoinMethod::kIndexNestedLoop ? &index_ : nullptr;
-    return matcher_->JoinOneLeft(in, right_items_, out, idx);
-  }
-
-  // Columnar INL probe over one chunk-batch. Worker-thread safe: the
-  // kernel and matcher are pure over state immutable after OpenShared,
-  // and all scratch buffers are locals.
   Status ProcessBatch(const TupleBatch& in, std::vector<Tuple>* out) override {
-    if (method_ != JoinMethod::kIndexNestedLoop || !keys_kernel_) {
-      return ExchangeOpBase::ProcessBatch(in, out);
-    }
-    size_t n = in.size();
-    size_t nk = cl_.equi_keys.size();
-    std::vector<std::vector<Sequence>> key_cols(nk);
-    for (size_t k = 0; k < nk; ++k) {
-      ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.equi_keys[k].first, in,
-                                         &key_cols[k], /*atomize=*/true,
-                                         ctx()->literals.get()));
-    }
-    std::string key;
-    for (size_t i = 0; i < n; ++i) {
-      key.clear();
-      bool has_empty = false;
-      for (size_t k = 0; k < nk; ++k) {
-        const Sequence& atomized = key_cols[k][i];
-        if (atomized.empty()) has_empty = true;
-        key += EncodeAtomicSequence(atomized);
-        key += '\x1e';
-      }
-      const std::vector<size_t>* rows = nullptr;
-      if (!has_empty) {
-        auto it = index_.find(key);
-        if (it != index_.end()) rows = &it->second;
-      }
-      if (rows == nullptr && !cl_.left_outer) continue;
-      ALDSP_RETURN_NOT_OK(matcher_->JoinMatchedItems(in.MaterializeRow(i),
-                                                     right_items_, rows, out));
-    }
-    return Status::OK();
+    return matcher_.ProbeBatch(in, right_, out);
   }
 
  private:
   const Clause& cl_;
   JoinMethod method_;
-  bool keys_kernel_ = false;
-  std::optional<JoinMatcher> matcher_;
-  Sequence right_items_;
-  JoinIndex index_;
+  JoinMatcher matcher_;
+  JoinBuild right_;
 };
 
 /// Partitioned for-scan: evaluates the binding expression for chunks of
 /// input tuples concurrently. Positional variables stay per-tuple
 /// (1-based within each tuple's item sequence), so the output is
-/// identical to the serial ForScanOp in ordered mode.
+/// identical to the serial ForScanOp.
 class ParallelForScanOp final : public ExchangeOpBase {
  public:
   ParallelForScanOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
-                    std::string label, std::string span_detail, int dop,
-                    int chunk_size, bool ordered)
+                    std::string label, std::string span_detail, int dop)
       : ExchangeOpBase(std::move(input), std::move(label),
-                       std::move(span_detail), dop, chunk_size, ordered),
+                       std::move(span_detail), dop),
         cl_(cl) {}
 
   ~ParallelForScanOp() override { DrainForDestruction(); }
 
  protected:
-  Status ProcessTuple(const Tuple& in, std::vector<Tuple>* out) override {
-    ALDSP_ASSIGN_OR_RETURN(Sequence seq, eval()->EvalExpr(*cl_.expr, in));
-    for (size_t i = 0; i < seq.size(); ++i) {
-      Tuple t = in.Bind(cl_.var, Sequence{seq[i]});
-      if (!cl_.positional_var.empty()) {
-        t = t.Bind(cl_.positional_var,
-                   Sequence{Item(AtomicValue::Integer(
-                       static_cast<int64_t>(i + 1)))});
+  Status ProcessBatch(const TupleBatch& in, std::vector<Tuple>* out) override {
+    for (size_t r = 0; r < in.size(); ++r) {
+      Tuple row = in.MaterializeRow(r);
+      ALDSP_ASSIGN_OR_RETURN(Sequence seq, eval()->EvalExpr(*cl_.expr, row));
+      for (size_t i = 0; i < seq.size(); ++i) {
+        Tuple t = row.Bind(cl_.var, Sequence{seq[i]});
+        if (!cl_.positional_var.empty()) {
+          t = t.Bind(cl_.positional_var,
+                     Sequence{Item(AtomicValue::Integer(
+                         static_cast<int64_t>(i + 1)))});
+        }
+        out->push_back(std::move(t));
       }
-      out->push_back(std::move(t));
     }
     return Status::OK();
   }
@@ -1261,9 +1153,9 @@ class ParallelLetOp final : public PhysicalOperator {
 /// keys (a group ends exactly when the key changes — constant memory
 /// beyond the current group), with a materialize-and-cluster fallback
 /// otherwise. Batch-native on the input side: each pulled batch's key
-/// encodings/values and member values precompute in tight per-column
-/// loops (group keys through the expression kernel when their shape
-/// allows), and the group loop then consumes plain arrays.
+/// encodings/values and member values precompute in per-column loops
+/// (one key column per group key), and the group loop then consumes
+/// plain arrays.
 class StreamGroupByOp final : public PhysicalOperator {
  public:
   StreamGroupByOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
@@ -1271,16 +1163,6 @@ class StreamGroupByOp final : public PhysicalOperator {
       : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
-  Status OpenImpl() override {
-    keys_kernel_ = !cl_.group_keys.empty();
-    for (const auto& gk : cl_.group_keys) {
-      if (gk.expr == nullptr || !KernelSupports(*gk.expr)) {
-        keys_kernel_ = false;
-      }
-    }
-    return Status::OK();
-  }
-
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     int target = batch_target();
     Tuple t;
@@ -1310,23 +1192,10 @@ class StreamGroupByOp final : public PhysicalOperator {
     bool active = false;
   };
 
-  Result<std::pair<std::string, std::vector<Sequence>>> KeyOf(const Tuple& t) {
-    std::string enc;
-    std::vector<Sequence> values;
-    for (const auto& gk : cl_.group_keys) {
-      ALDSP_ASSIGN_OR_RETURN(Sequence data, eval()->EvalAtomized(*gk.expr, t));
-      enc += EncodeAtomicSequence(data);
-      enc += '\x1e';
-      values.push_back(std::move(data));
-    }
-    return std::make_pair(std::move(enc), std::move(values));
-  }
-
   /// Pulls the next non-empty input batch and precomputes, per row, the
-  /// key encoding + key values (kernel per column when possible, else
-  /// the interpreter over materialized rows) and the member values
-  /// (column-aware lookups — no tuple materialization). Returns false at
-  /// end of stream.
+  /// key encoding + key values (one atomized column per key) and the
+  /// member values (column-aware lookups — no tuple materialization).
+  /// Returns false at end of stream.
   Result<bool> FetchInputBatch() {
     while (true) {
       if (input_done_) return false;
@@ -1344,27 +1213,16 @@ class StreamGroupByOp final : public PhysicalOperator {
     in_enc_.assign(n, std::string());
     in_keys_.assign(n, std::vector<Sequence>());
     in_members_.assign(n, std::vector<Sequence>());
-    if (keys_kernel_) {
-      key_cols_.resize(nkeys);
+    key_cols_.resize(nkeys);
+    for (size_t k = 0; k < nkeys; ++k) {
+      ALDSP_RETURN_NOT_OK(EvalColumn(env(), *cl_.group_keys[k].expr, in_,
+                                     /*atomize=*/true, &key_cols_[k]));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      in_keys_[i].reserve(nkeys);
       for (size_t k = 0; k < nkeys; ++k) {
-        ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.group_keys[k].expr, in_,
-                                           &key_cols_[k], /*atomize=*/true,
-                                           ctx()->literals.get()));
-      }
-      for (size_t i = 0; i < n; ++i) {
-        in_keys_[i].reserve(nkeys);
-        for (size_t k = 0; k < nkeys; ++k) {
-          Sequence data = std::move(key_cols_[k][i]);
-          in_enc_[i] += EncodeAtomicSequence(data);
-          in_enc_[i] += '\x1e';
-          in_keys_[i].push_back(std::move(data));
-        }
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        ALDSP_ASSIGN_OR_RETURN(auto key, KeyOf(in_.MaterializeRow(i)));
-        in_enc_[i] = std::move(key.first);
-        in_keys_[i] = std::move(key.second);
+        AppendKeyPart(key_cols_[k][i], &in_enc_[i]);
+        in_keys_[i].push_back(std::move(key_cols_[k][i]));
       }
     }
     Sequence scratch;
@@ -1506,7 +1364,6 @@ class StreamGroupByOp final : public PhysicalOperator {
 
   // Batched input state: the current batch plus its precomputed per-row
   // key encodings/values and member values.
-  bool keys_kernel_ = false;
   TupleBatch in_;
   size_t in_pos_ = 0;
   bool input_done_ = false;
@@ -1529,9 +1386,8 @@ class StreamGroupByOp final : public PhysicalOperator {
 
 /// Order-by: materializes the input with its atomized sort keys, sorts
 /// stably, then emits whole batches of sorted rows. Batch-native: input
-/// arrives a batch at a time, and key expressions whose shape the kernel
-/// covers evaluate in per-column loops instead of per-row interpreter
-/// calls.
+/// arrives a batch at a time, and each sort key evaluates as one atomized
+/// column per batch.
 class OrderByOp final : public PhysicalOperator {
  public:
   OrderByOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
@@ -1539,15 +1395,6 @@ class OrderByOp final : public PhysicalOperator {
       : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
-  Status OpenImpl() override {
-    keys_kernel_ = !cl_.order_keys.empty();
-    for (const auto& ok : cl_.order_keys) {
-      if (ok.expr == nullptr || !KernelSupports(*ok.expr)) {
-        keys_kernel_ = false;
-      }
-    }
-    return Status::OK();
-  }
 
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     if (!ready_) {
@@ -1577,28 +1424,18 @@ class OrderByOp final : public PhysicalOperator {
       if (!more) break;
       size_t n = in.size();
       if (n == 0) continue;
-      if (keys_kernel_) {
-        key_cols_.resize(nk);
-        for (size_t k = 0; k < nk; ++k) {
-          ALDSP_RETURN_NOT_OK(KernelEvalRows(*cl_.order_keys[k].expr, in,
-                                             &key_cols_[k], /*atomize=*/true,
-                                             ctx()->literals.get()));
-        }
+      key_cols_.resize(nk);
+      for (size_t k = 0; k < nk; ++k) {
+        ALDSP_RETURN_NOT_OK(EvalColumn(env(), *cl_.order_keys[k].expr, in,
+                                       /*atomize=*/true, &key_cols_[k]));
       }
       for (size_t i = 0; i < n; ++i) {
         SortRow row;
         row.tuple = in.MaterializeRow(i);
         row.keys.reserve(nk);
         for (size_t k = 0; k < nk; ++k) {
-          Sequence data;
-          if (keys_kernel_) {
-            data = std::move(key_cols_[k][i]);
-          } else {
-            ALDSP_ASSIGN_OR_RETURN(
-                data, eval()->EvalAtomized(*cl_.order_keys[k].expr, row.tuple));
-          }
-          bytes += xml::SequenceMemoryBytes(data);
-          row.keys.push_back(std::move(data));
+          bytes += xml::SequenceMemoryBytes(key_cols_[k][i]);
+          row.keys.push_back(std::move(key_cols_[k][i]));
         }
         rows_.push_back(std::move(row));
       }
@@ -1619,7 +1456,6 @@ class OrderByOp final : public PhysicalOperator {
 
   const Clause& cl_;
   bool ready_ = false;
-  bool keys_kernel_ = false;
   std::vector<SortRow> rows_;
   std::vector<std::vector<Sequence>> key_cols_;
   size_t pos_ = 0;
@@ -1697,6 +1533,10 @@ class ReturnOp final : public PhysicalOperator {
   std::vector<Sequence> kernel_vals_;
 };
 
+// Minimum estimated upstream rows before the builder inserts an
+// exchange; unknown estimates (-1) never parallelize.
+constexpr int64_t kParallelRowThreshold = 64;
+
 JoinMethod ResolveJoinMethod(const Clause& cl) {
   JoinMethod m = cl.method;
   if (m == JoinMethod::kAuto) {
@@ -1734,7 +1574,7 @@ std::unique_ptr<PhysicalOperator> BuildPlan(const Expr& flwor,
     return (a >= 0 && b >= 0) ? a * b : -1;
   };
   auto crosses = [&](int64_t est) {
-    return parallel && est >= 0 && est >= opts.parallel_row_threshold;
+    return parallel && est >= 0 && est >= kParallelRowThreshold;
   };
   std::string dop_detail = "dop=" + std::to_string(opts.max_dop);
   for (size_t ci = 0; ci < flwor.clauses.size(); ++ci) {
@@ -1753,8 +1593,7 @@ std::unique_ptr<PhysicalOperator> BuildPlan(const Expr& flwor,
         // pushed statement — nothing to partition).
         if (!sql_region && crosses(upstream_rows)) {
           auto scan = std::make_unique<ParallelForScanOp>(
-              std::move(op), cl, std::move(label), dop_detail, opts.max_dop,
-              opts.exchange_chunk_size, opts.ordered);
+              std::move(op), cl, std::move(label), dop_detail, opts.max_dop);
           detail += detail.empty() ? dop_detail : " " + dop_detail;
           scan->explain().detail = std::move(detail);
           scan->explain().expr = cl.expr.get();
@@ -1840,7 +1679,7 @@ std::unique_ptr<PhysicalOperator> BuildPlan(const Expr& flwor,
               span_detail.empty() ? dop_detail : dop_detail + " " + span_detail;
           auto join = std::make_unique<ParallelJoinProbeOp>(
               std::move(op), cl, m, std::move(label), std::move(par_detail),
-              opts.max_dop, opts.exchange_chunk_size, opts.ordered);
+              opts.max_dop);
           join->explain().detail = dop_detail;
           explain = &join->explain();
           join_op = std::move(join);

@@ -33,10 +33,10 @@ class ObservedCostModel;
 ///    round-trip micros (including a source's simulated latency when its
 ///    LatencyModel runs in virtual time).
 ///
-/// A trace runs in one of three modes. kFull records the span tree and
-/// the event list above. kTimeline is kFull plus a *timeline*: every
-/// span gets steady-clock begin/end timestamps (relative to the trace's
-/// construction) and a thread lane; operators mark first-row/last-row
+/// A trace runs in one of two modes. kTimeline records the span tree and
+/// the event list above plus a *timeline*: every span gets steady-clock
+/// begin/end timestamps (relative to the trace's construction) and a
+/// thread lane; operators mark first-row/last-row
 /// production; pool-task spans record how long they sat queued before a
 /// thread ran them; task joins record how long the waiting thread
 /// stalled (kTaskWait events); relational source events split their
@@ -63,13 +63,12 @@ class ObservedCostModel;
 /// thread's innermost span via the span id captured at launch.
 class QueryTrace {
  public:
-  enum class Mode { kFull, kCounters, kTimeline };
+  enum class Mode { kCounters, kTimeline };
 
-  explicit QueryTrace(Mode mode = Mode::kFull);
+  explicit QueryTrace(Mode mode);
   Mode mode() const { return mode_; }
-  /// True when the trace records the span tree and event list.
-  bool keeps_events() const { return mode_ != Mode::kCounters; }
-  /// True when spans/events additionally carry timestamps and lanes.
+  /// True when the trace records the span tree and event list, with
+  /// timestamps and lanes (kTimeline); false for counters only.
   bool has_timeline() const { return mode_ == Mode::kTimeline; }
 
   struct Span {

@@ -579,13 +579,12 @@ void DataServicePlatform::FinishObservation(
 
   const int64_t threshold = options_.slow_query_threshold_micros;
   if (threshold <= 0 || c.wall_micros < threshold) return;
-  if (trace.keeps_events()) {
+  if (trace.has_timeline()) {
     // The timeline makes the slow run openable in Perfetto; the second
     // slow run of a promoted statement always has one.
     slow_queries_.Append(
         c, threshold, RenderProfileText(plan, trace),
-        RenderProfileJson(plan, trace),
-        trace.has_timeline() ? RenderChromeTrace(trace) : std::string());
+        RenderProfileJson(plan, trace), RenderChromeTrace(trace));
   } else {
     slow_queries_.Append(c, threshold);  // counters summary; promotes
   }
@@ -758,7 +757,7 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
   trace->EndSpan(root);
   ctl->SetPhase(observability::QueryPhase::kFinishing);
   // Even a failed run made real source observations worth keeping.
-  if (trace->keeps_events()) trace->FeedObservedCost(&observed_);
+  if (trace->has_timeline()) trace->FeedObservedCost(&observed_);
   FinishObservation(plan, *trace, &done);
   query_registry_.Unregister(ctl->query_id);
   return result;
@@ -824,23 +823,10 @@ Status DataServicePlatform::ExecuteStreamAs(
   return RunQuery(*plan, cache_hit, &principal, &sink).status();
 }
 
-// EXPLAIN describes the plan the evaluator would actually run, so the
-// renderer gets the same parallelism knobs the runtime context carries.
-static runtime::physical::BuildOptions PlanBuildOptions(
-    const runtime::RuntimeContext& ctx) {
-  runtime::physical::BuildOptions opts;
-  opts.max_dop = ctx.max_query_dop;
-  opts.parallel_row_threshold = ctx.parallel_row_threshold;
-  opts.exchange_chunk_size = ctx.exchange_chunk_size;
-  opts.ordered = ctx.exchange_ordered;
-  opts.batch_size = ctx.batch_size;
-  return opts;
-}
-
 Result<std::string> DataServicePlatform::Explain(const std::string& query) {
   ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
                          Prepare(query));
-  std::string out = RenderPlanText(*plan, PlanBuildOptions(ctx_));
+  std::string out = RenderPlanText(*plan, runtime::physical::BuildOptionsFor(ctx_));
   // Serving-plane line: what the admission gate would do with this
   // statement right now, and the memory budget the execution runs under.
   if (admission_.enabled() || options_.query_memory_budget_bytes > 0) {
@@ -865,7 +851,7 @@ Result<std::string> DataServicePlatform::Explain(const std::string& query) {
 Result<std::string> DataServicePlatform::ExplainJson(const std::string& query) {
   ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
                          Prepare(query));
-  std::string json = RenderPlanJson(*plan, PlanBuildOptions(ctx_));
+  std::string json = RenderPlanJson(*plan, runtime::physical::BuildOptionsFor(ctx_));
   observability::SnapshotDoc health = SourceHealthDoc();
   if (health.size() != 0 && !json.empty() && json.back() == '}') {
     json.pop_back();

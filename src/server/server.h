@@ -106,7 +106,7 @@ struct ServerOptions {
   size_t slow_query_log_capacity = 64;
   /// Executions at least this slow are captured: the first slow run of a
   /// query stores its counter summary and promotes the query hash; later
-  /// runs of a promoted hash execute under a full trace whose rendered
+  /// runs of a promoted hash execute under a timeline trace whose rendered
   /// profile is stored. <= 0 disables capture.
   int64_t slow_query_threshold_micros = 250'000;
   /// Circuit-breaker tuning for the per-source health scoreboard.

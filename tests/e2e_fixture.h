@@ -12,6 +12,7 @@
 #include "adaptors/webservice_adaptor.h"
 #include "compiler/analyzer.h"
 #include "compiler/function_table.h"
+#include "optimizer/optimizer.h"
 #include "runtime/context.h"
 #include "runtime/evaluator.h"
 #include "runtime/worker_pool.h"
@@ -149,6 +150,74 @@ class RunningExample {
   // and caches above are still alive (same ordering the server uses).
   runtime::WorkerPool pool;
 };
+
+/// The running example's customer/order join, which the join-method
+/// suites compile with a forced method.
+inline constexpr const char* kJoinQuery =
+    "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
+    "where $c/CID eq $o/CID "
+    "return <CO><C>{fn:data($c/CID)}</C><O>{fn:data($o/OID)}</O></CO>";
+
+/// The join query again with every operator input the batch kernel does
+/// not cover, so each operator takes its interpreter path at any batch
+/// width: a let binding, both operands of the residual where, the INL
+/// equi key and an order key are function calls.
+inline constexpr const char* kInterpretedJoinQuery =
+    "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
+    "let $n := fn:upper-case(fn:data($c/LAST_NAME)) "
+    "where fn:string($c/CID) eq fn:string($o/CID) "
+    "and fn:upper-case(fn:data($c/FIRST_NAME)) ne fn:string($o/OID) "
+    "order by $n, fn:string($o/OID) descending "
+    "return <CO>{$n}{fn:data($o/OID)}{$n}</CO>";
+
+/// A join feeding a group-by whose key is a function call.
+inline constexpr const char* kInterpretedGroupQuery =
+    "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
+    "where fn:string($c/CID) eq fn:string($o/CID) "
+    "group $o as $p by fn:upper-case(fn:data($c/LAST_NAME)) as $k "
+    "return <G>{$k}{fn:count($p)}</G>";
+
+/// Parses, analyzes and optimizes `query` with `method` forced on its
+/// join clause and PP-k block size `k` (PP-k conversion only for the
+/// PP-k methods, so the other methods keep the join mid-tier).
+inline xquery::ExprPtr CompileJoin(RunningExample& env,
+                                   xquery::JoinMethod method, int k = 20,
+                                   const std::string& query = kJoinQuery) {
+  using xquery::JoinMethod;
+  auto parsed = xquery::ParseExpression(query);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return nullptr;
+  xquery::ExprPtr e = *parsed;
+  DiagnosticBag bag;
+  compiler::Analyzer analyzer(&env.functions, &env.schemas, &bag);
+  EXPECT_TRUE(analyzer.Analyze(e, {}).ok());
+  optimizer::OptimizerOptions options;
+  options.cross_source_method = method;
+  options.ppk_k = k;
+  options.convert_ppk = method == JoinMethod::kPPkNestedLoop ||
+                        method == JoinMethod::kPPkIndexNestedLoop;
+  optimizer::Optimizer opt(&env.functions, &env.schemas, nullptr, options);
+  EXPECT_TRUE(opt.Optimize(e).ok());
+  for (auto& cl : e->clauses) {
+    if (cl.kind == xquery::Clause::Kind::kJoin) {
+      cl.method = method;
+      cl.ppk_block_size = k;
+    }
+  }
+  return e;
+}
+
+/// Patches the cardinality annotations the observed-cost post-pass would
+/// produce, so a plan built at dop > 1 inserts its exchanges without
+/// warming a model.
+inline void MarkLargeClauses(xquery::Expr& flwor) {
+  for (auto& cl : flwor.clauses) {
+    if (cl.kind == xquery::Clause::Kind::kFor ||
+        cl.kind == xquery::Clause::Kind::kJoin) {
+      cl.estimated_rows = 100000;
+    }
+  }
+}
 
 // ----- Server-level knob matrix ---------------------------------------------
 

@@ -22,6 +22,8 @@ namespace {
 
 using aldsp::testing::MakeCreditCardDb;
 using aldsp::testing::MakeCustomerDb;
+using aldsp::testing::CompileJoin;
+using aldsp::testing::MarkLargeClauses;
 using aldsp::testing::RunningExample;
 using observability::QueryControl;
 using observability::QueryPhase;
@@ -383,37 +385,6 @@ TEST(InsightPlaneTest, PerTenantWindowsAttributeResources) {
 
 // ----- Cancellation: evaluator level, all join methods and DOPs -----------
 
-constexpr const char* kEvalJoinQuery =
-    "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
-    "where $c/CID eq $o/CID "
-    "return <CO><C>{fn:data($c/CID)}</C><O>{fn:data($o/OID)}</O></CO>";
-
-ExprPtr CompileJoin(RunningExample& env, JoinMethod method) {
-  auto parsed = xquery::ParseExpression(kEvalJoinQuery);
-  EXPECT_TRUE(parsed.ok());
-  ExprPtr e = *parsed;
-  DiagnosticBag bag;
-  compiler::Analyzer analyzer(&env.functions, &env.schemas, &bag);
-  EXPECT_TRUE(analyzer.Analyze(e, {}).ok());
-  optimizer::OptimizerOptions options;
-  options.cross_source_method = method;
-  options.convert_ppk = method == JoinMethod::kPPkNestedLoop ||
-                        method == JoinMethod::kPPkIndexNestedLoop;
-  optimizer::Optimizer opt(&env.functions, &env.schemas, nullptr, options);
-  EXPECT_TRUE(opt.Optimize(e).ok());
-  for (auto& cl : e->clauses) {
-    if (cl.kind == Clause::Kind::kJoin) {
-      cl.method = method;
-      cl.ppk_block_size = 10;
-    }
-    // Large estimates let the planner insert exchanges at dop > 1.
-    if (cl.kind == Clause::Kind::kFor || cl.kind == Clause::Kind::kJoin) {
-      cl.estimated_rows = 100000;
-    }
-  }
-  return e;
-}
-
 struct CancelCase {
   JoinMethod method;
   int dop;
@@ -424,7 +395,8 @@ class CancelMidStreamTest : public ::testing::TestWithParam<CancelCase> {};
 TEST_P(CancelMidStreamTest, CancelStopsTheStreamAndDrainsTasks) {
   const CancelCase& param = GetParam();
   RunningExample env(60, 3);
-  ExprPtr plan = CompileJoin(env, param.method);
+  ExprPtr plan = CompileJoin(env, param.method, /*k=*/10);
+  MarkLargeClauses(*plan);
   env.ctx.max_query_dop = param.dop;
 
   QueryRegistry registry;
@@ -513,7 +485,8 @@ TEST(CancelMidStreamTest, CancelLandsWithinOneBatchAtDop8) {
   // eight worker pipelines in flight — and the per-row delivery poll
   // still guarantees nothing reaches the sink after the flag flips.
   RunningExample env(60, 3);
-  ExprPtr plan = CompileJoin(env, JoinMethod::kIndexNestedLoop);
+  ExprPtr plan = CompileJoin(env, JoinMethod::kIndexNestedLoop, /*k=*/10);
+  MarkLargeClauses(*plan);
   env.ctx.max_query_dop = 8;
   env.ctx.batch_size = 4;
 

@@ -7,42 +7,13 @@
 namespace aldsp::runtime {
 namespace {
 
+using aldsp::testing::CompileJoin;
+using aldsp::testing::kJoinQuery;
 using aldsp::testing::RunningExample;
 using optimizer::Optimizer;
 using optimizer::OptimizerOptions;
 using xquery::ExprPtr;
 using xquery::JoinMethod;
-
-constexpr const char* kJoinQuery =
-    "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
-    "where $c/CID eq $o/CID "
-    "return <CO><C>{fn:data($c/CID)}</C><O>{fn:data($o/OID)}</O></CO>";
-
-// Compiles the join query with a forced join method.
-ExprPtr PlanWithMethod(RunningExample& env, JoinMethod method, int k = 20) {
-  auto parsed = xquery::ParseExpression(kJoinQuery);
-  EXPECT_TRUE(parsed.ok());
-  ExprPtr e = *parsed;
-  DiagnosticBag bag;
-  compiler::Analyzer analyzer(&env.functions, &env.schemas, &bag);
-  EXPECT_TRUE(analyzer.Analyze(e, {}).ok());
-  OptimizerOptions options;
-  options.cross_source_method = method;
-  options.ppk_k = k;
-  // Keep the join mid-tier even for PP-k-capable shapes.
-  options.convert_ppk = method == JoinMethod::kPPkNestedLoop ||
-                        method == JoinMethod::kPPkIndexNestedLoop;
-  Optimizer opt(&env.functions, &env.schemas, nullptr, options);
-  EXPECT_TRUE(opt.Optimize(e).ok());
-  // Force the method on the join clause.
-  for (auto& cl : e->clauses) {
-    if (cl.kind == xquery::Clause::Kind::kJoin) {
-      cl.method = method;
-      cl.ppk_block_size = k;
-    }
-  }
-  return e;
-}
 
 class JoinMethodsTest : public ::testing::TestWithParam<JoinMethod> {};
 
@@ -50,7 +21,7 @@ TEST_P(JoinMethodsTest, AllMethodsProduceIdenticalResults) {
   RunningExample env(30, 3);
   auto reference = env.Run(kJoinQuery);  // naive nested iteration
   ASSERT_TRUE(reference.ok());
-  ExprPtr plan = PlanWithMethod(env, GetParam());
+  ExprPtr plan = CompileJoin(env, GetParam());
   auto result = Evaluate(*plan, env.ctx);
   ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n"
                            << xquery::DebugString(*plan);
@@ -84,7 +55,7 @@ TEST(PPkJoinTest, BlockCountMatchesCeilNOverK) {
   // of k outer tuples — 1/k as many round trips as row-at-a-time.
   for (int k : {1, 7, 20, 50}) {
     RunningExample env(30, 3);
-    ExprPtr plan = PlanWithMethod(env, JoinMethod::kPPkIndexNestedLoop, k);
+    ExprPtr plan = CompileJoin(env, JoinMethod::kPPkIndexNestedLoop, k);
     env.customer_db->stats().Reset();
     env.stats.Reset();
     auto result = Evaluate(*plan, env.ctx);
@@ -101,7 +72,7 @@ TEST(PPkJoinTest, BlockCountMatchesCeilNOverK) {
 TEST(PPkJoinTest, LeftOuterJoinViaPPk) {
   RunningExample env(8, 3);
   // Build: join with left_outer set (customers 4 and 8 have no orders).
-  ExprPtr plan = PlanWithMethod(env, JoinMethod::kPPkIndexNestedLoop, 3);
+  ExprPtr plan = CompileJoin(env, JoinMethod::kPPkIndexNestedLoop, 3);
   for (auto& cl : plan->clauses) {
     if (cl.kind == xquery::Clause::Kind::kJoin) cl.left_outer = true;
   }

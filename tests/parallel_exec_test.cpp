@@ -17,48 +17,15 @@
 namespace aldsp::runtime {
 namespace {
 
+using aldsp::testing::CompileJoin;
+using aldsp::testing::kJoinQuery;
+using aldsp::testing::MarkLargeClauses;
 using aldsp::testing::RunningExample;
 using optimizer::Optimizer;
 using optimizer::OptimizerOptions;
 using xquery::Clause;
 using xquery::ExprPtr;
 using xquery::JoinMethod;
-
-constexpr const char* kJoinQuery =
-    "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
-    "where $c/CID eq $o/CID "
-    "return <CO><C>{fn:data($c/CID)}</C><O>{fn:data($o/OID)}</O></CO>";
-
-ExprPtr CompileJoin(RunningExample& env, JoinMethod method, int k = 20) {
-  auto parsed = xquery::ParseExpression(kJoinQuery);
-  EXPECT_TRUE(parsed.ok());
-  ExprPtr e = *parsed;
-  DiagnosticBag bag;
-  compiler::Analyzer analyzer(&env.functions, &env.schemas, &bag);
-  EXPECT_TRUE(analyzer.Analyze(e, {}).ok());
-  OptimizerOptions options;
-  options.cross_source_method = method;
-  options.ppk_k = k;
-  options.convert_ppk = method == JoinMethod::kPPkNestedLoop ||
-                        method == JoinMethod::kPPkIndexNestedLoop;
-  Optimizer opt(&env.functions, &env.schemas, nullptr, options);
-  EXPECT_TRUE(opt.Optimize(e).ok());
-  for (auto& cl : e->clauses) {
-    if (cl.kind == Clause::Kind::kJoin) {
-      cl.method = method;
-      cl.ppk_block_size = k;
-    }
-  }
-  return e;
-}
-
-void MarkLargeClauses(xquery::Expr& flwor) {
-  for (auto& cl : flwor.clauses) {
-    if (cl.kind == Clause::Kind::kFor || cl.kind == Clause::Kind::kJoin) {
-      cl.estimated_rows = 100000;
-    }
-  }
-}
 
 // ----- Exchange operator --------------------------------------------------
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "optimizer/optimizer.h"
+#include "runtime/physical/builder.h"
 #include "runtime/query_trace.h"
 #include "tests/e2e_fixture.h"
 #include "xml/serializer.h"
@@ -12,42 +13,14 @@
 namespace aldsp::runtime {
 namespace {
 
+using aldsp::testing::CompileJoin;
+using aldsp::testing::kJoinQuery;
+using aldsp::testing::MarkLargeClauses;
 using aldsp::testing::RunningExample;
 using optimizer::Optimizer;
 using optimizer::OptimizerOptions;
 using xquery::ExprPtr;
 using xquery::JoinMethod;
-
-constexpr const char* kJoinQuery =
-    "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
-    "where $c/CID eq $o/CID "
-    "return <CO><C>{fn:data($c/CID)}</C><O>{fn:data($o/OID)}</O></CO>";
-
-// Compiles the join query with a forced join method (same shape as
-// join_methods_test, repeated here so this suite stays self-contained
-// for the TSan configuration).
-ExprPtr PlanWithMethod(RunningExample& env, JoinMethod method, int k = 20) {
-  auto parsed = xquery::ParseExpression(kJoinQuery);
-  EXPECT_TRUE(parsed.ok());
-  ExprPtr e = *parsed;
-  DiagnosticBag bag;
-  compiler::Analyzer analyzer(&env.functions, &env.schemas, &bag);
-  EXPECT_TRUE(analyzer.Analyze(e, {}).ok());
-  OptimizerOptions options;
-  options.cross_source_method = method;
-  options.ppk_k = k;
-  options.convert_ppk = method == JoinMethod::kPPkNestedLoop ||
-                        method == JoinMethod::kPPkIndexNestedLoop;
-  Optimizer opt(&env.functions, &env.schemas, nullptr, options);
-  EXPECT_TRUE(opt.Optimize(e).ok());
-  for (auto& cl : e->clauses) {
-    if (cl.kind == xquery::Clause::Kind::kJoin) {
-      cl.method = method;
-      cl.ppk_block_size = k;
-    }
-  }
-  return e;
-}
 
 // Runs EvaluateStream and materializes the streamed items.
 Result<xml::Sequence> CollectStream(const xquery::Expr& e,
@@ -78,7 +51,7 @@ TEST_P(PhysicalParityTest, EvaluateAndStreamMatchReference) {
   RunningExample env(30, 3);
   auto reference = env.Run(kJoinQuery);  // naive nested iteration
   ASSERT_TRUE(reference.ok());
-  ExprPtr plan = PlanWithMethod(env, GetParam());
+  ExprPtr plan = CompileJoin(env, GetParam());
 
   auto materialized = Evaluate(*plan, env.ctx);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
@@ -92,13 +65,13 @@ TEST_P(PhysicalParityTest, EvaluateAndStreamMatchReference) {
 
 TEST_P(PhysicalParityTest, SpanRowCountsMatchBetweenDrivers) {
   RunningExample env(30, 3);
-  ExprPtr plan = PlanWithMethod(env, GetParam());
+  ExprPtr plan = CompileJoin(env, GetParam());
 
-  QueryTrace eval_trace;
+  QueryTrace eval_trace(QueryTrace::Mode::kTimeline);
   env.ctx.trace = &eval_trace;
   ASSERT_TRUE(Evaluate(*plan, env.ctx).ok());
 
-  QueryTrace stream_trace;
+  QueryTrace stream_trace(QueryTrace::Mode::kTimeline);
   env.ctx.trace = &stream_trace;
   ASSERT_TRUE(CollectStream(*plan, env.ctx).ok());
 
@@ -139,7 +112,7 @@ TEST(PhysicalParityTest, BatchWidthsAreByteIdentical) {
   for (JoinMethod method :
        {JoinMethod::kNestedLoop, JoinMethod::kIndexNestedLoop,
         JoinMethod::kPPkNestedLoop, JoinMethod::kPPkIndexNestedLoop}) {
-    ExprPtr plan = PlanWithMethod(env, method);
+    ExprPtr plan = CompileJoin(env, method);
     for (int width : {1, 3, 7, 1024}) {
       env.ctx.batch_size = width;
       auto materialized = Evaluate(*plan, env.ctx);
@@ -161,7 +134,7 @@ TEST(PhysicalParityTest, PrefetchOnAndOffAreByteIdentical) {
   // depend on whether the overlap is enabled.
   for (int k : {1, 7, 20, 50}) {
     RunningExample env(30, 3);
-    ExprPtr plan = PlanWithMethod(env, JoinMethod::kPPkIndexNestedLoop, k);
+    ExprPtr plan = CompileJoin(env, JoinMethod::kPPkIndexNestedLoop, k);
 
     env.ctx.ppk_prefetch = false;
     env.stats.Reset();
@@ -190,66 +163,61 @@ TEST(PhysicalParityTest, PrefetchOnAndOffAreByteIdentical) {
 // post-pass would produce) so plans parallelize deterministically without
 // warming a model.
 
-void MarkLargeClauses(xquery::Expr& flwor) {
-  for (auto& cl : flwor.clauses) {
-    if (cl.kind == xquery::Clause::Kind::kFor ||
-        cl.kind == xquery::Clause::Kind::kJoin) {
-      cl.estimated_rows = 100000;
-    }
-  }
-}
-
-std::multiset<std::string> ItemStrings(const xml::Sequence& seq) {
-  std::multiset<std::string> out;
-  for (const auto& item : seq) {
-    out.insert(xml::SerializeSequence(xml::Sequence{item}));
-  }
-  return out;
-}
-
 class ParallelParityTest : public ::testing::TestWithParam<JoinMethod> {};
+
+// True when the plan `ctx` would run for `plan` holds an exchange: the
+// descriptors are the ones EXPLAIN renders.
+bool HasExchange(const xquery::Expr& plan, const RuntimeContext& ctx) {
+  std::vector<physical::ExplainNode> nodes;
+  physical::BuildPlan(plan, physical::BuildOptionsFor(ctx))->Describe(&nodes);
+  for (const auto& n : nodes) {
+    if (n.label == "exchange[gather]") return true;
+  }
+  return false;
+}
+
+// The join query, and the two whose every let, where operand, join key,
+// group key or order key is outside the batch kernel's shapes (the
+// interpreter evaluates those columns inside the exchange chunks).
+const char* const kParallelQueries[] = {
+    kJoinQuery, aldsp::testing::kInterpretedJoinQuery,
+    aldsp::testing::kInterpretedGroupQuery};
 
 TEST_P(ParallelParityTest, OrderedParallelJoinMatchesSerialExactly) {
   RunningExample env(30, 3);
-  ExprPtr plan = PlanWithMethod(env, GetParam());
-  MarkLargeClauses(*plan);
+  for (const char* q : kParallelQueries) {
+    ExprPtr plan = CompileJoin(env, GetParam(), 20, q);
+    MarkLargeClauses(*plan);
 
-  env.ctx.max_query_dop = 1;
-  auto serial = Evaluate(*plan, env.ctx);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  const std::string expected = xml::SerializeSequence(*serial);
+    env.ctx.max_query_dop = 1;
+    auto serial = Evaluate(*plan, env.ctx);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    const std::string expected = xml::SerializeSequence(*serial);
+    if (q != kJoinQuery) {
+      auto reference = env.Run(q);  // naive nested iteration
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      EXPECT_EQ(xml::SerializeSequence(*reference), expected) << q;
+    }
 
-  for (int dop : {2, 8}) {
-    env.ctx.max_query_dop = dop;
-    env.ctx.exchange_ordered = true;
-    auto parallel = Evaluate(*plan, env.ctx);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(expected, xml::SerializeSequence(*parallel)) << "dop=" << dop;
-    auto streamed = CollectStream(*plan, env.ctx);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_EQ(expected, xml::SerializeSequence(*streamed)) << "dop=" << dop;
+    for (int dop : {2, 8}) {
+      env.ctx.max_query_dop = dop;
+      // PP-k keeps its own pipeline; a join on a function-call key has no
+      // PP-k fetch and runs as a partitioned INL probe.
+      bool ppk = q == kJoinQuery &&
+                 (GetParam() == JoinMethod::kPPkNestedLoop ||
+                  GetParam() == JoinMethod::kPPkIndexNestedLoop);
+      EXPECT_EQ(HasExchange(*plan, env.ctx), !ppk) << q << " dop=" << dop;
+      auto parallel = Evaluate(*plan, env.ctx);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      EXPECT_EQ(expected, xml::SerializeSequence(*parallel))
+          << q << " dop=" << dop;
+      auto streamed = CollectStream(*plan, env.ctx);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      EXPECT_EQ(expected, xml::SerializeSequence(*streamed))
+          << q << " dop=" << dop;
+    }
+    env.ctx.max_query_dop = 1;
   }
-  env.ctx.max_query_dop = 1;
-}
-
-TEST_P(ParallelParityTest, UnorderedParallelJoinIsMultisetEqual) {
-  RunningExample env(30, 3);
-  ExprPtr plan = PlanWithMethod(env, GetParam());
-  MarkLargeClauses(*plan);
-
-  env.ctx.max_query_dop = 1;
-  auto serial = Evaluate(*plan, env.ctx);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  for (int dop : {2, 8}) {
-    env.ctx.max_query_dop = dop;
-    env.ctx.exchange_ordered = false;
-    auto parallel = Evaluate(*plan, env.ctx);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(ItemStrings(*serial), ItemStrings(*parallel)) << "dop=" << dop;
-  }
-  env.ctx.max_query_dop = 1;
-  env.ctx.exchange_ordered = true;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -277,24 +245,25 @@ TEST(ParallelParityTest, TinyBatchesThroughExchangesMatchSerial) {
   // three-row batches, workers see many tiny units, and the ordered
   // gather must still reassemble the exact serial output at every dop.
   RunningExample env(30, 3);
-  auto reference = env.Run(kJoinQuery);
-  ASSERT_TRUE(reference.ok());
-  const std::string expected = xml::SerializeSequence(*reference);
+  for (const char* q : kParallelQueries) {
+    auto reference = env.Run(q);
+    ASSERT_TRUE(reference.ok());
+    const std::string expected = xml::SerializeSequence(*reference);
 
-  for (JoinMethod method :
-       {JoinMethod::kNestedLoop, JoinMethod::kIndexNestedLoop,
-        JoinMethod::kPPkNestedLoop, JoinMethod::kPPkIndexNestedLoop}) {
-    ExprPtr plan = PlanWithMethod(env, method);
-    MarkLargeClauses(*plan);
-    for (int width : {1, 3}) {
-      env.ctx.batch_size = width;
-      for (int dop : {2, 8}) {
-        env.ctx.max_query_dop = dop;
-        env.ctx.exchange_ordered = true;
-        auto parallel = Evaluate(*plan, env.ctx);
-        ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-        EXPECT_EQ(expected, xml::SerializeSequence(*parallel))
-            << "width=" << width << " dop=" << dop;
+    for (JoinMethod method :
+         {JoinMethod::kNestedLoop, JoinMethod::kIndexNestedLoop,
+          JoinMethod::kPPkNestedLoop, JoinMethod::kPPkIndexNestedLoop}) {
+      ExprPtr plan = CompileJoin(env, method, 20, q);
+      MarkLargeClauses(*plan);
+      for (int width : {1, 3}) {
+        env.ctx.batch_size = width;
+        for (int dop : {2, 8}) {
+          env.ctx.max_query_dop = dop;
+          auto parallel = Evaluate(*plan, env.ctx);
+          ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+          EXPECT_EQ(expected, xml::SerializeSequence(*parallel))
+              << q << " width=" << width << " dop=" << dop;
+        }
       }
     }
   }
@@ -356,7 +325,6 @@ TEST(ParallelParityTest, ParallelGroupByMatchesSerial) {
 
   for (int dop : {2, 8}) {
     env.ctx.max_query_dop = dop;
-    env.ctx.exchange_ordered = true;  // group-by relies on input order
     auto parallel = Evaluate(*plan, env.ctx);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_EQ(xml::SerializeSequence(*serial),

@@ -233,7 +233,7 @@ TEST_F(CrossJoinProfileTest, MetricsSnapshotExportsCountersAndHistograms) {
 TEST(QueryTraceEvalTest, FunctionCacheHitsAndMissesAreEvents) {
   RunningExample env(2);
   env.cache.EnableFor("ns4:getRating", /*ttl_millis=*/60000);
-  QueryTrace trace;
+  QueryTrace trace(QueryTrace::Mode::kTimeline);
   env.ctx.trace = &trace;
   std::string q =
       "fn:data(ns4:getRating(<ns5:getRating><ns5:lName>A</ns5:lName>"
@@ -255,7 +255,7 @@ TEST(QueryTraceEvalTest, FunctionCacheHitsAndMissesAreEvents) {
 TEST(QueryTraceEvalTest, TimeoutFiringIsRecorded) {
   // The trace must outlive env: env's pool drains the task abandoned by
   // fn-bea:timeout on destruction, and that task still records events.
-  QueryTrace trace;
+  QueryTrace trace(QueryTrace::Mode::kTimeline);
   RunningExample env(2);
   env.ctx.trace = &trace;
   env.rating_ws->SetLatency("ns4:getRating", 200);
@@ -275,7 +275,7 @@ TEST(QueryTraceEvalTest, TimeoutFiringIsRecorded) {
 
 TEST(QueryTraceEvalTest, FailOverFiringIsRecorded) {
   RunningExample env(2);
-  QueryTrace trace;
+  QueryTrace trace(QueryTrace::Mode::kTimeline);
   env.ctx.trace = &trace;
   env.rating_ws->FailNextCalls(1);
   auto r = env.Run(
@@ -289,7 +289,7 @@ TEST(QueryTraceEvalTest, FailOverFiringIsRecorded) {
 
 TEST(QueryTraceEvalTest, AsyncTasksAreRecordedWithParentSpans) {
   RunningExample env(3);
-  QueryTrace trace;
+  QueryTrace trace(QueryTrace::Mode::kTimeline);
   env.ctx.trace = &trace;
   std::string body =
       "fn:data(ns4:getRating(<ns5:getRating><ns5:lName>Smith</ns5:lName>"
@@ -316,7 +316,7 @@ TEST(QueryTraceEvalTest, OperatorSpansWithoutServer) {
   // Tracing is a runtime feature: a bare evaluator run (no optimizer, no
   // pushdown) still produces one span per FLWOR clause.
   RunningExample env(5);
-  QueryTrace trace;
+  QueryTrace trace(QueryTrace::Mode::kTimeline);
   env.ctx.trace = &trace;
   auto r = env.Run(
       "for $c in ns3:CUSTOMER() where $c/CID eq \"CUST001\" "

@@ -130,10 +130,15 @@ TEST_P(StreamShortBatchKnobTest, StreamAndExecuteMatchReference) {
     DataServicePlatform* platform;
     const char* query;
   };
+  // The interpreted-shape queries join on a function call, which no PP-k
+  // fetch can parameterize, so their joins run as INL.
   for (const Case& c : {Case{platform.get(), kJoinPanel},
                         Case{unpushed.get(), kOrderJoin},
-                        Case{platform.get(), kPositionalScan}}) {
-    if (IsPPk(k.method) && c.query != kPositionalScan) {
+                        Case{platform.get(), kPositionalScan},
+                        Case{platform.get(), testing::kInterpretedJoinQuery},
+                        Case{unpushed.get(), testing::kInterpretedJoinQuery},
+                        Case{unpushed.get(), testing::kInterpretedGroupQuery}}) {
+    if (IsPPk(k.method) && (c.query == kJoinPanel || c.query == kOrderJoin)) {
       auto explain = c.platform->Explain(c.query);
       ASSERT_TRUE(explain.ok()) << explain.status().ToString();
       EXPECT_NE(explain->find("join[ppk"), std::string::npos)
