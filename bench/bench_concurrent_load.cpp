@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
   // the lookup tail should degrade by a small factor, not starve.
   std::vector<observability::WorkloadJournalEntry> lookups;
   for (const auto& e : entries) {
-    if (e.text.find("where $c/CID eq") != std::string::npos) {
+    if (e.text.str().find("where $c/CID eq") != std::string::npos) {
       lookups.push_back(e);
     }
   }

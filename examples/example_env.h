@@ -170,6 +170,22 @@ declare function tns:getProfileByID($id as xs:string) as element(PROFILE)* {
 )";
 }
 
+/// The paper §7 policies on the profile service: getProfile callable by
+/// admin, analyst and support; RATING visible to analysts (replaced by -1
+/// otherwise); CREDIT_CARDS admin-only (removed otherwise).
+inline void AddProfilePolicies(server::DataServicePlatform& aldsp) {
+  security::AccessControl& ac = aldsp.access_control();
+  ac.AddFunctionAcl({"tns:getProfile", {"admin", "analyst", "support"}});
+  ac.AddElementPolicy({"PROFILE/RATING",
+                       {"analyst"},
+                       security::RedactionAction::kReplace,
+                       xml::AtomicValue::Integer(-1)});
+  ac.AddElementPolicy({"PROFILE/CREDIT_CARDS",
+                       {"admin"},
+                       security::RedactionAction::kRemove,
+                       {}});
+}
+
 }  // namespace aldsp::examples
 
 #endif  // ALDSP_EXAMPLES_EXAMPLE_ENV_H_

@@ -22,19 +22,10 @@ int main() {
     return 1;
   }
 
-  // Policies: only admins call getProfile; credit ratings visible to
-  // analysts (replaced by -1 otherwise); credit cards admin-only
-  // (silently removed otherwise).
-  aldsp.access_control().AddFunctionAcl(
-      {"tns:getProfile", {"admin", "analyst", "support"}});
-  aldsp.access_control().AddElementPolicy(
-      {"PROFILE/RATING",
-       {"analyst"},
-       security::RedactionAction::kReplace,
-       xml::AtomicValue::Integer(-1)});
-  aldsp.access_control().AddElementPolicy(
-      {"PROFILE/CREDIT_CARDS", {"admin"}, security::RedactionAction::kRemove,
-       {}});
+  // Policies: admin, analyst and support call getProfile; credit ratings
+  // visible to analysts (replaced by -1 otherwise); credit cards
+  // admin-only (silently removed otherwise).
+  examples::AddProfilePolicies(aldsp);
 
   security::Principal analyst{"amy", {"analyst", "admin"}};
   security::Principal support{"sam", {"support"}};
@@ -67,8 +58,9 @@ int main() {
   std::printf("== audit log ==\n");
   for (const auto& e : aldsp.audit_log().Events()) {
     std::printf("  #%lld %-14s user=%-4s %s\n",
-                static_cast<long long>(e.seq), e.category.c_str(),
-                e.user.c_str(), e.detail.c_str());
+                static_cast<long long>(e.seq),
+                std::string(e.category).c_str(), e.user.name().c_str(),
+                e.detail.str().c_str());
   }
   return 0;
 }

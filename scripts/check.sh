@@ -8,18 +8,22 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
+# A compiler warning fails the gate. Only what a build recompiles can
+# print one, so each gated build starts clean: every translation unit
+# recompiles and every file's warnings reach the log given here.
+fail_on_warnings() {
+  if grep -q "warning:" "$1"; then
+    echo "the $2 build printed compiler warnings:" >&2
+    grep "warning:" "$1" >&2
+    exit 1
+  fi
+}
+
 echo "== tier-1: release build + ctest =="
 cmake -B "$repo/build" -S "$repo" >/dev/null
-# A compiler warning fails the gate. Only what a build recompiles can
-# print one, so this build starts clean: every translation unit
-# recompiles and every file's warnings reach the log.
 cmake --build "$repo/build" -j "$jobs" --clean-first 2>&1 |
   tee "$repo/build/build.log"
-if grep -q "warning:" "$repo/build/build.log"; then
-  echo "the release build printed compiler warnings:" >&2
-  grep "warning:" "$repo/build/build.log" >&2
-  exit 1
-fi
+fail_on_warnings "$repo/build/build.log" release
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 # Running-example pushdown: tns:getProfileByID's key predicate must reach
@@ -265,7 +269,12 @@ cmake -B "$repo/build-asan" -S "$repo" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
-cmake --build "$repo/build-asan" -j "$jobs"
+# The Debug build can warn where the optimized one does not (without
+# optimization GCC's -Wformat-truncation assumes every int may be the
+# widest), so its log is gated too.
+cmake --build "$repo/build-asan" -j "$jobs" --clean-first 2>&1 |
+  tee "$repo/build-asan/build.log"
+fail_on_warnings "$repo/build-asan/build.log" ASan/UBSan
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 
 # The TSan gate covers the suites that exercise the worker pool, the
@@ -280,7 +289,8 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 # streaming contract with fn-bea:async/fn-bea:timeout evaluations on the
 # pool (the runtime evaluation suite), and flat source rows building
 # their child nodes once while several threads read them (the flat row
-# suite).
+# suite), and concurrent callers redacted into the one shared security
+# audit (the security suite).
 # query_trace_test is excluded: its timeout test deliberately abandons
 # an evaluation past the end of the test body, which is the documented
 # fn-bea:timeout contract, not a data race in the runtime.
@@ -295,8 +305,8 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
   batch_runtime_test plan_history_test workload_replay_test admission_test \
   server_test plan_rebind_test completion_parity_test column_pruning_test \
   stream_short_batch_test relational_engine_test runtime_eval_test \
-  flat_row_test
+  flat_row_test security_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test|plan_rebind_test|completion_parity_test|column_pruning_test|stream_short_batch_test|relational_engine_test|runtime_eval_test|flat_row_test)$'
+  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test|plan_rebind_test|completion_parity_test|column_pruning_test|stream_short_batch_test|relational_engine_test|runtime_eval_test|flat_row_test|security_test)$'
 
 echo "== all checks passed =="

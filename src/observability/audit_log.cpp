@@ -6,19 +6,8 @@ namespace aldsp::observability {
 
 int64_t ExecutionAuditLog::Append(const QueryCompletion& completion) {
   QueryCompletion record = completion;
-  record.query_hash = HashQuery(completion.text);
-  record.KeepTextHead();
+  record.query_hash = completion.text.hash();
   return ring_.Append(std::move(record));
-}
-
-uint64_t ExecutionAuditLog::HashQuery(std::string_view text) {
-  // FNV-1a 64-bit.
-  uint64_t hash = 14695981039346656037ull;
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 SnapshotDoc ExecutionAuditLog::Doc(
@@ -36,8 +25,9 @@ SnapshotDoc ExecutionAuditLog::Doc(
         .Add("query_hash", D::Quoted(hash))
         .Add("fingerprint", D::Fingerprint(r.fingerprint))
         .Add("statement_fingerprint", D::Fingerprint(r.statement_fingerprint))
-        .Add("query_head", D::String(r.text.substr(0, kRetainedTextChars)))
-        .Add("principal", D::String(r.principal))
+        .Add("query_head",
+             D::String(std::string(r.text.head(kRetainedTextChars))))
+        .Add("principal", D::String(r.principal.name()))
         .Add("outcome", D::String(r.outcome_name()))
         .Add("sources", std::move(sources))
         .Add("sql_pushdowns", D::Int(r.sql_pushdowns))

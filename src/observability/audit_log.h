@@ -14,15 +14,15 @@ namespace aldsp::observability {
 
 /// Bounded ring of the most recent execution completions, mirroring the
 /// per-service invocation audits the ALDSP console surfaces. Each record
-/// is the execution's QueryCompletion with its text cut to its retained
-/// head; the full history count survives eviction via `total_appended`.
+/// is the execution's QueryCompletion, which shares its plan's text; the
+/// full history count survives eviction via `total_appended`.
 class ExecutionAuditLog {
  public:
   explicit ExecutionAuditLog(size_t capacity = 1024) : ring_(capacity) {}
 
-  /// Retains a copy of `completion` (stamped with its sequence number and
-  /// the hash of its full text, text cut to the head), evicting the
-  /// oldest record when full. Returns the assigned sequence number.
+  /// Retains a copy of `completion` stamped with its sequence number and
+  /// the hash of its full text, evicting the oldest record when full.
+  /// Returns the assigned sequence number.
   int64_t Append(const QueryCompletion& completion);
 
   /// Oldest-to-newest copy of the retained records.
@@ -31,9 +31,10 @@ class ExecutionAuditLog {
   size_t capacity() const { return ring_.capacity(); }
   void Clear() { ring_.Clear(); }
 
-  static uint64_t HashQuery(std::string_view text);
+  static uint64_t HashQuery(std::string_view text) { return Fnv1a(text); }
   /// The "execution audit" document: a list of `records` (a Records
   /// result), exported as JSON Lines, one record per line oldest first.
+  /// A record's `query_head` is its text cut to kRetainedTextChars.
   static SnapshotDoc Doc(const std::vector<QueryCompletion>& records);
 
  private:

@@ -3,15 +3,32 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/status.h"
+#include "observability/interned.h"
 
 namespace aldsp::observability {
 
-/// Characters of the text a log keeps when it retains a completion.
+/// Characters of the text a log renders as a record's `query_head`.
 inline constexpr size_t kRetainedTextChars = 80;
+
+/// An execution's outcome as a retained record stores it: its status
+/// code, spelled "ok" or the code's name where it is rendered or compared
+/// with a string.
+struct Outcome : ComparesAsString<Outcome> {
+  StatusCode code = StatusCode::kOk;
+
+  Outcome(StatusCode c = StatusCode::kOk)  // NOLINT(runtime/explicit)
+      : code(c) {}
+  const char* name() const {
+    return code == StatusCode::kOk ? "ok" : StatusCodeName(code);
+  }
+  std::string_view view() const { return name(); }
+
+  friend bool operator==(Outcome a, Outcome b) { return a.code == b.code; }
+  friend bool operator!=(Outcome a, Outcome b) { return a.code != b.code; }
+};
 
 /// The key a statement's observations share: its statement fingerprint,
 /// or the plan fingerprint when the statement one is unknown (0).
@@ -26,18 +43,18 @@ inline uint64_t StatementKey(uint64_t statement_fingerprint,
 /// statistics, the workload journal, the slow-query log, and the
 /// execution audit log, which retains the completion itself as its
 /// record (JSONL-serializable and flat, so it ships to external
-/// collectors unchanged).
+/// collectors unchanged). It owns no string: the text is the plan's
+/// shared one, and the principal and the sources are interned, so a
+/// retained completion is this fixed-size struct alone.
 struct QueryCompletion {
   // Stamped by the execution audit log: its sequence number and the
-  // FNV-1a hash of the full text.
+  // FNV-1a hash of the full text (taken once, when the text was built).
   int64_t seq = 0;
   uint64_t query_hash = 0;
   uint64_t fingerprint = 0;            // plan fingerprint (plan version)
   uint64_t statement_fingerprint = 0;  // statement identity (0 if unknown)
-  /// The statement text. In flight it is the full text; a log that
-  /// retains the completion keeps only its head.
-  std::string text;
-  std::string principal;  // "" = anonymous
+  SharedText text;  // the full statement text, shared with its plan
+  Tenant principal;  // anonymous when no principal ran it
   StatusCode outcome = StatusCode::kOk;
   bool plan_cache_hit = false;
   /// Per-execution event tallies from the trace. One execution stays far
@@ -50,7 +67,7 @@ struct QueryCompletion {
   int32_t timeouts = 0;
   int32_t failovers = 0;
   int32_t security_denials = 0;  // ACL refusal, or elements redacted
-  std::vector<std::string> sources;  // data services touched, sorted unique
+  SourceSet sources;  // data services touched
   int64_t rows_returned = 0;
   int64_t bytes_returned = 0;  // 0 when streamed (items are not retained)
   int64_t peak_bytes = 0;
@@ -63,12 +80,6 @@ struct QueryCompletion {
   int64_t queue_wait_micros = 0;
   int64_t compile_micros = 0;  // 0 on a plan-cache hit
 
-  /// Cuts the text to its retained head, releasing the rest.
-  void KeepTextHead() {
-    if (text.size() <= kRetainedTextChars) return;
-    text.resize(kRetainedTextChars);
-    text.shrink_to_fit();
-  }
   uint64_t statement_key() const {
     return StatementKey(statement_fingerprint, fingerprint);
   }
@@ -80,9 +91,7 @@ struct QueryCompletion {
     return outcome != StatusCode::kOk && !cancelled() && !shed();
   }
   /// "ok" or the failing status code name, as every export spells it.
-  const char* outcome_name() const {
-    return outcome == StatusCode::kOk ? "ok" : StatusCodeName(outcome);
-  }
+  const char* outcome_name() const { return Outcome(outcome).name(); }
 };
 
 }  // namespace aldsp::observability

@@ -28,20 +28,20 @@ const char* QueryPhaseName(QueryPhase phase) {
 }
 
 std::shared_ptr<QueryControl> QueryRegistry::Register(
-    uint64_t fingerprint, uint64_t statement_fingerprint,
-    const std::string& tenant, const std::string& query_head) {
+    uint64_t fingerprint, uint64_t statement_fingerprint, Tenant tenant,
+    SharedText text) {
   auto ctl = std::make_shared<QueryControl>();
   ctl->query_id = next_id_.fetch_add(1, std::memory_order_relaxed);
   ctl->fingerprint = fingerprint;
   ctl->statement_fingerprint = statement_fingerprint;
   ctl->tenant = tenant;
-  ctl->query_head = query_head;
+  ctl->text = std::move(text);
   ctl->start_micros = NowMicros();
   total_started_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   live_[ctl->query_id] = ctl;
   peak_live_ = std::max(peak_live_, static_cast<int64_t>(live_.size()));
-  TenantGauge& gauge = tenants_[ctl->tenant];
+  TenantGauge& gauge = tenants_[tenant.label()];
   ++gauge.in_flight;
   gauge.peak_in_flight = std::max(gauge.peak_in_flight, gauge.in_flight);
   return ctl;
@@ -51,7 +51,7 @@ void QueryRegistry::Unregister(uint64_t query_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = live_.find(query_id);
   if (it == live_.end()) return;
-  auto tenant_it = tenants_.find(it->second->tenant);
+  auto tenant_it = tenants_.find(it->second->tenant.label());
   if (tenant_it != tenants_.end() && tenant_it->second.in_flight > 0) {
     --tenant_it->second.in_flight;
   }
@@ -86,8 +86,8 @@ std::vector<LiveQueryInfo> QueryRegistry::Snapshot() const {
     info.query_id = ctl->query_id;
     info.fingerprint = ctl->fingerprint;
     info.statement_fingerprint = ctl->statement_fingerprint;
-    info.tenant = ctl->tenant;
-    info.query_head = ctl->query_head;
+    info.tenant = ctl->tenant.label();
+    info.query_head = std::string(ctl->text.head(kQueryHeadChars));
     info.start_micros = ctl->start_micros;
     info.elapsed_micros = std::max<int64_t>(0, now - ctl->start_micros);
     info.phase =

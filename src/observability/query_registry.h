@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "observability/interned.h"
 #include "observability/json_util.h"
 
 namespace aldsp::observability {
@@ -42,8 +43,8 @@ struct QueryControl {
   uint64_t query_id = 0;
   uint64_t fingerprint = 0;            // plan fingerprint
   uint64_t statement_fingerprint = 0;  // statement identity (0 if unknown)
-  std::string tenant;        // principal user, "(anonymous)" if none
-  std::string query_head;    // first ~120 chars of the statement text
+  Tenant tenant;             // the principal; rendered by its label
+  SharedText text;           // the statement text, shared with the plan
   int64_t start_micros = 0;  // wall-clock epoch micros at registration
 
   std::atomic<bool> cancelled{false};
@@ -93,8 +94,8 @@ struct LiveQueryInfo {
   uint64_t query_id = 0;
   uint64_t fingerprint = 0;
   uint64_t statement_fingerprint = 0;
-  std::string tenant;
-  std::string query_head;
+  std::string tenant;      // the principal's label
+  std::string query_head;  // the first kQueryHeadChars of the text
   int64_t start_micros = 0;
   int64_t elapsed_micros = 0;
   QueryPhase phase = QueryPhase::kCompiling;
@@ -111,13 +112,14 @@ struct LiveQueryInfo {
 /// plain mutex is fine — the hot path per query is two map operations total.
 class QueryRegistry {
  public:
+  static constexpr size_t kQueryHeadChars = 120;
+
   /// Creates and registers a control block; assigns a fresh query id.
   /// `fingerprint` is the plan fingerprint, `statement_fingerprint` the
   /// statement identity (0 when the caller predates the split).
   std::shared_ptr<QueryControl> Register(uint64_t fingerprint,
                                          uint64_t statement_fingerprint,
-                                         const std::string& tenant,
-                                         const std::string& query_head);
+                                         Tenant tenant, SharedText text);
   void Unregister(uint64_t query_id);
 
   /// Requests cooperative cancellation. Returns false if the id is not

@@ -127,7 +127,7 @@ ReplayReport ReplayDriver::Run(const ReplayOptions& options) const {
   std::map<uint64_t, StatementAgg> per_statement;
   for (const WorkloadJournalEntry& e : entries_) {
     StatementAgg& agg = per_statement[e.statement_fingerprint];
-    if (agg.query_head.empty()) agg.query_head = e.text.substr(0, 96);
+    if (agg.query_head.empty()) agg.query_head = std::string(e.text.head(96));
     ++agg.captured_calls;
     agg.captured_wall += e.wall_micros;
   }

@@ -22,7 +22,6 @@ int64_t SlowQueryLog::Append(const QueryCompletion& completion,
                              std::string profile_json, std::string trace_json) {
   SlowQueryRecord record;
   record.completion = completion;
-  record.completion.KeepTextHead();
   record.threshold_micros = threshold_micros;
   record.full_trace = !profile_text.empty();
   if (record.full_trace) {
@@ -64,7 +63,8 @@ SnapshotDoc SlowQueryLog::Doc(const std::vector<SlowQueryRecord>& records) {
         .Add("seq", D::Int(r.seq))
         .Add("fingerprint", D::Fingerprint(c.fingerprint))
         .Add("statement_fingerprint", D::Fingerprint(c.statement_fingerprint))
-        .Add("query_head", D::String(c.text.substr(0, kRetainedTextChars)))
+        .Add("query_head",
+             D::String(std::string(c.text.head(kRetainedTextChars))))
         .Add("wall_micros", D::Int(c.wall_micros))
         .Add("threshold_micros", D::Int(r.threshold_micros))
         .Add("full_trace", D::Bool(r.full_trace))

@@ -13,8 +13,8 @@
 
 namespace aldsp::observability {
 
-/// One retained slow execution: its completion (text cut to the head)
-/// plus the rendered profile. The first slow run of a statement executes
+/// One retained slow execution: its completion plus the rendered
+/// profile. The first slow run of a statement executes
 /// under the cheap always-on counters trace, so its record carries a
 /// counter summary only (`full_trace == false`) and promotes the
 /// statement; later runs of a promoted statement — any literal variant —

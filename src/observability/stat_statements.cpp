@@ -27,7 +27,7 @@ void StatStatements::Record(const QueryCompletion& c) {
     StatementStats fresh;
     fresh.fingerprint = c.fingerprint;
     fresh.statement_fingerprint = c.statement_fingerprint;
-    fresh.query_head = c.text.substr(0, kQueryHeadChars);
+    fresh.query_head = std::string(c.text.head(kQueryHeadChars));
     it = stats_.emplace(key, std::move(fresh)).first;
   }
   StatementStats& s = it->second;

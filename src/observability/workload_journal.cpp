@@ -11,7 +11,7 @@ int64_t WorkloadJournal::Append(const QueryCompletion& completion) {
   entry.plan_fingerprint = completion.fingerprint;
   entry.text = completion.text;
   entry.principal = completion.principal;
-  entry.outcome = completion.outcome_name();
+  entry.outcome = completion.outcome;
   entry.wall_micros = completion.wall_micros;
   entry.rows = completion.rows_returned;
   entry.peak_bytes = completion.peak_bytes;
@@ -51,12 +51,12 @@ class FlatJsonParser {
       SkipWs();
       if (pos_ < s_.size() && s_[pos_] == '"') {
         if (!ParseString(&sval)) return false;
-        Assign(*out, key, sval, /*quoted=*/true);
+        if (!Assign(*out, key, sval, /*quoted=*/true)) return false;
       } else {
         size_t start = pos_;
         while (pos_ < s_.size() && s_[pos_] != ',' && s_[pos_] != '}') ++pos_;
         sval = std::string(s_.substr(start, pos_ - start));
-        Assign(*out, key, sval, /*quoted=*/false);
+        if (!Assign(*out, key, sval, /*quoted=*/false)) return false;
       }
       SkipWs();
       if (Consume(',')) {
@@ -125,7 +125,9 @@ class FlatJsonParser {
     return false;  // unterminated
   }
 
-  static void Assign(WorkloadJournalEntry& e, const std::string& key,
+  // False when the value cannot be the key's: an outcome naming no
+  // status code.
+  static bool Assign(WorkloadJournalEntry& e, const std::string& key,
                      const std::string& val, bool quoted) {
     auto as_i64 = [&]() { return std::strtoll(val.c_str(), nullptr, 10); };
     auto as_u64 = [&]() { return std::strtoull(val.c_str(), nullptr, 10); };
@@ -135,11 +137,24 @@ class FlatJsonParser {
     else if (key == "plan_fingerprint") e.plan_fingerprint = as_u64();
     else if (key == "text" && quoted) e.text = val;
     else if (key == "principal" && quoted) e.principal = val;
-    else if (key == "outcome" && quoted) e.outcome = val;
+    else if (key == "outcome" && quoted) return ParseOutcome(val, &e.outcome);
     else if (key == "wall_micros") e.wall_micros = as_i64();
     else if (key == "rows") e.rows = as_i64();
     else if (key == "peak_bytes") e.peak_bytes = as_i64();
     // Unknown keys: skipped.
+    return true;
+  }
+
+  // Maps an exported outcome name back to its status code.
+  static bool ParseOutcome(std::string_view name, Outcome* out) {
+    for (int c = 0; c <= static_cast<int>(StatusCode::kInternal); ++c) {
+      const Outcome candidate(static_cast<StatusCode>(c));
+      if (candidate == name) {
+        *out = candidate;
+        return true;
+      }
+    }
+    return false;
   }
 
   std::string_view s_;
@@ -193,8 +208,8 @@ SnapshotDoc WorkloadJournal::Doc(
         .Add("statement_fingerprint", D::Fingerprint(e.statement_fingerprint))
         .Add("plan_fingerprint", D::Fingerprint(e.plan_fingerprint))
         .Add("text", D::String(e.text))
-        .Add("principal", D::String(e.principal))
-        .Add("outcome", D::String(e.outcome))
+        .Add("principal", D::String(e.principal.name()))
+        .Add("outcome", D::String(e.outcome.name()))
         .Add("wall_micros", D::Int(e.wall_micros))
         .Add("rows", D::Int(e.rows))
         .Add("peak_bytes", D::Int(e.peak_bytes));

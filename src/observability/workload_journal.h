@@ -18,7 +18,10 @@ namespace aldsp::observability {
 /// it to hit the same plan-cache entry); identity is carried by the two
 /// fingerprints (literal-stripped statement hash + optimized-plan hash)
 /// so the replay can verify it compiled the *same statement into the
-/// same plan shape* rather than diffing query strings.
+/// same plan shape* rather than diffing query strings. Like the audit
+/// record it owns no string: the text is shared with the plan, the
+/// principal is interned, and the outcome is a status code whose name is
+/// written at export.
 struct WorkloadJournalEntry {
   int64_t seq = 0;            // assigned by the journal
   /// Arrival offset from the journal epoch (micros). An open-loop replay
@@ -27,9 +30,9 @@ struct WorkloadJournalEntry {
   int64_t offset_micros = 0;
   uint64_t statement_fingerprint = 0;
   uint64_t plan_fingerprint = 0;
-  std::string text;       // verbatim statement text
-  std::string principal;  // tenant attribution ("" = anonymous)
-  std::string outcome;    // "ok" or the failing status code name
+  SharedText text;   // verbatim statement text
+  Tenant principal;  // tenant attribution (anonymous when none)
+  Outcome outcome;
   int64_t wall_micros = 0;
   int64_t rows = 0;
   int64_t peak_bytes = 0;
@@ -68,7 +71,8 @@ class WorkloadJournal {
                          int64_t total_appended, size_t capacity);
   /// Parses a JSONL export back into entries (the import side of the
   /// capture -> export -> import -> replay round trip). Unknown keys
-  /// are ignored; a malformed line fails the whole import.
+  /// are ignored; a malformed line, or an outcome that names no status
+  /// code, fails the whole import.
   static Result<std::vector<WorkloadJournalEntry>> ParseJsonl(
       const std::string& jsonl);
 

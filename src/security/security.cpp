@@ -8,9 +8,9 @@ using xml::NodeKind;
 using xml::NodePtr;
 using xml::XNode;
 
-void AuditLog::Record(const std::string& category, const std::string& user,
-                      const std::string& detail) {
-  ring_.Append({0, category, user, detail});
+void AuditLog::Record(const char* category, observability::Tenant user,
+                      observability::SharedText detail) {
+  ring_.Append({0, category, user, std::move(detail)});
 }
 
 std::vector<AuditLog::Event> AuditLog::Events() const {
@@ -29,23 +29,24 @@ std::vector<AuditLog::Event> AuditLog::EventsInCategory(
 size_t AuditLog::size() const { return ring_.size(); }
 
 void AccessControl::AddFunctionAcl(FunctionAcl acl) {
-  function_acls_.push_back(std::move(acl));
+  std::string detail = "function " + acl.function;
+  function_acls_.push_back({std::move(acl), std::move(detail)});
 }
 
 void AccessControl::AddElementPolicy(ElementPolicy policy) {
-  element_policies_.push_back(std::move(policy));
+  std::string detail = "resource " + policy.resource_path;
+  element_policies_.push_back({std::move(policy), std::move(detail)});
 }
 
 Status AccessControl::CheckFunctionAccess(
     const Principal& principal, const std::vector<std::string>& functions,
     AuditLog* audit) const {
   for (const auto& fn : functions) {
-    for (const auto& acl : function_acls_) {
+    for (const auto& [acl, audit_detail] : function_acls_) {
       if (acl.function != fn) continue;
       if (!principal.HasAnyRole(acl.allowed_roles)) {
         if (audit != nullptr) {
-          audit->Record("access-denied", principal.user,
-                        "function " + fn);
+          audit->Record("access-denied", principal.user, audit_detail);
         }
         return Status::SecurityError("user " + principal.user +
                                      " may not call " + fn);
@@ -57,12 +58,15 @@ Status AccessControl::CheckFunctionAccess(
 
 namespace {
 
+using Policies = std::vector<AuditedPolicy<ElementPolicy>>;
+
 // True when some policy on the subtree rooted at `root` (an item's root
 // element name) denies `principal`: only then can RedactNode change the
 // item.
-bool MayRedact(const std::vector<ElementPolicy>& policies,
-               const std::string& root, const Principal& principal) {
-  for (const auto& p : policies) {
+bool MayRedact(const Policies& policies, const std::string& root,
+               const Principal& principal) {
+  for (const auto& audited : policies) {
+    const ElementPolicy& p = audited.policy;
     const std::string& path = p.resource_path;
     const bool under_root =
         path.compare(0, root.size(), root) == 0 &&
@@ -73,9 +77,9 @@ bool MayRedact(const std::vector<ElementPolicy>& policies,
 }
 
 // True when some policy names a path strictly below `path`.
-bool GovernsBelow(const std::vector<ElementPolicy>& policies,
-                  const std::string& path) {
-  for (const auto& p : policies) {
+bool GovernsBelow(const Policies& policies, const std::string& path) {
+  for (const auto& audited : policies) {
+    const ElementPolicy& p = audited.policy;
     if (p.resource_path.size() > path.size() &&
         p.resource_path.compare(0, path.size(), path) == 0 &&
         p.resource_path[path.size()] == '/') {
@@ -88,14 +92,13 @@ bool GovernsBelow(const std::vector<ElementPolicy>& policies,
 // Applies policies to `node` (whose path from the item root is `path`),
 // returning false if the node should be removed entirely.
 bool RedactNode(const NodePtr& node, const std::string& path,
-                const std::vector<ElementPolicy>& policies,
-                const Principal& principal, AuditLog* audit,
-                int64_t* redactions) {
-  for (const auto& p : policies) {
+                const Policies& policies, const Principal& principal,
+                AuditLog* audit, int64_t* redactions) {
+  for (const auto& [p, audit_detail] : policies) {
     if (p.resource_path != path) continue;
     if (principal.HasAnyRole(p.allowed_roles)) continue;
     if (audit != nullptr) {
-      audit->Record("redaction", principal.user, "resource " + path);
+      audit->Record("redaction", principal.user, audit_detail);
     }
     if (redactions != nullptr) ++*redactions;
     if (p.action == RedactionAction::kRemove) return false;

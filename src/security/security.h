@@ -6,10 +6,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "observability/bounded_ring.h"
+#include "observability/interned.h"
 #include "xml/item.h"
 
 namespace aldsp::security {
@@ -51,20 +53,25 @@ struct FunctionAcl {
 
 /// Auditing security service (paper §7): records security decisions and
 /// operational events for administrative monitoring. Retains the newest
-/// `capacity` events; older ones are evicted but still counted.
+/// `capacity` events; older ones are evicted but still counted. An event
+/// owns no string: its category is a string literal, its user an interned
+/// tenant, and its detail a shared text — built once per policy or
+/// function for the frequent redactions and denials.
 class AuditLog {
  public:
   struct Event {
-    int64_t seq = 0;       // stamped on Record, increasing
-    std::string category;  // "access-denied", "redaction", "query", ...
-    std::string user;
-    std::string detail;
+    int64_t seq = 0;            // stamped on Record, increasing
+    std::string_view category;  // "access-denied", "redaction", "query", ...
+    observability::Tenant user;
+    observability::SharedText detail;
   };
 
   explicit AuditLog(size_t capacity = 1024) : ring_(capacity) {}
 
-  void Record(const std::string& category, const std::string& user,
-              const std::string& detail);
+  /// Records an event. `category` must be a string literal (or outlive
+  /// the log): the event keeps a view of it.
+  void Record(const char* category, observability::Tenant user,
+              observability::SharedText detail);
   /// The retained events, oldest first.
   std::vector<Event> Events() const;
   std::vector<Event> EventsInCategory(const std::string& category) const;
@@ -76,6 +83,15 @@ class AuditLog {
 
  private:
   observability::BoundedRing<Event> ring_;
+};
+
+/// A policy as AccessControl holds it: with the detail every audit event
+/// it causes shares ("function F", "resource P"), built once when the
+/// policy is added.
+template <typename Policy>
+struct AuditedPolicy {
+  Policy policy;
+  observability::SharedText audit_detail;
 };
 
 /// The fine-grained access control service. Fine-grained filtering is
@@ -113,8 +129,8 @@ class AccessControl {
   bool has_element_policies() const { return !element_policies_.empty(); }
 
  private:
-  std::vector<FunctionAcl> function_acls_;
-  std::vector<ElementPolicy> element_policies_;
+  std::vector<AuditedPolicy<FunctionAcl>> function_acls_;
+  std::vector<AuditedPolicy<ElementPolicy>> element_policies_;
 };
 
 }  // namespace aldsp::security

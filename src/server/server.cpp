@@ -429,7 +429,7 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Prepare(
     // version, an EXPLAIN snapshot, so a later regression report can show
     // what changed and why the plan flipped.
     plan_history_.RecordCompile(plan->statement_fingerprint, plan->fingerprint,
-                                plan->text.substr(0, 120), advice,
+                                std::string(plan->text.head(120)), advice,
                                 [&] { return RenderPlanSnapshotText(*plan); });
     if (!shape.empty()) {
       LearnTemplate(shape, std::move(literals), advice, plan,
@@ -552,22 +552,22 @@ void DataServicePlatform::FinishObservation(
   }
 
   // Per-tenant resource attribution: the same deltas rolled into 1m/5m
-  // windows keyed by principal, the admission-control substrate.
-  const std::string tenant = c.principal.empty() ? "(anonymous)" : c.principal;
-  metrics_.AddWindowedCounter("tenant." + tenant + ".queries");
-  if (c.error()) metrics_.AddWindowedCounter("tenant." + tenant + ".errors");
-  if (c.cancelled()) {
-    metrics_.AddWindowedCounter("tenant." + tenant + ".cancels");
-  }
-  if (c.shed()) metrics_.AddWindowedCounter("tenant." + tenant + ".sheds");
-  metrics_.RecordWindowed("tenant." + tenant + ".wall_micros", c.wall_micros);
-  metrics_.RecordWindowed("tenant." + tenant + ".source_wait_micros",
+  // windows keyed by principal, the admission-control substrate. The
+  // series names were built once, when the tenant was interned.
+  using M = observability::TenantMetric;
+  const observability::Tenant& tenant = c.principal;
+  metrics_.AddWindowedCounter(tenant.metric(M::kQueries));
+  if (c.error()) metrics_.AddWindowedCounter(tenant.metric(M::kErrors));
+  if (c.cancelled()) metrics_.AddWindowedCounter(tenant.metric(M::kCancels));
+  if (c.shed()) metrics_.AddWindowedCounter(tenant.metric(M::kSheds));
+  metrics_.RecordWindowed(tenant.metric(M::kWallMicros), c.wall_micros);
+  metrics_.RecordWindowed(tenant.metric(M::kSourceWaitMicros),
                           c.source_wait_micros);
-  metrics_.RecordWindowed("tenant." + tenant + ".source_roundtrips",
+  metrics_.RecordWindowed(tenant.metric(M::kSourceRoundtrips),
                           c.sql_pushdowns + c.source_invocations);
-  metrics_.RecordWindowed("tenant." + tenant + ".rows", c.rows_returned);
+  metrics_.RecordWindowed(tenant.metric(M::kRows), c.rows_returned);
   if (c.peak_bytes > 0) {
-    metrics_.RecordWindowed("tenant." + tenant + ".peak_bytes", c.peak_bytes);
+    metrics_.RecordWindowed(tenant.metric(M::kPeakBytes), c.peak_bytes);
   }
 
   c.seq = exec_audit_.Append(c);  // later sinks can name the audit record
@@ -592,12 +592,9 @@ void DataServicePlatform::FinishObservation(
 
 std::shared_ptr<observability::QueryControl>
 DataServicePlatform::RegisterExecution(const CompiledPlan& plan,
-                                       const security::Principal* principal) {
+                                       observability::Tenant tenant) {
   std::shared_ptr<observability::QueryControl> ctl = query_registry_.Register(
-      plan.fingerprint, plan.statement_fingerprint,
-      principal != nullptr && !principal->user.empty() ? principal->user
-                                                       : "(anonymous)",
-      plan.text.substr(0, 120));
+      plan.fingerprint, plan.statement_fingerprint, tenant, plan.text);
   ctl->SetMemoryBudget(options_.query_memory_budget_bytes);
   ctl->SetPhase(observability::QueryPhase::kExecuting);
   return ctl;
@@ -625,18 +622,14 @@ QueryClass DataServicePlatform::ClassifyStatement(
 }
 
 AdmissionController::Ticket DataServicePlatform::AdmitExecution(
-    const CompiledPlan& plan, const security::Principal* principal,
-    observability::QueryControl* ctl) {
+    const CompiledPlan& plan, observability::QueryControl* ctl) {
   AdmissionController::Ticket ticket;
   if (!admission_.enabled()) return ticket;
-  const std::string tenant =
-      principal != nullptr && !principal->user.empty() ? principal->user
-                                                       : "(anonymous)";
   const QueryClass cls = ClassifyStatement(plan);
   // Queued queries are already registered: they show in LiveQueries* with
   // phase "queued" and a CancelQuery against them unblocks the wait.
   ctl->SetPhase(observability::QueryPhase::kQueued);
-  ticket = admission_.Admit(tenant, cls, ctl);
+  ticket = admission_.Admit(ctl->tenant.label(), cls, ctl);
   if (ticket.status.ok()) ctl->SetPhase(observability::QueryPhase::kExecuting);
   return ticket;
 }
@@ -681,14 +674,13 @@ Result<xml::Sequence> DataServicePlatform::RunQuery(
   }
   const int64_t arrival_micros = NowMicros();
   std::shared_ptr<observability::QueryControl> ctl =
-      RegisterExecution(plan, principal);
+      RegisterExecution(plan, done.principal);
   // The concurrent serving plane's front door: classify against the
   // statement's cost history and wait for a slot in this tenant's
   // weighted-fair lane. A shed (queue full / queue timeout) or a cancel
   // while queued refuses the execution before it holds any runtime
   // resources — kResourceExhausted / kCancelled, never partial results.
-  AdmissionController::Ticket ticket =
-      AdmitExecution(plan, principal, ctl.get());
+  AdmissionController::Ticket ticket = AdmitExecution(plan, ctl.get());
   if (!ticket.status.ok()) {
     audit_.Record("admission", done.principal,
                   std::string(StatusCodeName(ticket.status.code())) + ": " +
@@ -954,10 +946,11 @@ runtime::MetricsRegistry::Snapshot DataServicePlatform::MetricsSnapshot() {
   // high-water marks, fed by the live-query registry.
   metrics_.SetCounter("server.in_flight", query_registry_.live_count());
   metrics_.SetCounter("server.peak_in_flight", query_registry_.peak_live());
-  for (const auto& [tenant, gauge] : query_registry_.TenantGauges()) {
-    metrics_.SetCounter("tenant." + tenant + ".in_flight", gauge.in_flight);
-    metrics_.SetCounter("tenant." + tenant + ".peak_in_flight",
-                        gauge.peak_in_flight);
+  using M = observability::TenantMetric;
+  for (const auto& [label, gauge] : query_registry_.TenantGauges()) {
+    const observability::Tenant tenant(label);
+    metrics_.SetCounter(tenant.metric(M::kInFlight), gauge.in_flight);
+    metrics_.SetCounter(tenant.metric(M::kPeakInFlight), gauge.peak_in_flight);
   }
   // Concurrent serving plane: the admission gate's gauges and shed
   // counters, plus per-tenant quota counters (admitted/queued/shed per
@@ -983,10 +976,11 @@ runtime::MetricsRegistry::Snapshot DataServicePlatform::MetricsSnapshot() {
     metrics_.SetCounter("admission.shed_timeout", adm.shed_timeout);
     metrics_.SetCounter("admission.cancelled_while_queued",
                         adm.cancelled_while_queued);
-    for (const auto& [tenant, t] : adm.tenants) {
-      metrics_.SetCounter("tenant." + tenant + ".admitted", t.admitted);
-      metrics_.SetCounter("tenant." + tenant + ".admission_queued", t.queued);
-      metrics_.SetCounter("tenant." + tenant + ".admission_shed", t.shed);
+    for (const auto& [label, t] : adm.tenants) {
+      const observability::Tenant tenant(label);
+      metrics_.SetCounter(tenant.metric(M::kAdmitted), t.admitted);
+      metrics_.SetCounter(tenant.metric(M::kAdmissionQueued), t.queued);
+      metrics_.SetCounter(tenant.metric(M::kAdmissionShed), t.shed);
     }
   }
   metrics_.SetCounter("workload_journal.records",
@@ -1040,9 +1034,9 @@ observability::ReplayReport DataServicePlatform::ReplayWorkload(
         // (roles are not captured, so function ACLs — which key on roles
         // — may refuse what the original run was allowed).
         security::Principal principal;
-        principal.user = entry.principal;
+        principal.user = entry.principal.name();
         const bool as_principal =
-            !entry.principal.empty() && entry.principal != "(anonymous)";
+            !principal.user.empty() && principal.user != "(anonymous)";
         Result<xml::Sequence> result =
             RunQuery(**plan, cache_hit, as_principal ? &principal : nullptr);
         exec.ok = result.ok();

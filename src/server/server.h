@@ -41,7 +41,10 @@ namespace aldsp::server {
 /// paper §3.3 step 6). Plans are immutable after compilation and safe to
 /// share across executions and threads.
 struct CompiledPlan {
-  std::string text;
+  /// The query text, built once when Prepare compiles or rebinds the
+  /// plan. Every record of the plan's executions shares it, and keeps it
+  /// alive after the plan is evicted.
+  observability::SharedText text;
   xquery::ExprPtr plan;
   sql::PushdownStats pushdown;
   /// User/data-service functions the original query calls — recorded
@@ -534,10 +537,10 @@ class DataServicePlatform {
                          const runtime::QueryTrace& trace,
                          observability::QueryCompletion* done);
 
-  /// Registers an execution with the live query registry, applies the
-  /// memory budget, and stamps the initial phase.
+  /// Registers `tenant`'s execution of `plan` with the live query
+  /// registry, applies the memory budget, and stamps the initial phase.
   std::shared_ptr<observability::QueryControl> RegisterExecution(
-      const CompiledPlan& plan, const security::Principal* principal);
+      const CompiledPlan& plan, observability::Tenant tenant);
 
   /// Priority class for the admission gate, from the statement's observed
   /// cost history: stat_statements mean wall time first, plan-history
@@ -546,13 +549,12 @@ class DataServicePlatform {
   QueryClass ClassifyStatement(const CompiledPlan& plan) const;
 
   /// Front-door gate shared by every execution surface: classifies,
-  /// admits (possibly queueing in the caller's lane, possibly shedding
-  /// with kResourceExhausted) and stamps the queued/executing phases on
-  /// `ctl`. An OK ticket holds a slot the caller must Release via the
-  /// returned ticket.
-  AdmissionController::Ticket AdmitExecution(
-      const CompiledPlan& plan, const security::Principal* principal,
-      observability::QueryControl* ctl);
+  /// admits (possibly queueing in the lane of `ctl`'s tenant, possibly
+  /// shedding with kResourceExhausted) and stamps the queued/executing
+  /// phases on `ctl`. An OK ticket holds a slot the caller must Release
+  /// via the returned ticket.
+  AdmissionController::Ticket AdmitExecution(const CompiledPlan& plan,
+                                             observability::QueryControl* ctl);
 
   using ItemSink = std::function<Status(const xml::Item&)>;
 

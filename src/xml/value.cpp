@@ -256,7 +256,9 @@ std::string FormatDateTime(int64_t epoch_seconds) {
   int hh = static_cast<int>(rem / 3600);
   int mm = static_cast<int>((rem % 3600) / 60);
   int ss = static_cast<int>(rem % 60);
-  char buf[32];
+  // Room for six fields of the widest int ("-2147483648"), their
+  // separators and the terminator, so no value can truncate.
+  char buf[6 * 11 + 6 + 1];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02dZ", year,
                 month, day, hh, mm, ss);
   return buf;

@@ -347,7 +347,7 @@ TEST(PlanLifecycleE2ETest, FlipRecordsHistoryAndSentinelFires) {
   auto audited =
       platform.audit_log().EventsInCategory("plan_regression");
   ASSERT_EQ(audited.size(), 1u);
-  EXPECT_NE(audited[0].detail.find("cost-model-advice change"),
+  EXPECT_NE(audited[0].detail.str().find("cost-model-advice change"),
             std::string::npos);
 
   // ...and the server surfaces it all: history, regressions, metrics.

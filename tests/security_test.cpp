@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
+#include <thread>
+#include <vector>
 
 #include "security/security.h"
 #include "server/server.h"
@@ -202,6 +205,39 @@ TEST_F(ServerSecurityTest, LateFilteringKeepsPlansShared) {
   EXPECT_EQ(platform_.plan_cache_misses(), 1);
   EXPECT_GE(platform_.plan_cache_hits(), 1);
   EXPECT_GE(platform_.audit_log().EventsInCategory("redaction").size(), 4u);
+}
+
+// Concurrent callers share one security audit: every redaction lands as
+// one intact event naming its caller and the policy's resource.
+TEST_F(ServerSecurityTest, ConcurrentRedactionsAuditEveryEvent) {
+  platform_.access_control().AddElementPolicy(
+      {"P/SSN", {"admin"}, RedactionAction::kRemove, {}});
+  constexpr int kThreads = 8;
+  constexpr int kRunsPerThread = 6;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      // Even threads run as support (redacted), odd ones as analyst.
+      const Principal who = t % 2 == 0 ? Clerk() : Admin();
+      for (int i = 0; i < kRunsPerThread; ++i) {
+        auto r = platform_.ExecuteAs("tns:profiles()", who);
+        if (!r.ok() || r->size() != 4u) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Four profiles per support run, one SSN each.
+  const int64_t expected = (kThreads / 2) * kRunsPerThread * 4;
+  EXPECT_EQ(platform_.audit_log().total_recorded(), expected);
+  auto events = platform_.audit_log().EventsInCategory("redaction");
+  ASSERT_EQ(static_cast<int64_t>(events.size()), expected);
+  for (const auto& e : events) {
+    EXPECT_EQ(e.user, Clerk().user);
+    EXPECT_EQ(e.detail, "resource P/SSN");
+  }
 }
 
 }  // namespace

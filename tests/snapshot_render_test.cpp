@@ -137,7 +137,7 @@ std::vector<WorkloadJournalEntry> JournalEntries() {
   a.plan_fingerprint = 9;
   a.text = "for $c in ns3:CUSTOMER() return $c";
   a.principal = "alice";
-  a.outcome = "ok";
+  a.outcome = StatusCode::kOk;
   a.wall_micros = 1500;
   a.rows = 6;
   a.peak_bytes = 2048;
@@ -148,7 +148,7 @@ std::vector<WorkloadJournalEntry> JournalEntries() {
   b.statement_fingerprint = 70;
   b.plan_fingerprint = 7;
   b.text = "quote \" backslash \\ tab \t newline \n control \x01 end";
-  b.outcome = "Cancelled";
+  b.outcome = StatusCode::kCancelled;
   b.wall_micros = 20;
   entries.push_back(b);
   return entries;

@@ -159,7 +159,7 @@ TEST(WorkloadJournalTest, JsonlRoundTripPreservesEveryField) {
   a.plan_fingerprint = 18446744073709551615ull;     // uint64 max
   a.text = "for $c in ns3:CUSTOMER() where $c/CID eq \"CUST001\" return $c";
   a.principal = "analyst";
-  a.outcome = "ok";
+  a.outcome = StatusCode::kOk;
   a.wall_micros = 4321;
   a.rows = 17;
   a.peak_bytes = 65536;
@@ -168,7 +168,7 @@ TEST(WorkloadJournalTest, JsonlRoundTripPreservesEveryField) {
   b.seq = 13;
   b.text = "quote \" backslash \\ slash / tab \t newline \n control \x01 end";
   b.principal = "";
-  b.outcome = "kCancelled";
+  b.outcome = StatusCode::kCancelled;
   entries.push_back(b);
 
   const std::string jsonl = Jsonl(entries);
