@@ -67,15 +67,49 @@ const Tenant::Entry* Tenant::Intern(std::string_view name) {
   return entry;
 }
 
+namespace {
+
+// Orders name lists, and finds one by any sorted range of names.
+struct NamesLess {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
+
+struct SourceSets {
+  std::mutex mu;
+  std::set<std::vector<std::string>, NamesLess> sets;
+};
+
+// Never freed: handles are plain pointers into its sets.
+SourceSets& Interned() {
+  static auto* interned = new SourceSets();
+  return *interned;
+}
+
+}  // namespace
+
 SourceSet::SourceSet(std::vector<std::string> names) {
   if (names.empty()) return;
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
-  // Never freed: handles are plain pointers into this set.
-  static std::mutex mu;
-  static auto* table = new std::set<std::vector<std::string>>();
-  std::lock_guard<std::mutex> lock(mu);
-  names_ = &*table->insert(std::move(names)).first;
+  SourceSets& interned = Interned();
+  std::lock_guard<std::mutex> lock(interned.mu);
+  names_ = &*interned.sets.insert(std::move(names)).first;
+}
+
+SourceSet::SourceSet(const std::set<std::string>& names) {
+  if (names.empty()) return;
+  SourceSets& interned = Interned();
+  std::lock_guard<std::mutex> lock(interned.mu);
+  auto it = interned.sets.find(names);
+  if (it == interned.sets.end()) {
+    it = interned.sets.emplace(names.begin(), names.end()).first;
+  }
+  names_ = &*it;
 }
 
 const std::vector<std::string>& SourceSet::Empty() {

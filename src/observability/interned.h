@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -135,6 +136,9 @@ class SourceSet {
   SourceSet(std::vector<std::string> names);  // NOLINT(runtime/explicit)
   SourceSet(std::initializer_list<std::string> names)
       : SourceSet(std::vector<std::string>(names)) {}
+  /// From names already sorted and unique; copies them only the first
+  /// time the set is seen.
+  explicit SourceSet(const std::set<std::string>& names);
 
   const std::vector<std::string>& names() const {
     return names_ != nullptr ? *names_ : Empty();

@@ -239,6 +239,7 @@ class Executor {
           if (!keep) continue;
         }
         OutRow orow;
+        orow.cells.reserve(s.items.size());
         for (const auto& item : s.items) {
           ALDSP_ASSIGN_OR_RETURN(Cell c, Eval(*item.expr, f));
           orow.cells.push_back(std::move(c));
@@ -253,6 +254,7 @@ class Executor {
       for (const Row* row : live) {
         Frame f{&working.scope, row, nullptr, outer};
         OutRow orow;
+        orow.cells.reserve(s.items.size());
         for (const auto& item : s.items) {
           ALDSP_ASSIGN_OR_RETURN(Cell c, Eval(*item.expr, f));
           orow.cells.push_back(std::move(c));

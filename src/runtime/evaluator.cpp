@@ -471,45 +471,56 @@ class Evaluator {
                                    int depth) {
     ALDSP_ASSIGN_OR_RETURN(std::vector<Sequence> parts,
                            EvalChildren(e.children, env, depth));
-    NodePtr el = XNode::Element(e.ctor_name);
-    // First pass: attach attributes (attribute items may come from any
-    // content expression, e.g. a conditional attribute constructor).
+    // First pass: attributes (attribute items may come from any content
+    // expression, e.g. a conditional attribute constructor).
+    std::vector<NodePtr> attributes;
     Sequence content;
+    bool only_atomics = true;
     for (auto& p : parts) {
       for (auto& item : p) {
         if (item.is_node() &&
             item.node()->kind() == xml::NodeKind::kAttribute) {
-          el->AddAttribute(item.node()->Clone());
+          attributes.push_back(item.node()->Clone());
         } else {
-          content.push_back(item);
+          only_atomics = only_atomics && item.is_atomic();
+          content.push_back(std::move(item));
         }
       }
     }
     // Second pass: content. Adjacent atomic values join into one text
-    // node separated by spaces; a single atomic keeps its runtime type
-    // annotation (paper §3.1: annotations survive construction).
+    // value separated by spaces; a single atomic keeps its runtime type
+    // annotation (paper §3.1: annotations survive construction). Content
+    // that is only atomic values makes a leaf holding that one value.
+    auto join = [&content](size_t i, size_t j) {
+      if (j - i == 1) return content[i].TakeAtomic();
+      std::string joined;
+      for (size_t k = i; k < j; ++k) {
+        if (k > i) joined += ' ';
+        joined += content[k].atomic().Lexical();
+      }
+      return AtomicValue::String(std::move(joined));
+    };
+    if (attributes.empty() && only_atomics && !content.empty()) {
+      return Sequence{
+          Item(XNode::TypedElement(e.ctor_name, join(0, content.size())))};
+    }
+    NodePtr el = XNode::Element(e.ctor_name);
+    for (auto& a : attributes) el->AddAttribute(std::move(a));
+    std::vector<NodePtr> children;
+    children.reserve(content.size());
     size_t i = 0;
     while (i < content.size()) {
-      const Item& item = content[i];
-      if (item.is_node()) {
-        el->AddChild(item.node()->Clone());
+      if (content[i].is_node()) {
+        children.push_back(content[i].node()->Clone());
         ++i;
         continue;
       }
       size_t j = i;
       while (j < content.size() && content[j].is_atomic()) ++j;
-      if (j - i == 1) {
-        el->AddChild(XNode::Text(item.atomic()));
-      } else {
-        std::string joined;
-        for (size_t k = i; k < j; ++k) {
-          if (k > i) joined += ' ';
-          joined += content[k].atomic().Lexical();
-        }
-        el->AddChild(XNode::Text(AtomicValue::String(std::move(joined))));
-      }
+      children.push_back(XNode::Text(join(i, j)));
       i = j;
     }
+    el->SetChildren(std::move(children));
     return Sequence{Item(std::move(el))};
   }
 

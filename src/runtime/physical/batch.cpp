@@ -111,6 +111,18 @@ Tuple TupleBatch::MaterializeRow(size_t i) const {
   return t;
 }
 
+void TupleBatch::ReleaseRow(size_t i) {
+  size_t r = PhysicalIndex(i);
+  bases_[r] = Tuple();
+  for (auto& col : cols_) {
+    if (col.layout == BatchColumn::Layout::kAtomic) {
+      col.atoms[r] = xml::AtomicValue();
+    } else if (col.layout == BatchColumn::Layout::kSeq) {
+      Sequence().swap(col.seqs[r]);
+    }
+  }
+}
+
 const BatchColumn* TupleBatch::FindColumn(const std::string& name) const {
   for (auto it = cols_.rbegin(); it != cols_.rend(); ++it) {
     if (it->name == name) return &*it;
@@ -198,6 +210,8 @@ Status ApplyPathStep(const Expr& e, const Sequence& in, bool atomize,
       // Walk the child list directly instead of ChildrenNamed: the batch
       // kernel runs this once per row, and the intermediate vector the
       // convenience accessor returns is pure allocation overhead here.
+      // A leaf's one child is text, so it is skipped unbuilt.
+      if (node->leaf()) continue;
       for (const auto& child : node->children()) {
         if (child->kind() == xml::NodeKind::kElement &&
             xml::NameMatches(child->name(), e.step_name)) {

@@ -129,6 +129,11 @@ class TupleBatch {
   const xml::Sequence* LookupRow(size_t i, const std::string& name,
                                  xml::Sequence* scratch) const;
 
+  /// Drops the row's base environment and column values (visible index):
+  /// for a reader that will not read the row again, so what only the row
+  /// holds is freed before the batch is.
+  void ReleaseRow(size_t i);
+
   size_t column_count() const { return cols_.size(); }
   const BatchColumn& column(size_t c) const { return cols_[c]; }
   /// Mutable column access for fillers that add several columns before

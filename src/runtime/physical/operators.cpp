@@ -1490,7 +1490,10 @@ class ReturnOp final : public PhysicalOperator {
   // pull emits, so a driver pulling one row at a time pays for exactly
   // one result expression (external calls included) per delivered item.
   // A pull that has emitted rows returns at the end of the buffered batch
-  // instead of waiting on the next one.
+  // instead of waiting on the next one. No row is read again once its
+  // result is built, so each is released then (a kernel-evaluated batch
+  // all at once): what only the row holds, such as a group's members,
+  // is freed while later results are built.
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     const size_t want = batch_target();
     BatchColumn* col = out->AddColumn(kResultBinding);
@@ -1507,6 +1510,7 @@ class ReturnOp final : public PhysicalOperator {
         if (kernel_) {
           ALDSP_RETURN_NOT_OK(KernelEvalRows(*ret_, in_, &kernel_vals_, false,
                                              ctx()->literals.get()));
+          for (size_t i = 0; i < in_.size(); ++i) in_.ReleaseRow(i);
         }
         continue;
       }
@@ -1516,6 +1520,7 @@ class ReturnOp final : public PhysicalOperator {
       } else if (ret_ != nullptr) {
         ALDSP_ASSIGN_OR_RETURN(
             v, eval()->EvalExpr(*ret_, in_.MaterializeRow(in_pos_)));
+        in_.ReleaseRow(in_pos_);
       }
       out->AddRow(Tuple());
       col->AppendSeq(std::move(v));

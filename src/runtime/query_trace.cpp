@@ -241,6 +241,11 @@ std::vector<std::string> QueryTrace::SourcesTouched() const {
   return std::vector<std::string>(sources_.begin(), sources_.end());
 }
 
+observability::SourceSet QueryTrace::SourceSetTouched() const {
+  std::lock_guard<std::mutex> lock(sources_mutex_);
+  return observability::SourceSet(sources_);
+}
+
 observability::Timeline QueryTrace::BuildTimeline() const {
   observability::Timeline timeline;
   std::lock_guard<std::mutex> lock(mutex_);

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "observability/interned.h"
 #include "observability/timeline.h"
 
 namespace aldsp::runtime {
@@ -180,6 +181,8 @@ class QueryTrace {
   /// mode). Function-cache hits count their source as touched even
   /// though no backend round trip happened.
   std::vector<std::string> SourcesTouched() const;
+  /// The same sources, interned straight from the trace's set.
+  observability::SourceSet SourceSetTouched() const;
 
   /// Converts a timeline-mode trace into the runtime-neutral model the
   /// observability consumers (critical path, Chrome export) operate on.

@@ -493,7 +493,7 @@ void DataServicePlatform::FinishObservation(
   c.function_cache_misses = count(EventKind::kCacheMiss);
   c.timeouts = count(EventKind::kTimeout);
   c.failovers = count(EventKind::kFailOver);
-  c.sources = trace.SourcesTouched();
+  c.sources = trace.SourceSetTouched();
   // Wall-time split. Timeline traces yield the exact critical-path
   // attribution; counters mode approximates from the O(1) event-micros
   // tallies (queue wait needs task spans, so it reads 0 there).

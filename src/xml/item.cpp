@@ -11,6 +11,7 @@ Sequence Atomize(const Sequence& seq) {
 
 void AppendChildData(const XNode& node, const std::string& name,
                      Sequence* out) {
+  if (node.leaf()) return;  // its one child is text
   if (node.flat()) {
     node.ForEachRowCell([&](const std::string& column, const AtomicValue& v) {
       if (NameMatches(column, name)) out->emplace_back(v);

@@ -23,6 +23,8 @@ class Item {
 
   const AtomicValue& atomic() const { return std::get<AtomicValue>(repr_); }
   const NodePtr& node() const { return std::get<NodePtr>(repr_); }
+  /// Moves the atomic value out, leaving the item a moved-from value.
+  AtomicValue TakeAtomic() { return std::move(std::get<AtomicValue>(repr_)); }
 
   /// XQuery atomization (fn:data on one item).
   AtomicValue Atomize() const {
@@ -48,8 +50,8 @@ using Sequence = std::vector<Item>;
 Sequence Atomize(const Sequence& seq);
 
 /// fn:data($node/name): appends the typed value of each child element of
-/// `node` named `name` to `out`. A flat row reads its cells and builds no
-/// child nodes.
+/// `node` named `name` to `out`. A flat row reads its cells, and neither it
+/// nor a leaf builds child nodes.
 void AppendChildData(const XNode& node, const std::string& name,
                      Sequence* out);
 

@@ -1,6 +1,6 @@
 #include "xml/node.h"
 
-#include <mutex>
+#include <cassert>
 #include <string_view>
 
 namespace aldsp::xml {
@@ -9,108 +9,284 @@ namespace {
 
 thread_local std::atomic<int64_t>* tls_row_materializations = nullptr;
 
+// What a kind without the field reads. Never destroyed, so nodes stay
+// readable while other statics are torn down at exit.
+const std::string& NoName() {
+  static const std::string* const none = new std::string();
+  return *none;
+}
+const AtomicValue& NoValue() {
+  static const AtomicValue* const none = new AtomicValue();
+  return *none;
+}
+const std::vector<NodePtr>& NoNodes() {
+  static const std::vector<NodePtr>* const none = new std::vector<NodePtr>();
+  return *none;
+}
+
+// std::make_shared puts the node after its control block: a vtable
+// pointer and the use and weak counts.
+constexpr size_t kControlBlockBytes = sizeof(void*) + 2 * sizeof(int);
+
+// Out-of-line storage only: short strings live inside the string object.
+size_t HeapBytes(const std::string& s) {
+  static const size_t inline_capacity = std::string().capacity();
+  return s.capacity() > inline_capacity ? s.capacity() + 1 : 0;
+}
+size_t HeapBytes(const AtomicValue& v) {
+  return v.is_string() ? HeapBytes(v.AsString()) : 0;
+}
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
 }  // namespace
 
-/// The flat form's storage, allocated with the node and its control block.
-class XNode::RowNode final : public XNode {
+// ----- Layouts -------------------------------------------------------------
+
+struct XNode::Content {
+  std::vector<NodePtr> attributes;
+  std::vector<NodePtr> children;
+
+  size_t MemoryBytes() const {
+    size_t total = VectorBytes(attributes) + VectorBytes(children);
+    for (const auto& a : attributes) total += a->MemoryBytes();
+    for (const auto& c : children) total += c->MemoryBytes();
+    return total;
+  }
+};
+
+/// A document or an element in tree form.
+class XNode::ParentNode final : public XNode {
+ public:
+  ParentNode(NodeKind kind, std::string name)
+      : XNode(kind, Layout::kParent), name_(std::move(name)) {}
+
+  std::string name_;
+  Content content_;
+};
+
+class XNode::TextNode final : public XNode {
+ public:
+  explicit TextNode(AtomicValue value)
+      : XNode(NodeKind::kText, Layout::kText), value_(std::move(value)) {}
+
+  AtomicValue value_;
+};
+
+class XNode::AttributeNode final : public XNode {
+ public:
+  AttributeNode(std::string name, AtomicValue value)
+      : XNode(NodeKind::kAttribute, Layout::kAttribute),
+        name_(std::move(name)),
+        value_(std::move(value)) {}
+
+  std::string name_;
+  AtomicValue value_;
+};
+
+/// An element in a compact form: its content, once Build() made it.
+class XNode::BuiltNode : public XNode {
+ public:
+  explicit BuiltNode(Layout layout) : XNode(NodeKind::kElement, layout) {}
+
+  std::unique_ptr<Content> content_;
+};
+
+class XNode::LeafNode final : public BuiltNode {
+ public:
+  LeafNode(std::string name, AtomicValue value)
+      : BuiltNode(Layout::kLeaf),
+        name_(std::move(name)),
+        value_(std::move(value)) {}
+
+  std::string name_;
+  AtomicValue value_;
+};
+
+/// The row's name is its schema's.
+class XNode::RowNode final : public BuiltNode {
  public:
   RowNode(std::shared_ptr<const RowSchema> schema, std::vector<Cell> cells)
-      : XNode(Key{}, NodeKind::kElement),
+      : BuiltNode(Layout::kRow),
         schema_(std::move(schema)),
         cells_(std::move(cells)) {}
 
   std::shared_ptr<const RowSchema> schema_;
   std::vector<Cell> cells_;
-  std::once_flag build_once_;
 };
 
+// ----- Factories -----------------------------------------------------------
+
 NodePtr XNode::Document() {
-  return std::make_shared<XNode>(Key{}, NodeKind::kDocument);
+  return std::make_shared<ParentNode>(NodeKind::kDocument, std::string());
 }
 
 NodePtr XNode::Element(std::string name) {
-  NodePtr n = std::make_shared<XNode>(Key{}, NodeKind::kElement);
-  n->name_ = std::move(name);
-  return n;
+  return std::make_shared<ParentNode>(NodeKind::kElement, std::move(name));
 }
 
 NodePtr XNode::Attribute(std::string name, AtomicValue value) {
-  NodePtr n = std::make_shared<XNode>(Key{}, NodeKind::kAttribute);
-  n->name_ = std::move(name);
-  n->value_ = std::move(value);
-  return n;
+  return std::make_shared<AttributeNode>(std::move(name), std::move(value));
 }
 
 NodePtr XNode::Text(AtomicValue value) {
-  NodePtr n = std::make_shared<XNode>(Key{}, NodeKind::kText);
-  n->value_ = std::move(value);
-  return n;
+  return std::make_shared<TextNode>(std::move(value));
 }
 
 NodePtr XNode::TypedElement(std::string name, AtomicValue value) {
-  NodePtr e = Element(std::move(name));
-  e->AddChild(Text(std::move(value)));
-  return e;
+  return std::make_shared<LeafNode>(std::move(name), std::move(value));
 }
 
 NodePtr XNode::Row(std::shared_ptr<const RowSchema> schema,
                    std::vector<Cell> cells) {
-  auto n = std::make_shared<RowNode>(std::move(schema), std::move(cells));
-  n->row_ = true;
-  n->name_ = n->schema_->row_name;
-  return n;
+  return std::make_shared<RowNode>(std::move(schema), std::move(cells));
 }
 
-const RowSchema& XNode::row_schema() const {
-  return *static_cast<const RowNode*>(this)->schema_;
+// ----- Fields --------------------------------------------------------------
+
+const std::string& XNode::name() const {
+  switch (layout_) {
+    case Layout::kText:
+      break;
+    case Layout::kAttribute:
+      return as<AttributeNode>().name_;
+    case Layout::kParent:
+      return as<ParentNode>().name_;
+    case Layout::kLeaf:
+      return as<LeafNode>().name_;
+    case Layout::kRow:
+      return as<RowNode>().schema_->row_name;
+  }
+  return NoName();
 }
 
-const std::vector<Cell>& XNode::row_cells() const {
-  return static_cast<const RowNode*>(this)->cells_;
-}
-
-void XNode::BuildRowChildren() const {
-  auto* row = const_cast<RowNode*>(static_cast<const RowNode*>(this));
-  std::call_once(row->build_once_, [row] {
-    row->ForEachRowCell([row](const std::string& name, const AtomicValue& v) {
-      NodePtr child = TypedElement(name, v);
-      child->parent_ = row;
-      row->children_.push_back(std::move(child));
-    });
-    if (tls_row_materializations != nullptr) {
-      tls_row_materializations->fetch_add(1, std::memory_order_relaxed);
-    }
-    row->row_built_.store(true, std::memory_order_release);
-  });
-}
-
-void XNode::AddAttribute(NodePtr attr) {
-  attr->parent_ = this;
-  attributes_.push_back(std::move(attr));
-}
-
-void XNode::AddChild(NodePtr child) {
-  if (flat()) BuildRowChildren();
-  child->parent_ = this;
-  children_.push_back(std::move(child));
-}
-
-void XNode::SetChildren(std::vector<NodePtr> children) {
-  if (flat()) BuildRowChildren();
-  children_ = std::move(children);
-  for (auto& c : children_) c->parent_ = this;
-}
-
-void XNode::RemoveChildAt(size_t index) {
-  if (flat()) BuildRowChildren();
-  if (index < children_.size()) {
-    children_[index]->parent_ = nullptr;
-    children_.erase(children_.begin() + static_cast<ptrdiff_t>(index));
+const AtomicValue& XNode::value() const {
+  switch (layout_) {
+    case Layout::kText:
+      return as<TextNode>().value_;
+    case Layout::kAttribute:
+      return as<AttributeNode>().value_;
+    default:
+      return NoValue();
   }
 }
 
+void XNode::set_value(AtomicValue v) {
+  switch (layout_) {
+    case Layout::kText:
+      static_cast<TextNode*>(this)->value_ = std::move(v);
+      break;
+    case Layout::kAttribute:
+      static_cast<AttributeNode*>(this)->value_ = std::move(v);
+      break;
+    default:
+      assert(false && "set_value on a node without a value");
+  }
+}
+
+const std::vector<NodePtr>& XNode::attributes() const {
+  // A compact element has none until a mutator builds it.
+  if (layout_ == Layout::kParent) return as<ParentNode>().content_.attributes;
+  if ((layout_ == Layout::kLeaf || layout_ == Layout::kRow) &&
+      built_.load(std::memory_order_acquire)) {
+    return as<BuiltNode>().content_->attributes;
+  }
+  return NoNodes();
+}
+
+const std::vector<NodePtr>& XNode::children() const {
+  const Content* c = content();
+  return c != nullptr ? c->children : NoNodes();
+}
+
+const AtomicValue& XNode::leaf_value() const {
+  return as<LeafNode>().value_;
+}
+
+const RowSchema& XNode::row_schema() const { return *as<RowNode>().schema_; }
+
+const std::vector<Cell>& XNode::row_cells() const {
+  return as<RowNode>().cells_;
+}
+
+const XNode::Content* XNode::content() const {
+  switch (layout_) {
+    case Layout::kParent:
+      return &as<ParentNode>().content_;
+    case Layout::kLeaf:
+    case Layout::kRow:
+      if (!built_.load(std::memory_order_acquire)) Build();
+      return as<BuiltNode>().content_.get();
+    default:
+      return nullptr;
+  }
+}
+
+void XNode::Build() const {
+  std::call_once(build_once_, [this] {
+    auto* self = const_cast<XNode*>(this);
+    auto content = std::make_unique<Content>();
+    if (layout_ == Layout::kLeaf) {
+      // The leaf keeps its value: a reader that saw leaf() may still
+      // be reading it.
+      NodePtr text = Text(leaf_value());
+      text->parent_ = self;
+      content->children.push_back(std::move(text));
+    } else {
+      content->children.reserve(row_cells().size());
+      ForEachRowCell([&](const std::string& name, const AtomicValue& v) {
+        NodePtr child = TypedElement(name, v);
+        child->parent_ = self;
+        content->children.push_back(std::move(child));
+      });
+      if (tls_row_materializations != nullptr) {
+        tls_row_materializations->fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    static_cast<BuiltNode*>(self)->content_ = std::move(content);
+    built_.store(true, std::memory_order_release);
+  });
+}
+
+// ----- Mutators ------------------------------------------------------------
+// Text and attribute nodes have no content; the mutators leave them as
+// they are.
+
+void XNode::AddAttribute(NodePtr attr) {
+  Content* c = mutable_content();
+  if (c == nullptr) return;
+  attr->parent_ = this;
+  c->attributes.push_back(std::move(attr));
+}
+
+void XNode::AddChild(NodePtr child) {
+  Content* c = mutable_content();
+  if (c == nullptr) return;
+  child->parent_ = this;
+  c->children.push_back(std::move(child));
+}
+
+void XNode::SetChildren(std::vector<NodePtr> children) {
+  Content* c = mutable_content();
+  if (c == nullptr) return;
+  c->children = std::move(children);
+  for (auto& child : c->children) child->parent_ = this;
+}
+
+void XNode::RemoveChildAt(size_t index) {
+  Content* c = mutable_content();
+  if (c == nullptr || index >= c->children.size()) return;
+  c->children[index]->parent_ = nullptr;
+  c->children.erase(c->children.begin() + static_cast<ptrdiff_t>(index));
+}
+
+// ----- Reads ---------------------------------------------------------------
+
 std::vector<NodePtr> XNode::ChildrenNamed(const std::string& name) const {
   std::vector<NodePtr> out;
+  if (leaf()) return out;  // its one child is text
   for (const auto& c : children()) {
     if (c->kind() == NodeKind::kElement && NameMatches(c->name(), name)) {
       out.push_back(c);
@@ -120,6 +296,7 @@ std::vector<NodePtr> XNode::ChildrenNamed(const std::string& name) const {
 }
 
 NodePtr XNode::FirstChildNamed(const std::string& name) const {
+  if (leaf()) return nullptr;
   for (const auto& c : children()) {
     if (c->kind() == NodeKind::kElement && NameMatches(c->name(), name)) {
       return c;
@@ -129,70 +306,107 @@ NodePtr XNode::FirstChildNamed(const std::string& name) const {
 }
 
 NodePtr XNode::AttributeNamed(const std::string& name) const {
-  for (const auto& a : attributes_) {
+  for (const auto& a : attributes()) {
     if (NameMatches(a->name(), name)) return a;
   }
   return nullptr;
 }
 
 std::string XNode::StringValue() const {
-  switch (kind_) {
-    case NodeKind::kText:
-    case NodeKind::kAttribute:
-      return value_.Lexical();
-    case NodeKind::kElement:
-    case NodeKind::kDocument: {
-      std::string out;
-      if (flat()) {
-        ForEachRowCell([&out](const std::string&, const AtomicValue& v) {
-          out += v.Lexical();
-        });
-        return out;
-      }
-      for (const auto& c : children_) out += c->StringValue();
-      return out;
-    }
+  if (layout_ == Layout::kText || layout_ == Layout::kAttribute) {
+    return value().Lexical();
   }
-  return "";
+  if (leaf()) return leaf_value().Lexical();
+  std::string out;
+  if (flat()) {
+    ForEachRowCell([&out](const std::string&, const AtomicValue& v) {
+      out += v.Lexical();
+    });
+    return out;
+  }
+  for (const auto& c : children()) out += c->StringValue();
+  return out;
 }
 
 AtomicValue XNode::TypedValue() const {
-  if (kind_ == NodeKind::kText || kind_ == NodeKind::kAttribute) return value_;
+  if (layout_ == Layout::kText || layout_ == Layout::kAttribute) {
+    return value();
+  }
+  if (leaf()) return leaf_value();
   // A row's children are elements, so it never has a single text child.
-  if (kind_ == NodeKind::kElement && !flat() && children_.size() == 1 &&
-      children_[0]->kind() == NodeKind::kText) {
-    return children_[0]->value();
+  if (kind_ == NodeKind::kElement && !flat()) {
+    const std::vector<NodePtr>& children = this->children();
+    if (children.size() == 1 && children[0]->kind() == NodeKind::kText) {
+      return children[0]->value();
+    }
   }
   return AtomicValue::Untyped(StringValue());
 }
 
 NodePtr XNode::Clone() const {
-  if (flat()) {
-    const auto* row = static_cast<const RowNode*>(this);
-    return Row(row->schema_, row->cells_);
+  switch (layout_) {
+    case Layout::kText:
+      return Text(value());
+    case Layout::kAttribute:
+      return Attribute(name(), value());
+    default:
+      break;
   }
-  NodePtr n = std::make_shared<XNode>(Key{}, kind_);
-  n->name_ = name_;
-  n->value_ = value_;
-  for (const auto& a : attributes_) n->AddAttribute(a->Clone());
-  for (const auto& c : children_) n->AddChild(c->Clone());
+  if (leaf()) return TypedElement(name(), leaf_value());
+  if (flat()) {
+    const RowNode& row = as<RowNode>();
+    return Row(row.schema_, row.cells_);
+  }
+  const std::vector<NodePtr>& attributes = this->attributes();
+  const std::vector<NodePtr>& children = this->children();
+  if (kind_ == NodeKind::kElement && attributes.empty() &&
+      children.size() == 1 && children[0]->kind() == NodeKind::kText) {
+    return TypedElement(name(), children[0]->value());
+  }
+  auto n = std::make_shared<ParentNode>(kind_, name());
+  n->content_.attributes.reserve(attributes.size());
+  for (const auto& a : attributes) n->AddAttribute(a->Clone());
+  n->content_.children.reserve(children.size());
+  for (const auto& c : children) n->AddChild(c->Clone());
   return n;
 }
 
+namespace {
+
+// The value of `node`'s one text child when that is all it holds.
+const AtomicValue* SoleText(const XNode& node) {
+  if (node.leaf()) return &node.leaf_value();
+  if (node.flat() || !node.attributes().empty()) return nullptr;
+  const std::vector<NodePtr>& children = node.children();
+  if (children.size() != 1 || children[0]->kind() != NodeKind::kText) {
+    return nullptr;
+  }
+  return &children[0]->value();
+}
+
+}  // namespace
+
 bool XNode::DeepEquals(const XNode& other) const {
-  if (kind_ != other.kind_ || name_ != other.name_) return false;
-  if ((kind_ == NodeKind::kText || kind_ == NodeKind::kAttribute) &&
-      !(value_ == other.value_)) {
-    return false;
+  if (kind_ != other.kind_ || name() != other.name()) return false;
+  if (layout_ == Layout::kText || layout_ == Layout::kAttribute) {
+    return value() == other.value();
+  }
+  // A leaf equals the element with one equal text child it stands for.
+  if (leaf() || other.leaf()) {
+    const AtomicValue* mine = SoleText(*this);
+    const AtomicValue* theirs = SoleText(other);
+    return mine != nullptr && theirs != nullptr && *mine == *theirs;
   }
   const std::vector<NodePtr>& mine = children();
   const std::vector<NodePtr>& theirs = other.children();
-  if (attributes_.size() != other.attributes_.size() ||
+  const std::vector<NodePtr>& my_attributes = attributes();
+  const std::vector<NodePtr>& their_attributes = other.attributes();
+  if (my_attributes.size() != their_attributes.size() ||
       mine.size() != theirs.size()) {
     return false;
   }
-  for (size_t i = 0; i < attributes_.size(); ++i) {
-    if (!attributes_[i]->DeepEquals(*other.attributes_[i])) return false;
+  for (size_t i = 0; i < my_attributes.size(); ++i) {
+    if (!my_attributes[i]->DeepEquals(*their_attributes[i])) return false;
   }
   for (size_t i = 0; i < mine.size(); ++i) {
     if (!mine[i]->DeepEquals(*theirs[i])) return false;
@@ -201,17 +415,27 @@ bool XNode::DeepEquals(const XNode& other) const {
 }
 
 size_t XNode::MemoryBytes() const {
-  size_t total = sizeof(XNode) + name_.capacity() + value_.MemoryBytes();
-  if (row_) {
-    const std::vector<Cell>& cells = row_cells();
-    total += sizeof(RowNode) - sizeof(XNode) + cells.capacity() * sizeof(Cell);
-    for (const Cell& c : cells) {
-      total += c.value.MemoryBytes() - sizeof(AtomicValue);
-    }
-    if (flat()) return total;
+  size_t total = kControlBlockBytes;
+  switch (layout_) {
+    case Layout::kText:
+      return total + sizeof(TextNode) + HeapBytes(value());
+    case Layout::kAttribute:
+      return total + sizeof(AttributeNode) + HeapBytes(name()) +
+             HeapBytes(value());
+    case Layout::kParent:
+      return total + sizeof(ParentNode) + HeapBytes(name()) +
+             as<ParentNode>().content_.MemoryBytes();
+    case Layout::kLeaf:
+      total += sizeof(LeafNode) + HeapBytes(name()) + HeapBytes(leaf_value());
+      break;
+    case Layout::kRow:
+      total += sizeof(RowNode) + VectorBytes(row_cells());
+      for (const Cell& c : row_cells()) total += HeapBytes(c.value);
+      break;
   }
-  for (const auto& a : attributes_) total += a->MemoryBytes();
-  for (const auto& c : children_) total += c->MemoryBytes();
+  if (built_.load(std::memory_order_acquire)) {
+    total += sizeof(Content) + as<BuiltNode>().content_->MemoryBytes();
+  }
   return total;
 }
 

@@ -2,7 +2,9 @@
 #define ALDSP_XML_NODE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,7 +15,7 @@ namespace aldsp::xml {
 class XNode;
 using NodePtr = std::shared_ptr<XNode>;
 
-enum class NodeKind { kDocument, kElement, kAttribute, kText };
+enum class NodeKind : uint8_t { kDocument, kElement, kAttribute, kText };
 
 /// What every row of one relational result shares: the row element's name
 /// and the element name of each column, in cell order. A cell's type
@@ -29,22 +31,26 @@ struct RowSchema {
 /// value carries the runtime type annotation (paper §3.1: runtime type
 /// annotations on content survive element construction).
 ///
-/// A relational row is one node in *flat form* (paper §5.1 keeps relational
-/// data as a flat typed token stream): an element holding a schema shared by
-/// its result and the row's cells, where `<COL>value</COL>` children are
-/// implied by the non-NULL cells. Reads that only need the cell values --
-/// atomized child steps (AppendChildData in xml/item.h), serialization,
-/// StringValue, TypedValue, MemoryBytes and Clone -- use the cells.
-/// Anything that needs child nodes (children(), the child lookups,
-/// DeepEquals, mutators) builds them once, under a once-flag because cached
-/// and exchanged rows are read from several threads; from then on the node
-/// is an ordinary element whose children have the row as parent(), and
-/// every read uses the children.
+/// Each kind of node stores only its own fields (DESIGN.md "Node
+/// layouts"): a text node its value, an attribute its name and value, an
+/// element or document its name, attributes and children. Accessors for a
+/// field a node does not have return shared empty values.
+///
+/// Two element forms keep their content compact until something needs
+/// child nodes (paper §5.1 keeps data as a flat typed token stream):
+///  - a *leaf* (`TypedElement`, and element constructors whose content is
+///    only atomic values) holds its typed value in place of the one text
+///    child it stands for;
+///  - a *flat row* holds a schema shared by its result and the row's cells,
+///    where `<COL>value</COL>` children are implied by the non-NULL cells.
+/// Reads that only need the value or the cells -- atomized child steps
+/// (AppendChildData in xml/item.h), serialization, StringValue,
+/// TypedValue, MemoryBytes and Clone -- use them directly. Anything that
+/// needs child nodes (children(), DeepEquals on a row, the mutators) builds
+/// them once, under a once-flag because cached and exchanged nodes are
+/// read from several threads; from then on the node is an ordinary element
+/// whose children have it as parent(), and every read uses the children.
 class XNode {
-  struct Key {
-    explicit Key() = default;
-  };
-
  public:
   static NodePtr Document();
   /// Element with (possibly prefixed) name such as "tns:PROFILE".
@@ -52,7 +58,7 @@ class XNode {
   static NodePtr Attribute(std::string name, AtomicValue value);
   static NodePtr Text(AtomicValue value);
 
-  /// Convenience: <name>typed-value</name>.
+  /// <name>typed-value</name>, as a leaf.
   static NodePtr TypedElement(std::string name, AtomicValue value);
 
   /// A row element in flat form over `cells` (one per schema column; NULL
@@ -60,31 +66,30 @@ class XNode {
   static NodePtr Row(std::shared_ptr<const RowSchema> schema,
                      std::vector<Cell> cells);
 
-  /// Nodes are made by the factories above (the key keeps the constructor
-  /// theirs while letting one allocation hold node and control block).
-  XNode(Key, NodeKind kind) : kind_(kind) {}
   XNode(const XNode&) = delete;
   XNode& operator=(const XNode&) = delete;
 
   NodeKind kind() const { return kind_; }
-  const std::string& name() const { return name_; }
+  const std::string& name() const;
   /// Atomic value of a text or attribute node.
-  const AtomicValue& value() const { return value_; }
-  void set_value(AtomicValue v) { value_ = std::move(v); }
+  const AtomicValue& value() const;
+  /// Text and attribute nodes only.
+  void set_value(AtomicValue v);
 
-  const std::vector<NodePtr>& attributes() const { return attributes_; }
-  /// Child nodes; a flat row builds them here on first use.
-  const std::vector<NodePtr>& children() const {
-    if (flat()) BuildRowChildren();
-    return children_;
-  }
+  const std::vector<NodePtr>& attributes() const;
+  /// Child nodes; a leaf or flat row builds them here on first use.
+  const std::vector<NodePtr>& children() const;
   XNode* parent() const { return parent_; }
+
+  /// True for a leaf that has not built its text child: its content is
+  /// leaf_value().
+  bool leaf() const { return compact(Layout::kLeaf); }
+  /// Leaves only (leaf() or built): the value the element holds.
+  const AtomicValue& leaf_value() const;
 
   /// True for a row node that has not built its children: its content is
   /// row_schema() and row_cells().
-  bool flat() const {
-    return row_ && !row_built_.load(std::memory_order_acquire);
-  }
+  bool flat() const { return compact(Layout::kRow); }
   /// Flat rows only (flat() or built): the shared schema and the cells.
   const RowSchema& row_schema() const;
   const std::vector<Cell>& row_cells() const;
@@ -119,32 +124,53 @@ class XNode {
   /// value as xs:untypedAtomic.
   AtomicValue TypedValue() const;
 
-  /// Deep copy (detached from any parent). A flat row copies its cells.
+  /// Deep copy (detached from any parent). A flat row copies its cells;
+  /// an element whose content is one text child copies as a leaf.
   NodePtr Clone() const;
 
   /// Structural deep equality (names, attributes, typed values).
   bool DeepEquals(const XNode& other) const;
 
-  /// Approximate heap footprint of the subtree in bytes: for a row, the
-  /// node, its cells and, once built, its children.
+  /// Heap footprint of the subtree in bytes: each node's own allocation
+  /// (with its shared-pointer control block) and the out-of-line storage
+  /// of its strings and vectors; a flat row's cells, a leaf's value and,
+  /// once built, their child nodes.
   size_t MemoryBytes() const;
 
  private:
+  // Nodes are made by the factories above, each as one allocation of its
+  // layout class (node.cpp) and the shared-pointer control block.
+  enum class Layout : uint8_t { kText, kAttribute, kParent, kLeaf, kRow };
+  XNode(NodeKind kind, Layout layout) : kind_(kind), layout_(layout) {}
+
+  struct Content;
+  class ParentNode;
+  class TextNode;
+  class AttributeNode;
+  class BuiltNode;
+  class LeafNode;
   class RowNode;
 
-  /// Builds a flat row's child elements from its cells, once.
-  void BuildRowChildren() const;
+  template <typename T>
+  const T& as() const {
+    return static_cast<const T&>(*this);
+  }
+  bool compact(Layout layout) const {
+    return layout_ == layout && !built_.load(std::memory_order_acquire);
+  }
+  /// The node's attributes and children: nullptr for text and attribute
+  /// nodes; a leaf or row builds its content first.
+  const Content* content() const;
+  Content* mutable_content() { return const_cast<Content*>(content()); }
+  /// Builds a leaf's text child or a flat row's child elements, once.
+  void Build() const;
 
   NodeKind kind_;
-  // Set on row nodes (which are RowNode objects); row_built_ turns true
-  // once children_ holds the row's child elements. Both sit in the
-  // padding after kind_.
-  bool row_ = false;
-  mutable std::atomic<bool> row_built_{false};
-  std::string name_;
-  AtomicValue value_;
-  std::vector<NodePtr> attributes_;
-  mutable std::vector<NodePtr> children_;
+  Layout layout_;
+  // Leaves and rows: true once their content is built. It and the
+  // once-flag sit in the padding before parent_.
+  mutable std::atomic<bool> built_{false};
+  mutable std::once_flag build_once_;
   XNode* parent_ = nullptr;
 };
 

@@ -31,6 +31,15 @@ void SerializeRec(const XNode& node, const SerializeOptions& options,
         *out += XmlEscape(a->value().Lexical());
         *out += '"';
       }
+      if (node.leaf()) {
+        // The one text child a leaf stands for.
+        *out += '>';
+        *out += XmlEscape(node.leaf_value().Lexical());
+        *out += "</";
+        *out += node.name();
+        *out += '>';
+        break;
+      }
       if (node.flat()) {
         // The children a row's cells imply, written as the tree form
         // would write them.

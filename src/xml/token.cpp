@@ -18,7 +18,9 @@ void NodeToTokens(const XNode& node, TokenVector* out) {
       for (const auto& a : node.attributes()) {
         out->push_back(Token::Attribute(a->name(), a->value()));
       }
-      if (node.flat()) {
+      if (node.leaf()) {
+        out->push_back(Token::Atom(node.leaf_value()));
+      } else if (node.flat()) {
         node.ForEachRowCell([out](const std::string& column,
                                   const AtomicValue& v) {
           out->push_back(Token::StartElement(column));

@@ -4,8 +4,10 @@
 // child elements it stands for (NULL cells are missing elements, paper
 // §4.4), build its children once even when several threads ask, and
 // cost at most three allocations per row. Through the server, the flat
-// row query set is held byte for byte to the reference across the knob
-// matrix, and the plans that should keep the flat form do.
+// row query set (with the leaves element constructors make, and the
+// return operator dropping each row once its result is built) is held
+// byte for byte to the reference across the knob matrix, and the plans
+// that should keep the flat form do.
 
 #include <gtest/gtest.h>
 
@@ -283,6 +285,16 @@ constexpr const char* kCopyRow =
     "for $c in ns3:CUSTOMER() return <W>{$c}</W>";
 constexpr const char* kChildStep =
     "for $c in ns3:CUSTOMER() return <W>{$c/CID}</W>";
+// Leaves as content of constructors, an empty string, an attribute beside
+// atomics, and leaves copied from a row and from a constructed element.
+constexpr const char* kNestedLeaves =
+    "for $c in ns3:CUSTOMER() "
+    "return <R><N>{fn:data($c/LAST_NAME)}</N><E>{\"\"}</E>"
+    "<A id=\"{fn:data($c/CID)}\">{fn:data($c/SINCE)}{1}</A>{$c/CID}</R>";
+constexpr const char* kStepOverLeaves =
+    "for $c in ns3:CUSTOMER() "
+    "let $r := <R><K>{fn:data($c/CID)}</K><V>{fn:count(ns3:getORDER($c))}</V></R> "
+    "return <W>{$r/K}{fn:data($r/V)}{$r/V}</W>";
 constexpr const char* kDeepEqual =
     "for $c in ns3:CUSTOMER(), $d in ns3:CUSTOMER() "
     "where $c/CID eq $d/CID return fn:deep-equal($c, $d)";
@@ -322,7 +334,7 @@ TEST_P(FlatRowKnobTest, FlatRowQueriesMatchReference) {
   const std::string label = GetParam().Name();
   for (const char* q :
        {kJoinPanel, kGroupPanel, kSmithPanel, kCustomerSummary, kReturnRow,
-        kNullColumns, kFilterRows, kCopyRow}) {
+        kNullColumns, kFilterRows, kCopyRow, kNestedLeaves, kStepOverLeaves}) {
     testing::ExpectMatchesReference(*platform, *reference, q, nullptr, label);
   }
   const std::string profile = "tns:getProfileByID(\"CUST003\")";

@@ -702,6 +702,9 @@ TEST(TimelineAsyncTest, CountersModeRecordsNoTimeline) {
   EXPECT_EQ(trace.CountEvents(QueryTrace::EventKind::kSourceInvoke), 1);
   EXPECT_EQ(trace.SourcesTouched(),
             std::vector<std::string>{"customer_db"});
+  // Interned from the set, it is the one interned from the list.
+  EXPECT_EQ(&trace.SourceSetTouched().names(),
+            &observability::SourceSet(trace.SourcesTouched()).names());
   // And a timeline trace keeps events with timestamps and lanes.
   QueryTrace timeline(QueryTrace::Mode::kTimeline);
   env.ctx.trace = &timeline;
