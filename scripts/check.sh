@@ -291,7 +291,9 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 # their child nodes once while several threads read them (the flat row
 # suite), and concurrent callers redacted into the one shared security
 # audit (the security suite), and leaves building their text child once
-# while several threads read them (the node layout suite). The
+# while several threads read them (the node layout suite), and threads
+# copying, comparing and atomizing one shared sequence of inline and
+# out-of-line atomic values (the atomic value suite). The
 # short-batch suite runs as ctest shards (stream_short_batch_test_shardN).
 # query_trace_test is excluded: its timeout test deliberately abandons
 # an evaluation past the end of the test body, which is the documented
@@ -307,8 +309,8 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
   batch_runtime_test plan_history_test workload_replay_test admission_test \
   server_test plan_rebind_test completion_parity_test column_pruning_test \
   stream_short_batch_test relational_engine_test runtime_eval_test \
-  flat_row_test security_test node_layout_test
+  flat_row_test security_test node_layout_test xml_value_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test|plan_rebind_test|completion_parity_test|column_pruning_test|stream_short_batch_test_shard[0-9]+|relational_engine_test|runtime_eval_test|flat_row_test|security_test|node_layout_test)$'
+  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|server_test|plan_rebind_test|completion_parity_test|column_pruning_test|stream_short_batch_test_shard[0-9]+|relational_engine_test|runtime_eval_test|flat_row_test|security_test|node_layout_test|xml_value_test)$'
 
 echo "== all checks passed =="

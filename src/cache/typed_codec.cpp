@@ -106,7 +106,7 @@ std::string EncodeTypedSequence(const xml::Sequence& seq) {
   return out;
 }
 
-Result<xml::Sequence> DecodeTypedSequence(const std::string& encoded) {
+Result<xml::Sequence> DecodeTypedSequence(std::string_view encoded) {
   TokenVector tokens;
   for (const std::string& line : Split(encoded, '\n')) {
     if (line.empty()) continue;

@@ -2,6 +2,7 @@
 #define ALDSP_CACHE_TYPED_CODEC_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "xml/item.h"
@@ -18,7 +19,7 @@ namespace aldsp::cache {
 /// Lexical values escape backslash and newline.
 std::string EncodeTypedSequence(const xml::Sequence& seq);
 
-Result<xml::Sequence> DecodeTypedSequence(const std::string& encoded);
+Result<xml::Sequence> DecodeTypedSequence(std::string_view encoded);
 
 }  // namespace aldsp::cache
 

@@ -103,7 +103,7 @@ std::string EncodeCell(const Cell& c) {
       return v.AsBoolean() ? "b1" : "b0";
     case xml::AtomicType::kString:
     case xml::AtomicType::kUntyped:
-      return "s" + v.AsString();
+      return std::string("s").append(v.AsString());
   }
   return "?";
 }

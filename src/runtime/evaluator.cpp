@@ -56,7 +56,7 @@ std::string EncodeAtomic(const AtomicValue& v) {
       return buf;
     case AtomicType::kString:
     case AtomicType::kUntyped:
-      return "s" + v.AsString();
+      return std::string("s").append(v.AsString());
   }
   return "?";
 }

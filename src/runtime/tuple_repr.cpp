@@ -47,7 +47,7 @@ void PutU32(std::string* out, uint32_t v) {
   out->append(buf, 4);
 }
 
-void PutBytes(std::string* out, const std::string& s) {
+void PutBytes(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }

@@ -71,7 +71,7 @@ bool SequenceDeepEquals(const Sequence& a, const Sequence& b) {
 
 size_t SequenceMemoryBytes(const Sequence& seq) {
   size_t total = sizeof(Sequence) + seq.capacity() * sizeof(Item);
-  for (const auto& item : seq) total += item.MemoryBytes();
+  for (const auto& item : seq) total += item.HeapBytes();
   return total;
 }
 

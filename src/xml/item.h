@@ -35,8 +35,10 @@ class Item {
     return is_atomic() ? atomic().Lexical() : node()->StringValue();
   }
 
-  size_t MemoryBytes() const {
-    return is_atomic() ? atomic().MemoryBytes() : node()->MemoryBytes();
+  /// Bytes the item holds outside its own slot: an out-of-line string,
+  /// or the node's subtree.
+  size_t HeapBytes() const {
+    return is_atomic() ? atomic().HeapBytes() : node()->MemoryBytes();
   }
 
  private:
@@ -70,7 +72,8 @@ void AppendSequence(Sequence& a, const Sequence& b);
 /// compare pushed-down vs mid-tier execution).
 bool SequenceDeepEquals(const Sequence& a, const Sequence& b);
 
-/// Total memory footprint of a sequence.
+/// Total memory footprint of a sequence: the vector, its slots and what
+/// each item holds outside its slot.
 size_t SequenceMemoryBytes(const Sequence& seq);
 
 }  // namespace aldsp::xml

@@ -28,14 +28,6 @@ const std::vector<NodePtr>& NoNodes() {
 // pointer and the use and weak counts.
 constexpr size_t kControlBlockBytes = sizeof(void*) + 2 * sizeof(int);
 
-// Out-of-line storage only: short strings live inside the string object.
-size_t HeapBytes(const std::string& s) {
-  static const size_t inline_capacity = std::string().capacity();
-  return s.capacity() > inline_capacity ? s.capacity() + 1 : 0;
-}
-size_t HeapBytes(const AtomicValue& v) {
-  return v.is_string() ? HeapBytes(v.AsString()) : 0;
-}
 template <typename T>
 size_t VectorBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -418,19 +410,19 @@ size_t XNode::MemoryBytes() const {
   size_t total = kControlBlockBytes;
   switch (layout_) {
     case Layout::kText:
-      return total + sizeof(TextNode) + HeapBytes(value());
+      return total + sizeof(TextNode) + value().HeapBytes();
     case Layout::kAttribute:
       return total + sizeof(AttributeNode) + HeapBytes(name()) +
-             HeapBytes(value());
+             value().HeapBytes();
     case Layout::kParent:
       return total + sizeof(ParentNode) + HeapBytes(name()) +
              as<ParentNode>().content_.MemoryBytes();
     case Layout::kLeaf:
-      total += sizeof(LeafNode) + HeapBytes(name()) + HeapBytes(leaf_value());
+      total += sizeof(LeafNode) + HeapBytes(name()) + leaf_value().HeapBytes();
       break;
     case Layout::kRow:
       total += sizeof(RowNode) + VectorBytes(row_cells());
-      for (const Cell& c : row_cells()) total += HeapBytes(c.value);
+      for (const Cell& c : row_cells()) total += c.value.HeapBytes();
       break;
   }
   if (built_.load(std::memory_order_acquire)) {

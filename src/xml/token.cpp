@@ -1,6 +1,6 @@
 #include "xml/token.h"
 
-#include <stack>
+#include <vector>
 
 namespace aldsp::xml {
 
@@ -55,60 +55,103 @@ void SequenceToTokens(const Sequence& seq, TokenVector* out) {
   for (const auto& item : seq) ItemToTokens(item, out);
 }
 
+namespace {
+
+// An element or document the stream has opened. An element stays
+// unbuilt while its content may still be one typed value, which it then
+// holds as a leaf.
+struct OpenNode {
+  std::string name;
+  NodePtr node;  // null while unbuilt
+  bool document = false;
+  bool has_value = false;
+  AtomicValue value;  // the one value an unbuilt element holds
+
+  const std::string& Name() const { return node ? node->name() : name; }
+  XNode& Built() {
+    if (node == nullptr) {
+      node = XNode::Element(std::move(name));
+      if (has_value) node->AddChild(XNode::Text(std::move(value)));
+    }
+    return *node;
+  }
+  NodePtr Finish() {
+    if (node != nullptr) return std::move(node);
+    return has_value ? XNode::TypedElement(std::move(name), std::move(value))
+                     : XNode::Element(std::move(name));
+  }
+};
+
+}  // namespace
+
 Result<Sequence> TokensToSequence(TokenIterator* it) {
   Sequence result;
-  std::stack<NodePtr> open;
+  std::vector<OpenNode> open;
+  // A finished node goes to the node open around it, else to the result.
+  auto place = [&](NodePtr n) {
+    if (open.empty()) {
+      result.emplace_back(std::move(n));
+    } else {
+      open.back().Built().AddChild(std::move(n));
+    }
+  };
   Token tok;
   while (it->Next(&tok)) {
     switch (tok.kind) {
       case TokenKind::kStartDocument: {
-        NodePtr doc = XNode::Document();
-        if (open.empty()) {
-          result.emplace_back(doc);
-        } else {
+        if (!open.empty()) {
           return Status::RuntimeError("nested document in token stream");
         }
-        open.push(doc);
+        OpenNode doc;
+        doc.node = XNode::Document();
+        doc.document = true;
+        open.push_back(std::move(doc));
         break;
       }
-      case TokenKind::kEndDocument:
-        if (open.empty() || open.top()->kind() != NodeKind::kDocument) {
+      case TokenKind::kEndDocument: {
+        if (open.empty() || !open.back().document) {
           return Status::RuntimeError("unbalanced EndDocument token");
         }
-        open.pop();
-        break;
-      case TokenKind::kStartElement: {
-        NodePtr el = XNode::Element(tok.name);
-        if (open.empty()) {
-          result.emplace_back(el);
-        } else {
-          open.top()->AddChild(el);
-        }
-        open.push(el);
+        NodePtr doc = open.back().Finish();
+        open.pop_back();
+        place(std::move(doc));
         break;
       }
-      case TokenKind::kEndElement:
-        if (open.empty() || open.top()->kind() != NodeKind::kElement ||
-            open.top()->name() != tok.name) {
+      case TokenKind::kStartElement:
+        // An element child means the parent is no leaf.
+        if (!open.empty()) open.back().Built();
+        open.emplace_back();
+        open.back().name = std::move(tok.name);
+        break;
+      case TokenKind::kEndElement: {
+        if (open.empty() || open.back().document ||
+            open.back().Name() != tok.name) {
           return Status::RuntimeError("unbalanced EndElement token: " +
                                       tok.name);
         }
-        open.pop();
+        NodePtr el = open.back().Finish();
+        open.pop_back();
+        place(std::move(el));
         break;
+      }
       case TokenKind::kAttribute: {
-        NodePtr attr = XNode::Attribute(tok.name, tok.value);
+        NodePtr attr = XNode::Attribute(std::move(tok.name),
+                                        std::move(tok.value));
         if (open.empty()) {
-          result.emplace_back(attr);
+          result.emplace_back(std::move(attr));
         } else {
-          open.top()->AddAttribute(attr);
+          open.back().Built().AddAttribute(std::move(attr));
         }
         break;
       }
       case TokenKind::kAtom:
         if (open.empty()) {
-          result.emplace_back(tok.value);
+          result.emplace_back(std::move(tok.value));
+        } else if (open.back().node == nullptr && !open.back().has_value) {
+          open.back().value = std::move(tok.value);
+          open.back().has_value = true;
         } else {
-          open.top()->AddChild(XNode::Text(tok.value));
+          open.back().Built().AddChild(XNode::Text(std::move(tok.value)));
         }
         break;
       case TokenKind::kBeginTuple:
@@ -127,12 +170,6 @@ Result<Sequence> TokensToSequence(TokenIterator* it) {
 Result<Sequence> TokensToSequence(const TokenVector& tokens) {
   VectorTokenIterator it(tokens);
   return TokensToSequence(&it);
-}
-
-size_t TokenVectorMemoryBytes(const TokenVector& tokens) {
-  size_t total = sizeof(TokenVector) + tokens.capacity() * sizeof(Token);
-  for (const auto& t : tokens) total += t.name.capacity() + t.value.MemoryBytes();
-  return total;
 }
 
 }  // namespace aldsp::xml

@@ -52,8 +52,9 @@ struct Token {
   static Token FieldSeparator() { return {TokenKind::kFieldSeparator, "", {}}; }
   static Token EndTuple() { return {TokenKind::kEndTuple, "", {}}; }
 
+  /// The token's slot and the bytes its name and value hold outside it.
   size_t MemoryBytes() const {
-    return sizeof(Token) + name.capacity() + value.MemoryBytes();
+    return sizeof(Token) + HeapBytes(name) + value.HeapBytes();
   }
 };
 
@@ -93,8 +94,6 @@ void SequenceToTokens(const Sequence& seq, TokenVector* out);
 /// an adaptor. Tuple-framing tokens are not valid here.
 Result<Sequence> TokensToSequence(TokenIterator* it);
 Result<Sequence> TokensToSequence(const TokenVector& tokens);
-
-size_t TokenVectorMemoryBytes(const TokenVector& tokens);
 
 }  // namespace aldsp::xml
 

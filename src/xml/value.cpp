@@ -3,6 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 namespace aldsp::xml {
 
@@ -31,30 +34,63 @@ bool IsNumeric(AtomicType t) {
          t == AtomicType::kDouble;
 }
 
-AtomicValue AtomicValue::String(std::string v) {
-  return AtomicValue(AtomicType::kString, std::move(v));
+AtomicValue AtomicValue::OfString(AtomicType type, std::string_view v) {
+  if (v.size() <= kInlineCapacity) {
+    AtomicValue out;
+    out.rep_.chars = Chars{type, static_cast<uint8_t>(v.size()), {}};
+    if (!v.empty()) std::memcpy(out.rep_.chars.bytes, v.data(), v.size());
+    return out;
+  }
+  if (v.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("atomic string value of 4 GiB or more");
+  }
+  Word w = WordOf(type);
+  w.size = kOnHeap;
+  w.length = static_cast<uint32_t>(v.size());
+  w.heap = CopyOut(v);
+  return AtomicValue(w);
 }
-AtomicValue AtomicValue::Untyped(std::string v) {
-  return AtomicValue(AtomicType::kUntyped, std::move(v));
+
+char* AtomicValue::CopyOut(std::string_view v) {
+  char* block = std::allocator<char>().allocate(v.size());
+  std::memcpy(block, v.data(), v.size());
+  return block;
+}
+
+AtomicValue AtomicValue::String(std::string_view v) {
+  return OfString(AtomicType::kString, v);
+}
+AtomicValue AtomicValue::Untyped(std::string_view v) {
+  return OfString(AtomicType::kUntyped, v);
 }
 AtomicValue AtomicValue::Integer(int64_t v) {
-  return AtomicValue(AtomicType::kInteger, v);
+  Word w = WordOf(AtomicType::kInteger);
+  w.integer = v;
+  return AtomicValue(w);
 }
 AtomicValue AtomicValue::Decimal(double v) {
-  return AtomicValue(AtomicType::kDecimal, v);
+  Word w = WordOf(AtomicType::kDecimal);
+  w.real = v;
+  return AtomicValue(w);
 }
 AtomicValue AtomicValue::Double(double v) {
-  return AtomicValue(AtomicType::kDouble, v);
+  Word w = WordOf(AtomicType::kDouble);
+  w.real = v;
+  return AtomicValue(w);
 }
 AtomicValue AtomicValue::Boolean(bool v) {
-  return AtomicValue(AtomicType::kBoolean, v);
+  Word w = WordOf(AtomicType::kBoolean);
+  w.boolean = v;
+  return AtomicValue(w);
 }
 AtomicValue AtomicValue::DateTime(int64_t epoch_seconds) {
-  return AtomicValue(AtomicType::kDateTime, epoch_seconds);
+  Word w = WordOf(AtomicType::kDateTime);
+  w.integer = epoch_seconds;
+  return AtomicValue(w);
 }
 
 double AtomicValue::NumericAsDouble() const {
-  if (type_ == AtomicType::kInteger) return static_cast<double>(AsInteger());
+  if (type() == AtomicType::kInteger) return static_cast<double>(AsInteger());
   return AsDouble();
 }
 
@@ -87,10 +123,10 @@ int DaysInMonth(int y, int m) {
 }  // namespace
 
 std::string AtomicValue::Lexical() const {
-  switch (type_) {
+  switch (type()) {
     case AtomicType::kString:
     case AtomicType::kUntyped:
-      return AsString();
+      return std::string(AsString());
     case AtomicType::kInteger:
       return std::to_string(AsInteger());
     case AtomicType::kDecimal:
@@ -105,7 +141,8 @@ std::string AtomicValue::Lexical() const {
 }
 
 Result<AtomicValue> AtomicValue::CastTo(AtomicType target) const {
-  if (target == type_) return *this;
+  const AtomicType type = this->type();
+  if (target == type) return *this;
   switch (target) {
     case AtomicType::kString:
       return AtomicValue::String(Lexical());
@@ -113,12 +150,12 @@ Result<AtomicValue> AtomicValue::CastTo(AtomicType target) const {
       return AtomicValue::Untyped(Lexical());
     case AtomicType::kInteger: {
       if (is_numeric()) return AtomicValue::Integer(static_cast<int64_t>(NumericAsDouble()));
-      if (type_ == AtomicType::kBoolean) return AtomicValue::Integer(AsBoolean() ? 1 : 0);
-      if (type_ == AtomicType::kDateTime) return AtomicValue::Integer(AsDateTime());
+      if (type == AtomicType::kBoolean) return AtomicValue::Integer(AsBoolean() ? 1 : 0);
+      if (type == AtomicType::kDateTime) return AtomicValue::Integer(AsDateTime());
       if (is_string()) {
         errno = 0;
         char* end = nullptr;
-        const std::string& s = AsString();
+        const std::string s(AsString());
         long long v = std::strtoll(s.c_str(), &end, 10);
         if (end == s.c_str() || (end && *end != '\0') || errno != 0) {
           return Status::RuntimeError("cannot cast '" + s + "' to xs:integer");
@@ -132,12 +169,12 @@ Result<AtomicValue> AtomicValue::CastTo(AtomicType target) const {
       double v;
       if (is_numeric()) {
         v = NumericAsDouble();
-      } else if (type_ == AtomicType::kBoolean) {
+      } else if (type == AtomicType::kBoolean) {
         v = AsBoolean() ? 1.0 : 0.0;
       } else if (is_string()) {
         errno = 0;
         char* end = nullptr;
-        const std::string& s = AsString();
+        const std::string s(AsString());
         v = std::strtod(s.c_str(), &end);
         if (end == s.c_str() || (end && *end != '\0') || errno != 0) {
           return Status::RuntimeError("cannot cast '" + s + "' to " +
@@ -152,24 +189,26 @@ Result<AtomicValue> AtomicValue::CastTo(AtomicType target) const {
     case AtomicType::kBoolean: {
       if (is_numeric()) return AtomicValue::Boolean(NumericAsDouble() != 0.0);
       if (is_string()) {
-        const std::string& s = AsString();
+        const std::string_view s = AsString();
         if (s == "true" || s == "1") return AtomicValue::Boolean(true);
         if (s == "false" || s == "0") return AtomicValue::Boolean(false);
-        return Status::RuntimeError("cannot cast '" + s + "' to xs:boolean");
+        return Status::RuntimeError("cannot cast '" + std::string(s) +
+                                    "' to xs:boolean");
       }
       break;
     }
     case AtomicType::kDateTime: {
-      if (type_ == AtomicType::kInteger) return AtomicValue::DateTime(AsInteger());
+      if (type == AtomicType::kInteger) return AtomicValue::DateTime(AsInteger());
       if (is_string()) {
-        ALDSP_ASSIGN_OR_RETURN(int64_t secs, ParseDateTime(AsString()));
+        ALDSP_ASSIGN_OR_RETURN(int64_t secs,
+                               ParseDateTime(std::string(AsString())));
         return AtomicValue::DateTime(secs);
       }
       break;
     }
   }
   return Status::RuntimeError(std::string("unsupported cast from ") +
-                              AtomicTypeName(type_) + " to " +
+                              AtomicTypeName(type) + " to " +
                               AtomicTypeName(target));
 }
 
@@ -181,7 +220,7 @@ bool AtomicValue::Equals(const AtomicValue& other) const {
 Result<int> AtomicValue::Compare(const AtomicValue& other) const {
   // Numeric promotion across integer/decimal/double.
   if (is_numeric() && other.is_numeric()) {
-    if (type_ == AtomicType::kInteger && other.type_ == AtomicType::kInteger) {
+    if (type() == AtomicType::kInteger && other.type() == AtomicType::kInteger) {
       int64_t a = AsInteger();
       int64_t b = other.AsInteger();
       return a < b ? -1 : (a > b ? 1 : 0);
@@ -191,16 +230,15 @@ Result<int> AtomicValue::Compare(const AtomicValue& other) const {
     return a < b ? -1 : (a > b ? 1 : 0);
   }
   if (is_string() && other.is_string()) {
-    return AsString().compare(other.AsString()) < 0
-               ? -1
-               : (AsString() == other.AsString() ? 0 : 1);
+    int c = AsString().compare(other.AsString());
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
-  if (type_ == AtomicType::kBoolean && other.type_ == AtomicType::kBoolean) {
+  if (type() == AtomicType::kBoolean && other.type() == AtomicType::kBoolean) {
     int a = AsBoolean() ? 1 : 0;
     int b = other.AsBoolean() ? 1 : 0;
     return a - b;
   }
-  if (type_ == AtomicType::kDateTime && other.type_ == AtomicType::kDateTime) {
+  if (type() == AtomicType::kDateTime && other.type() == AtomicType::kDateTime) {
     int64_t a = AsDateTime();
     int64_t b = other.AsDateTime();
     return a < b ? -1 : (a > b ? 1 : 0);
@@ -208,20 +246,16 @@ Result<int> AtomicValue::Compare(const AtomicValue& other) const {
   // Untyped data compares through string form against strings (handled
   // above); everything else is a dynamic error per XQuery semantics.
   return Status::RuntimeError(std::string("cannot compare ") +
-                              AtomicTypeName(type_) + " with " +
-                              AtomicTypeName(other.type_));
+                              AtomicTypeName(type()) + " with " +
+                              AtomicTypeName(other.type()));
 }
 
-size_t AtomicValue::MemoryBytes() const {
-  size_t base = sizeof(AtomicValue);
-  if (std::holds_alternative<std::string>(repr_)) {
-    base += std::get<std::string>(repr_).capacity();
-  }
-  return base;
+size_t HeapBytes(const std::string& s) {
+  static const size_t inline_capacity = std::string().capacity();
+  return s.capacity() > inline_capacity ? s.capacity() + 1 : 0;
 }
 
 bool operator==(const AtomicValue& a, const AtomicValue& b) {
-  if (a.type() != b.type()) return a.Equals(b);
   return a.Equals(b);
 }
 

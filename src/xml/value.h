@@ -1,9 +1,11 @@
 #ifndef ALDSP_XML_VALUE_H_
 #define ALDSP_XML_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <variant>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -14,7 +16,7 @@ namespace aldsp::xml {
 /// kUntyped corresponds to xs:untypedAtomic (data whose type annotation was
 /// lost); ALDSP's structural typing keeps data typed end-to-end, so untyped
 /// values appear only at the edges (e.g. unvalidated file input).
-enum class AtomicType {
+enum class AtomicType : uint8_t {
   kString = 0,
   kInteger,   // xs:integer / SQL INTEGER, BIGINT
   kDecimal,   // xs:decimal / SQL DECIMAL (stored as double in this repo)
@@ -30,13 +32,40 @@ const char* AtomicTypeName(AtomicType t);
 /// arithmetic (numeric promotion ladder integer -> decimal -> double).
 bool IsNumeric(AtomicType t);
 
-/// A single typed atomic value.
+/// A single typed atomic value, 16 bytes (DESIGN.md "Atomic values"): a
+/// type byte, a length byte and 14 payload bytes. Integers, doubles,
+/// booleans and dateTimes live in the payload, and so does a string of up
+/// to kInlineCapacity bytes; a longer string lives in one heap block the
+/// value owns, which a copy copies.
 class AtomicValue {
  public:
-  AtomicValue() : type_(AtomicType::kUntyped), repr_(std::string()) {}
+  static constexpr size_t kInlineCapacity = 14;
 
-  static AtomicValue String(std::string v);
-  static AtomicValue Untyped(std::string v);
+  /// The empty xs:untypedAtomic.
+  AtomicValue() { rep_.chars = Chars{AtomicType::kUntyped, 0, {}}; }
+  AtomicValue(const AtomicValue& other) : rep_(other.rep_) {
+    if (on_heap()) rep_.word.heap = CopyOut(other.AsString());
+  }
+  /// A moved-from string is empty; other values keep theirs.
+  AtomicValue(AtomicValue&& other) noexcept : rep_(other.rep_) {
+    other.Disown();
+  }
+  AtomicValue& operator=(const AtomicValue& other) {
+    if (this != &other) *this = AtomicValue(other);
+    return *this;
+  }
+  AtomicValue& operator=(AtomicValue&& other) noexcept {
+    if (this != &other) {
+      Release();
+      rep_ = other.rep_;
+      other.Disown();
+    }
+    return *this;
+  }
+  ~AtomicValue() { Release(); }
+
+  static AtomicValue String(std::string_view v);
+  static AtomicValue Untyped(std::string_view v);
   static AtomicValue Integer(int64_t v);
   static AtomicValue Decimal(double v);
   static AtomicValue Double(double v);
@@ -44,19 +73,25 @@ class AtomicValue {
   /// Seconds since the Unix epoch, matching the paper's int2date example.
   static AtomicValue DateTime(int64_t epoch_seconds);
 
-  AtomicType type() const { return type_; }
+  // Every member of the union starts with the type and the length byte,
+  // so both may be read through either member.
+  AtomicType type() const { return rep_.chars.type; }
 
   bool is_string() const {
-    return type_ == AtomicType::kString || type_ == AtomicType::kUntyped;
+    return type() == AtomicType::kString || type() == AtomicType::kUntyped;
   }
-  bool is_numeric() const { return IsNumeric(type_); }
+  bool is_numeric() const { return IsNumeric(type()); }
 
-  /// Accessors; caller must check type() first.
-  const std::string& AsString() const { return std::get<std::string>(repr_); }
-  int64_t AsInteger() const { return std::get<int64_t>(repr_); }
-  double AsDouble() const { return std::get<double>(repr_); }
-  bool AsBoolean() const { return std::get<bool>(repr_); }
-  int64_t AsDateTime() const { return std::get<int64_t>(repr_); }
+  /// Accessors; caller must check type() first. The view lives as long as
+  /// the value is neither changed nor destroyed.
+  std::string_view AsString() const {
+    return on_heap() ? std::string_view(rep_.word.heap, rep_.word.length)
+                     : std::string_view(rep_.chars.bytes, rep_.chars.size);
+  }
+  int64_t AsInteger() const { return rep_.word.integer; }
+  double AsDouble() const { return rep_.word.real; }
+  bool AsBoolean() const { return rep_.word.boolean; }
+  int64_t AsDateTime() const { return rep_.word.integer; }
 
   /// Numeric value widened to double (integer/decimal/double only).
   double NumericAsDouble() const;
@@ -76,17 +111,67 @@ class AtomicValue {
   /// Returns an error for incomparable types (e.g. string vs integer).
   Result<int> Compare(const AtomicValue& other) const;
 
-  /// Approximate heap footprint in bytes, used by memory accounting in the
-  /// runtime (tuple representation and group-by benchmarks).
-  size_t MemoryBytes() const;
+  /// Bytes held outside the value: an out-of-line string's block, else 0.
+  /// Memory accounting charges these on top of the slot the value sits in.
+  size_t HeapBytes() const { return on_heap() ? rep_.word.length : 0; }
 
  private:
-  AtomicValue(AtomicType type, std::variant<std::string, int64_t, double, bool> repr)
-      : type_(type), repr_(std::move(repr)) {}
+  // The length byte of a string whose bytes are out of line.
+  static constexpr uint8_t kOnHeap = 0xff;
 
-  AtomicType type_;
-  std::variant<std::string, int64_t, double, bool> repr_;
+  // A string of up to kInlineCapacity bytes.
+  struct Chars {
+    AtomicType type;
+    uint8_t size;
+    char bytes[kInlineCapacity];
+  };
+  // Any other value: a number, a boolean, or an out-of-line string.
+  struct Word {
+    AtomicType type;
+    uint8_t size;  // kOnHeap for an out-of-line string, else 0
+    uint32_t length;
+    union {
+      int64_t integer;
+      double real;
+      bool boolean;
+      char* heap;
+    };
+  };
+  union Rep {
+    Chars chars;
+    Word word;
+  };
+
+  static Word WordOf(AtomicType type) {
+    Word w{};
+    w.type = type;
+    return w;
+  }
+  explicit AtomicValue(const Word& word) { rep_.word = word; }
+
+  bool on_heap() const { return rep_.chars.size == kOnHeap; }
+  /// A string of `type` holding a copy of `v`.
+  static AtomicValue OfString(AtomicType type, std::string_view v);
+  /// A new heap block holding `v`'s bytes, from the allocator
+  /// std::string uses, so allocation counters see it the same way.
+  static char* CopyOut(std::string_view v);
+  /// Frees an out-of-line string; the representation is left as it was.
+  void Release() {
+    if (on_heap()) {
+      std::allocator<char>().deallocate(rep_.word.heap, rep_.word.length);
+    }
+  }
+  /// After this value's representation was moved elsewhere: an
+  /// out-of-line string becomes the empty string, as it no longer owns
+  /// its block.
+  void Disown() {
+    if (on_heap()) rep_.chars = Chars{type(), 0, {}};
+  }
+
+  Rep rep_;
 };
+
+static_assert(sizeof(AtomicValue) == 16, "AtomicValue is 16 bytes");
 
 bool operator==(const AtomicValue& a, const AtomicValue& b);
 
@@ -101,9 +186,7 @@ struct Cell {
   static Cell Null() { return {}; }
   static Cell Of(AtomicValue v) { return {false, std::move(v)}; }
   static Cell Int(int64_t v) { return Of(AtomicValue::Integer(v)); }
-  static Cell Str(std::string v) {
-    return Of(AtomicValue::String(std::move(v)));
-  }
+  static Cell Str(std::string_view v) { return Of(AtomicValue::String(v)); }
   static Cell Dbl(double v) { return Of(AtomicValue::Double(v)); }
   static Cell Bool(bool v) { return Of(AtomicValue::Boolean(v)); }
   static Cell Ts(int64_t epoch_seconds) {
@@ -112,6 +195,9 @@ struct Cell {
 
   std::string ToString() const { return is_null ? "NULL" : value.Lexical(); }
 };
+
+/// Out-of-line bytes of a string: none while it fits its inline buffer.
+size_t HeapBytes(const std::string& s);
 
 /// Formats epoch seconds as an xs:dateTime lexical value (UTC).
 std::string FormatDateTime(int64_t epoch_seconds);

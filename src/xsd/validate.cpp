@@ -20,8 +20,8 @@ Result<NodePtr> ValidateElement(const XNode& node, const TypePtr& type) {
                                 "> does not match expected <" + type->name() +
                                 ">");
   }
-  NodePtr out = XNode::Element(node.name());
   // Attributes.
+  std::vector<NodePtr> attributes;
   for (const auto& decl : type->attributes()) {
     NodePtr attr = node.AttributeNamed(decl.name);
     if (attr == nullptr) {
@@ -33,16 +33,24 @@ Result<NodePtr> ValidateElement(const XNode& node, const TypePtr& type) {
     }
     AtomicType target = AtomizedType(decl.type);
     ALDSP_ASSIGN_OR_RETURN(AtomicValue typed, attr->value().CastTo(target));
-    out->AddAttribute(XNode::Attribute(attr->name(), std::move(typed)));
-  }
-  if (type->has_any_content()) {
-    for (const auto& c : node.children()) out->AddChild(c->Clone());
-    return out;
+    attributes.push_back(XNode::Attribute(attr->name(), std::move(typed)));
   }
   if (type->has_simple_content()) {
-    AtomicValue raw = node.TypedValue();
-    ALDSP_ASSIGN_OR_RETURN(AtomicValue typed, raw.CastTo(type->atomic_type()));
+    ALDSP_ASSIGN_OR_RETURN(AtomicValue typed,
+                           node.TypedValue().CastTo(type->atomic_type()));
+    // Simple content without attributes is a leaf.
+    if (attributes.empty()) {
+      return XNode::TypedElement(node.name(), std::move(typed));
+    }
+    NodePtr out = XNode::Element(node.name());
+    for (NodePtr& attr : attributes) out->AddAttribute(std::move(attr));
     out->AddChild(XNode::Text(std::move(typed)));
+    return out;
+  }
+  NodePtr out = XNode::Element(node.name());
+  for (NodePtr& attr : attributes) out->AddAttribute(std::move(attr));
+  if (type->has_any_content()) {
+    for (const auto& c : node.children()) out->AddChild(c->Clone());
     return out;
   }
   // Complex content: validate each declared particle in declaration order;

@@ -18,10 +18,12 @@
 #include <thread>
 #include <vector>
 
+#include "cache/typed_codec.h"
 #include "examples/example_env.h"
 #include "update/sdo.h"
 #include "xml/serializer.h"
 #include "xml/token.h"
+#include "xsd/validate.h"
 
 // Allocation counting (calls and requested bytes) for the calling thread
 // only.
@@ -312,6 +314,81 @@ TEST(LeafTest, ConcurrentReadersBuildTheTextOnce) {
   EXPECT_EQ(seen[0]->parent(), leaf.get());
 }
 
+// A cached result read back from the typed codec holds the leaves it was
+// stored with: the same bytes accounted and the same serialization.
+TEST(LeafTest, TypedCodecRoundTripKeepsLeaves) {
+  xml::Sequence original;
+  NodePtr profile = XNode::Element("tns:PROFILE");
+  profile->AddChild(XNode::TypedElement("CID", AtomicValue::String("CUST001")));
+  profile->AddChild(XNode::TypedElement("SINCE", AtomicValue::DateTime(1000604800)));
+  profile->AddChild(XNode::TypedElement(
+      "NOTE", AtomicValue::String("a note longer than the inline buffer")));
+  profile->AddChild(XNode::Element("EMPTY"));
+  NodePtr attributed = TreeOf("RATING", AtomicValue::Integer(640));
+  attributed->AddAttribute(XNode::Attribute("scale", AtomicValue::String("fico")));
+  profile->AddChild(attributed);
+  original.emplace_back(profile);
+  for (const AtomicValue& v : Values()) {
+    original.emplace_back(XNode::TypedElement("G", v));
+  }
+  original.emplace_back(AtomicValue::Integer(7));
+
+  auto decoded = cache::DecodeTypedSequence(cache::EncodeTypedSequence(original));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), original.size());
+  EXPECT_EQ(xml::SerializeSequence(*decoded), xml::SerializeSequence(original));
+  EXPECT_TRUE(xml::SequenceDeepEquals(*decoded, original));
+  EXPECT_EQ(xml::SequenceMemoryBytes(*decoded), xml::SequenceMemoryBytes(original));
+  for (size_t i = 1; i + 1 < decoded->size(); ++i) {
+    EXPECT_TRUE((*decoded)[i].node()->leaf()) << i;
+  }
+  const std::vector<NodePtr>& fields = decoded->front().node()->children();
+  ASSERT_EQ(fields.size(), 5u);
+  EXPECT_TRUE(fields[0]->leaf());
+  EXPECT_TRUE(fields[1]->leaf());
+  EXPECT_EQ(fields[1]->leaf_value().type(), AtomicType::kDateTime);
+  EXPECT_TRUE(fields[2]->leaf());
+  // No content, and content beside an attribute, stay in tree form.
+  EXPECT_FALSE(fields[3]->leaf());
+  EXPECT_TRUE(fields[3]->children().empty());
+  EXPECT_FALSE(fields[4]->leaf());
+  EXPECT_EQ(xml::SerializeNode(*fields[4]),
+            "<RATING scale=\"fico\">640</RATING>");
+}
+
+// Simple content without attributes validates to a leaf: the rating web
+// service's typed result, directly and through the server.
+TEST(LeafTest, ValidatedSimpleContentIsALeaf) {
+  const xsd::TypePtr result_type = xsd::XType::SimpleElement(
+      "ns5:getRatingResult", AtomicType::kInteger);
+  const xsd::TypePtr response_type = xsd::XType::ComplexElement(
+      "ns5:getRatingResponse", {{"ns5:getRatingResult", xsd::One(result_type)}});
+  NodePtr response = XNode::Element("ns5:getRatingResponse");
+  response->AddChild(TreeOf("ns5:getRatingResult", AtomicValue::Untyped("650")));
+  auto validated = xsd::ValidateAndType(*response, response_type);
+  ASSERT_TRUE(validated.ok()) << validated.status().ToString();
+  EXPECT_EQ(xml::SerializeNode(**validated), xml::SerializeNode(*response));
+  NodePtr result = (*validated)->FirstChildNamed("ns5:getRatingResult");
+  ASSERT_NE(result, nullptr);
+  EXPECT_TRUE(result->leaf());
+  EXPECT_EQ(result->leaf_value(), AtomicValue::Integer(650));
+  EXPECT_EQ(result->leaf_value().type(), AtomicType::kInteger);
+
+  DataServicePlatform platform(ServerOptions{});
+  examples::WireRunningExample(platform, 5);
+  auto r = platform.Execute(
+      "ns4:getRating(<ns5:getRating><ns5:lName>Smith</ns5:lName>"
+      "<ns5:ssn>1</ns5:ssn></ns5:getRating>)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_EQ(xml::SerializeSequence(*r),
+            "<ns5:getRatingResponse><ns5:getRatingResult>650"
+            "</ns5:getRatingResult></ns5:getRatingResponse>");
+  NodePtr served = r->front().node()->FirstChildNamed("ns5:getRatingResult");
+  ASSERT_NE(served, nullptr);
+  EXPECT_TRUE(served->leaf());
+}
+
 // ----- Bytes ---------------------------------------------------------------
 
 // The single layout every node kind shared before: name, value, both
@@ -431,6 +508,44 @@ TEST(NodeBytesTest, AccountedBytesFollowTheAllocator) {
     profile->AddChild(TreeOf("RATING", AtomicValue::Integer(640)));
     doc->AddChild(profile);
     ExpectAccounted("mixed tree", counted.bytes(), doc->MemoryBytes());
+  }
+}
+
+// A sequence's accounted bytes are its vector, its slots and what each
+// item holds outside its slot (an out-of-line string, a node), and a
+// token's are its slot, its name's heap and its value's heap.
+TEST(NodeBytesTest, AtomicSequencesAndTokensFollowTheAllocator) {
+  const std::vector<AtomicValue> values = {
+      AtomicValue::Integer(1), AtomicValue::String("CUST001"),
+      AtomicValue::String("a value longer than the inline buffer"),
+      AtomicValue::Double(2.5), AtomicValue::Untyped(""),
+      AtomicValue::DateTime(1000604800)};
+  {
+    Counted counted;
+    auto seq = std::make_unique<xml::Sequence>();
+    seq->reserve(2 * values.size());
+    for (int i = 0; i < 2; ++i) {
+      for (const AtomicValue& v : values) seq->emplace_back(v);
+    }
+    ExpectAccounted("atomic sequence", counted.bytes(),
+                    xml::SequenceMemoryBytes(*seq));
+    // Each slot is charged once: an inline value holds nothing outside it.
+    EXPECT_EQ(xml::SequenceMemoryBytes(*seq),
+              sizeof(xml::Sequence) + seq->capacity() * sizeof(xml::Item) +
+                  2 * values[2].HeapBytes());
+  }
+  {
+    Counted counted;
+    xml::TokenVector tokens;
+    tokens.reserve(3 * values.size());
+    for (const AtomicValue& v : values) {
+      tokens.push_back(xml::Token::StartElement("AN_ELEMENT_NAME_OF_SOME_LENGTH"));
+      tokens.push_back(xml::Token::Atom(v));
+      tokens.push_back(xml::Token::EndElement("E"));
+    }
+    size_t accounted = 0;
+    for (const xml::Token& t : tokens) accounted += t.MemoryBytes();
+    ExpectAccounted("tokens", counted.bytes(), accounted);
   }
 }
 

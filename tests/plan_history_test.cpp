@@ -112,7 +112,7 @@ TEST(PlanHistoryTest, VersionRingBounded) {
   opts.max_versions_per_statement = 3;
   PlanHistory history(opts);
   for (uint64_t fp = 1; fp <= 5; ++fp) {
-    history.RecordCompile(7, fp, "q", "a" + std::to_string(fp),
+    history.RecordCompile(7, fp, "q", std::string("a") + std::to_string(fp),
                           [] { return "p"; });
   }
   auto s = history.Statement(7);

@@ -129,7 +129,7 @@ TEST(WorkloadJournalTest, RingEvictsOldestAtCapacity) {
   WorkloadJournal journal(3);
   for (int i = 0; i < 7; ++i) {
     QueryCompletion c;
-    c.text = "q" + std::to_string(i);
+    c.text = std::string("q") + std::to_string(i);
     journal.Append(c);
   }
   EXPECT_EQ(journal.total_appended(), 7);
